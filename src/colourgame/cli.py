@@ -177,6 +177,10 @@ def parse_config(
             raise ConfigurationError(
                 f"config file {config_path} is not valid JSON: {exc}"
             ) from exc
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot read config file {config_path}: {exc.strerror}"
+            ) from exc
         if not isinstance(file_config, dict):
             raise ConfigurationError(
                 f"config file {config_path} must hold a JSON object"

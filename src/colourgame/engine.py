@@ -11,6 +11,7 @@ and the pointing gestures.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -96,17 +97,17 @@ class ExperimentParams:
             )
         if self.num_interactions < 0:
             raise ConfigurationError("num_interactions must be >= 0")
-        if self.noise_std < 0:
-            raise ConfigurationError("noise_std must be >= 0")
-        if self.min_separation < 0:
-            raise ConfigurationError("min_separation must be >= 0")
         if not 0.0 < self.initial_score <= 1.0:
             raise ConfigurationError(
                 f"initial_score must be in (0, 1], got {self.initial_score}"
             )
-        for name in ("inc", "inh", "dec"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0")
+        # NaN compares False with everything, so `< 0` alone would pass it.
+        for name in ("noise_std", "min_separation", "inc", "inh", "dec"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ConfigurationError(
+                    f"{name} must be finite and >= 0, got {value}"
+                )
         if not 0.0 <= self.shift_rate <= 1.0:
             raise ConfigurationError(
                 f"shift_rate must be in [0, 1], got {self.shift_rate}"
@@ -397,14 +398,16 @@ def run_experiment(params: ExperimentParams, seed: int) -> RunResult:
     snapshot_points = set(params.snapshot_points)
 
     records: list[InteractionRecord] = []
+    monitor = monitors.PopulationMonitor(population)
     series: list[monitors.SeriesPoint] = []
     snapshots: list[monitors.LexiconSnapshot] = []
     for n in range(1, params.num_interactions + 1):
         record = run_interaction(population, world, bodies, params, rng, n)
         records.append(record)
+        monitor.observe(record)
         if n % params.series_interval == 0:
             series.append(
-                monitors.compute_series_point(population, records, n, params.window)
+                monitors.compute_series_point(monitor, records, n, params.window)
             )
         if n in snapshot_points:
             for agent in snapshot_targets:

@@ -6,6 +6,16 @@ number of distinct forms alive in the population, and the two form/meaning
 ratio series. Ratio fields with an empty denominator (no agent holding any
 construction) are reported as 0 by convention.
 
+The population counts are incremental. A `PopulationMonitor` caches each
+agent's ontology size, inventory size, form/meaning ratios and form set, plus
+a population-wide count of the agents holding each form. Only a game's
+speaker and hearer can change, so the monitor marks those two stale after
+every game, and a series point recounts the stale agents alone: its cost
+grows with the agents that played since the last row, not with the whole
+population's inventories. Each mean is still `statistics.fmean` over one
+value per agent, an exact sum, so the result does not depend on the order in
+which agents were recounted.
+
 Exports per run: `series.csv` (one row per sampled interaction),
 `snapshots.json`, and `snapshots.html` (one colour swatch per category,
 labelled with its scored forms). Multi-run aggregation writes
@@ -20,7 +30,7 @@ import json
 import statistics
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
 from .errors import ConfigurationError
 
@@ -81,45 +91,82 @@ def windowed_success(
     return sum(1 for r in recent if r.success) / len(recent)
 
 
+class PopulationMonitor:
+    """Per-agent counts behind the series, recounted only where play happened.
+
+    A game changes no agent but its speaker and hearer, so `observe` marks
+    those two stale and `recount` rescans the stale agents alone. Every agent
+    starts stale. `holders` maps each form alive in the population to the
+    number of agents holding it.
+    """
+
+    def __init__(self, population: Sequence["Agent"]) -> None:
+        self.population = population
+        self._agents = {agent.agent_id: agent for agent in population}
+        self._stale = set(self._agents)
+        self.ontology_sizes: dict[int, int] = {}
+        self.inventory_sizes: dict[int, int] = {}
+        # Only agents holding at least one construction have a ratio entry.
+        self.forms_per_meaning: dict[int, float] = {}
+        self.meanings_per_form: dict[int, float] = {}
+        self._forms: dict[int, set[str]] = {}
+        self.holders: dict[str, int] = {}
+
+    def observe(self, record: "InteractionRecord") -> None:
+        """Mark the two agents that played `record` as needing a recount."""
+        self._stale.add(record.speaker_id)
+        self._stale.add(record.hearer_id)
+
+    def recount(self) -> None:
+        """Bring every stale agent's counts and the form holders up to date."""
+        for agent_id in self._stale:
+            agent = self._agents[agent_id]
+            constructions = agent.inventory.constructions
+            self.ontology_sizes[agent_id] = len(agent.ontology)
+            self.inventory_sizes[agent_id] = len(constructions)
+            forms = {c.form for c in constructions}
+            old_forms = self._forms.get(agent_id, set())
+            for form in old_forms - forms:
+                if self.holders[form] == 1:
+                    del self.holders[form]
+                else:
+                    self.holders[form] -= 1
+            for form in forms - old_forms:
+                self.holders[form] = self.holders.get(form, 0) + 1
+            self._forms[agent_id] = forms
+            if constructions:
+                n = len(constructions)
+                categories = {c.category_id for c in constructions}
+                self.forms_per_meaning[agent_id] = n / len(categories)
+                self.meanings_per_form[agent_id] = n / len(forms)
+            else:
+                self.forms_per_meaning.pop(agent_id, None)
+                self.meanings_per_form.pop(agent_id, None)
+        self._stale.clear()
+
+
+def _mean(values: Collection[float]) -> float:
+    # fmean sums exactly (math.fsum), so the order of the agents cannot move
+    # a result; an empty collection reads 0 by convention.
+    return statistics.fmean(values) if values else 0.0
+
+
 def compute_series_point(
-    population: Sequence["Agent"],
+    monitor: PopulationMonitor,
     records: Sequence["InteractionRecord"],
     at: int,
     window: int,
 ) -> SeriesPoint:
-    """Derive every monitored value from the current population state."""
-    ontology_sizes = [len(agent.ontology) for agent in population]
-    inventory_sizes = [len(agent.inventory) for agent in population]
-    all_forms = {
-        c.form for agent in population for c in agent.inventory.constructions
-    }
-
-    forms_per_meaning: list[float] = []
-    meanings_per_form: list[float] = []
-    for agent in population:
-        constructions = agent.inventory.constructions
-        if not constructions:
-            continue
-        by_category: dict[int, int] = {}
-        by_form: dict[str, int] = {}
-        for c in constructions:
-            by_category[c.category_id] = by_category.get(c.category_id, 0) + 1
-            by_form[c.form] = by_form.get(c.form, 0) + 1
-        forms_per_meaning.append(statistics.fmean(by_category.values()))
-        meanings_per_form.append(statistics.fmean(by_form.values()))
-
+    """Derive every monitored value at interaction `at` from the monitor."""
+    monitor.recount()
     return SeriesPoint(
         interaction=at,
         success_window_avg=windowed_success(records, window, at),
-        mean_ontology_size=statistics.fmean(ontology_sizes) if population else 0.0,
-        mean_inventory_size=statistics.fmean(inventory_sizes) if population else 0.0,
-        distinct_forms_population=len(all_forms),
-        mean_forms_per_meaning=(
-            statistics.fmean(forms_per_meaning) if forms_per_meaning else 0.0
-        ),
-        mean_meanings_per_form=(
-            statistics.fmean(meanings_per_form) if meanings_per_form else 0.0
-        ),
+        mean_ontology_size=_mean(monitor.ontology_sizes.values()),
+        mean_inventory_size=_mean(monitor.inventory_sizes.values()),
+        distinct_forms_population=len(monitor.holders),
+        mean_forms_per_meaning=_mean(monitor.forms_per_meaning.values()),
+        mean_meanings_per_form=_mean(monitor.meanings_per_form.values()),
     )
 
 

@@ -2,15 +2,19 @@
 
 The oracles intentionally re-derive results through squared distances and
 explicit scans so they share no code path with the library implementation.
+`oracle_series_point` rescans every agent's whole inventory, the reference
+for the incremental `monitors.compute_series_point`.
 Oracle comparisons should use integer-valued colours: squared distances are
 then exact integers and agree with the library's sqrt-based ordering.
 """
 from __future__ import annotations
 
 import random
+import statistics
 
 from colourgame.conceptual import ColourCategory
 from colourgame.embodiment import SimulatedBackend, register_backend
+from colourgame.monitors import SeriesPoint, windowed_success
 from colourgame.world import Colour, Percept, WorldModel
 
 
@@ -65,6 +69,43 @@ def oracle_interpret(
     if len(winners) != 1:
         return None
     return winners[0]
+
+
+def oracle_series_point(population, records, at: int, window: int) -> SeriesPoint:
+    """Every monitored value at `at`, from a full rescan of the population."""
+    ontology_sizes = [len(agent.ontology) for agent in population]
+    inventory_sizes = [len(agent.inventory) for agent in population]
+    all_forms = {
+        c.form for agent in population for c in agent.inventory.constructions
+    }
+
+    forms_per_meaning: list[float] = []
+    meanings_per_form: list[float] = []
+    for agent in population:
+        constructions = agent.inventory.constructions
+        if not constructions:
+            continue
+        by_category: dict[int, int] = {}
+        by_form: dict[str, int] = {}
+        for c in constructions:
+            by_category[c.category_id] = by_category.get(c.category_id, 0) + 1
+            by_form[c.form] = by_form.get(c.form, 0) + 1
+        forms_per_meaning.append(statistics.fmean(by_category.values()))
+        meanings_per_form.append(statistics.fmean(by_form.values()))
+
+    return SeriesPoint(
+        interaction=at,
+        success_window_avg=windowed_success(records, window, at),
+        mean_ontology_size=statistics.fmean(ontology_sizes) if population else 0.0,
+        mean_inventory_size=statistics.fmean(inventory_sizes) if population else 0.0,
+        distinct_forms_population=len(all_forms),
+        mean_forms_per_meaning=(
+            statistics.fmean(forms_per_meaning) if forms_per_meaning else 0.0
+        ),
+        mean_meanings_per_form=(
+            statistics.fmean(meanings_per_form) if meanings_per_form else 0.0
+        ),
+    )
 
 
 def random_int_colour(rng: random.Random) -> Colour:

@@ -86,6 +86,47 @@ def test_parse_config_range_validation():
         parse_config(None, {"parallel": 0})
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("noise_std", "nan"), ("noise_std", "inf"), ("inc", "nan"),
+     ("inh", "inf"), ("dec", "inf")],
+)
+def test_non_finite_flag_exits_2(tmp_path, capsys, flag, value):
+    out_dir = tmp_path / "out"
+    assert main(small_args(out_dir, **{flag: value})) == 2
+    assert flag in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"noise_std": NaN}', '{"min_separation": Infinity}', '{"inc": NaN}',
+     '{"inh": -Infinity}', '{"dec": Infinity}'],
+)
+def test_non_finite_config_value_exits_2(tmp_path, capsys, text):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(text)
+    out_dir = tmp_path / "out"
+    code = main(["run", "--config", str(config_file), "--out-dir", str(out_dir)])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_missing_config_file_exits_2_and_output_io_error_exits_1(
+    tmp_path, capsys
+):
+    missing = tmp_path / "missing.json"
+    code = main(["run", "--config", str(missing), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    # an output directory that cannot be created stays an i/o error
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("occupied")
+    assert main(small_args(blocker / "out")) == 1
+    assert "i/o error" in capsys.readouterr().err
+
+
 def test_env_var_supplies_out_dir_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv(OUT_DIR_ENV_VAR, str(tmp_path / "from-env"))
     assert parse_config(None, {}).out_dir == str(tmp_path / "from-env")

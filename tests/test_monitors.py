@@ -4,10 +4,17 @@ import statistics
 
 import pytest
 
-from colourgame.engine import Agent, InteractionRecord
+from colourgame import monitors
+from colourgame.engine import (
+    Agent,
+    ExperimentParams,
+    InteractionRecord,
+    run_experiment,
+)
 from colourgame.errors import ConfigurationError
 from colourgame.monitors import (
     SERIES_HEADER,
+    PopulationMonitor,
     SeriesPoint,
     aggregate_runs,
     compute_series_point,
@@ -17,6 +24,7 @@ from colourgame.monitors import (
     windowed_success,
 )
 from colourgame.world import Colour
+from helpers import oracle_series_point
 
 
 def records_with(successes: list[bool]) -> list[InteractionRecord]:
@@ -87,7 +95,8 @@ def agent_with(agent_id: int, pairs: list[tuple[str, int]]) -> Agent:
 
 
 def test_series_point_on_empty_population():
-    point = compute_series_point([Agent(0), Agent(1)], [], at=0, window=50)
+    monitor = PopulationMonitor([Agent(0), Agent(1)])
+    point = compute_series_point(monitor, [], at=0, window=50)
     assert point.mean_ontology_size == 0.0
     assert point.mean_inventory_size == 0.0
     assert point.distinct_forms_population == 0
@@ -101,7 +110,9 @@ def test_series_point_on_converged_population():
         agent_with(i, [(form, m) for m, form in enumerate(forms, start=1)])
         for i in range(5)
     ]
-    point = compute_series_point(population, records_with([True]), at=1, window=50)
+    point = compute_series_point(
+        PopulationMonitor(population), records_with([True]), at=1, window=50
+    )
     assert point.mean_ontology_size == 6.0
     assert point.mean_inventory_size == 6.0
     assert point.distinct_forms_population == 6
@@ -112,13 +123,13 @@ def test_series_point_on_converged_population():
 def test_series_point_synonymy_and_homonymy_counts():
     # one agent holding two forms for one meaning
     population = [agent_with(0, [("bakala", 1), ("defile", 1)]), Agent(1)]
-    point = compute_series_point(population, [], at=0, window=50)
+    point = compute_series_point(PopulationMonitor(population), [], at=0, window=50)
     assert point.mean_forms_per_meaning == 2.0
     assert point.mean_meanings_per_form == 1.0
     assert point.distinct_forms_population == 2
     # agents without constructions are excluded from the ratio means
     population.append(agent_with(2, [("bakala", 1)]))
-    point = compute_series_point(population, [], at=0, window=50)
+    point = compute_series_point(PopulationMonitor(population), [], at=0, window=50)
     assert point.mean_forms_per_meaning == pytest.approx(1.5)
 
 
@@ -127,10 +138,42 @@ def test_distinct_forms_dominates_per_agent_counts():
         agent_with(0, [("bakala", 1), ("defile", 2)]),
         agent_with(1, [("bakala", 1), ("gikolu", 2)]),
     ]
-    point = compute_series_point(population, [], at=0, window=50)
+    point = compute_series_point(PopulationMonitor(population), [], at=0, window=50)
     per_agent_max = max(len(a.inventory.forms()) for a in population)
     assert point.distinct_forms_population >= per_agent_max
     assert point.distinct_forms_population == 3
+
+
+@pytest.mark.parametrize("random_palette", [False, True])
+@pytest.mark.parametrize("noise_std", [0.0, 3.0, 20.0])
+@pytest.mark.parametrize("series_interval", [1, 7])
+@pytest.mark.parametrize("population_size", [2, 3, 20, 50])
+def test_incremental_series_equals_full_rescan(
+    monkeypatch, population_size, series_interval, noise_std, random_palette
+):
+    incremental = monitors.compute_series_point
+    checked = []
+
+    def checked_point(monitor, records, at, window):
+        point = incremental(monitor, records, at, window)
+        assert point == oracle_series_point(monitor.population, records, at, window)
+        checked.append(at)
+        return point
+
+    monkeypatch.setattr(monitors, "compute_series_point", checked_point)
+    params = ExperimentParams(
+        population_size=population_size,
+        num_interactions=1500,
+        noise_std=noise_std,
+        use_random_palette=random_palette,
+        series_interval=series_interval,
+        snapshot_points=(),
+    )
+    for seed in (0, 1):
+        checked.clear()
+        result = run_experiment(params, seed)
+        assert checked == [p.interaction for p in result.series]
+        assert len(checked) == 1500 // series_interval
 
 
 def test_take_snapshot_shape_and_copy_semantics():
