@@ -6,7 +6,7 @@ constructions, converges on a shared colour vocabulary through a long series
 of pairwise games.
 """
 
-from .conceptual import ColourCategory, Ontology, SemanticNetwork
+from .conceptual import ColourCategory, Ontology
 from .engine import (
     Agent,
     ExperimentParams,
@@ -52,7 +52,6 @@ __all__ = [
     "ProtocolError",
     "RunResult",
     "Scene",
-    "SemanticNetwork",
     "SeriesPoint",
     "World",
     "WorldModel",

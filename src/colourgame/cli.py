@@ -1,10 +1,12 @@
 """Command-line entry point: config handling and batch experiment runs.
 
 Configuration is resolved in three layers: built-in defaults, then a JSON
-config file, then command-line flags. The fully resolved config is echoed to
-`<out_dir>/config.json`, and that file alone is enough to reproduce a batch
-bit for bit. Batch runs use seeds seed, seed+1, ... so runs are independent
-but reproducible.
+config file, then command-line flags. The config keys are the fields of
+ExperimentParams plus the batch keys of BATCH_DEFAULTS, and each key's
+default, type check and flag derive from that one list. The fully resolved
+config is echoed to `<out_dir>/config.json`, and that file alone is enough to
+reproduce a batch bit for bit. Batch runs use seeds seed, seed+1, ... so runs
+are independent but reproducible.
 """
 from __future__ import annotations
 
@@ -13,8 +15,9 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 from .engine import SNAPSHOT_ALL, ExperimentParams, run_experiment
 from .errors import ColourGameError, ConfigurationError
@@ -23,117 +26,55 @@ from .world import Colour
 
 OUT_DIR_ENV_VAR = "NAMING_GAME_OUT_DIR"
 
-_PARAM_DEFAULTS = ExperimentParams()
 
-DEFAULT_CONFIG: dict = {
-    "population_size": _PARAM_DEFAULTS.population_size,
-    "palette": [
-        [int(c.r), int(c.g), int(c.b)] for c in _PARAM_DEFAULTS.palette
-    ],
-    "random_palette": False,
-    "palette_size": _PARAM_DEFAULTS.palette_size,
-    "min_separation": _PARAM_DEFAULTS.min_separation,
-    "objects_per_scene": _PARAM_DEFAULTS.objects_per_scene,
-    "num_interactions": _PARAM_DEFAULTS.num_interactions,
-    "noise_std": _PARAM_DEFAULTS.noise_std,
-    "initial_score": _PARAM_DEFAULTS.initial_score,
-    "inc": _PARAM_DEFAULTS.inc,
-    "inh": _PARAM_DEFAULTS.inh,
-    "dec": _PARAM_DEFAULTS.dec,
-    "shift_rate": _PARAM_DEFAULTS.shift_rate,
-    "window": _PARAM_DEFAULTS.window,
-    "series_interval": _PARAM_DEFAULTS.series_interval,
-    "snapshot_points": list(_PARAM_DEFAULTS.snapshot_points),
-    "snapshot_agent": SNAPSHOT_ALL,
-    "runs": 1,
-    "seed": 0,
-    "out_dir": "out",
-    "parallel": 1,
-}
+# Every field of ExperimentParams is a game key but the body backend, which
+# code picks through the backend registry rather than a config file. The
+# JSON round trip spells each default as a config file does: lists for
+# tuples, [r, g, b] for a colour.
+GAME_DEFAULTS: dict = json.loads(
+    json.dumps(
+        {
+            f.name: f.default
+            for f in fields(ExperimentParams)
+            if f.name != "backend_kind"
+        },
+        default=Colour.as_tuple,
+    )
+)
+BATCH_DEFAULTS: dict = {"runs": 1, "seed": 0, "out_dir": "out", "parallel": 1}
+DEFAULT_CONFIG: dict = {**GAME_DEFAULTS, **BATCH_DEFAULTS}
 
 
-@dataclass
-class ExperimentConfig:
-    """The resolved configuration for a batch of runs."""
-
-    population_size: int
-    palette: list[list[int]]
-    random_palette: bool
-    palette_size: int
-    min_separation: float
-    objects_per_scene: int
-    num_interactions: int
-    noise_std: float
-    initial_score: float
-    inc: float
-    inh: float
-    dec: float
-    shift_rate: float
-    window: int
-    series_interval: int
-    snapshot_points: list[int]
-    snapshot_agent: int | str
-    runs: int
-    seed: int
-    out_dir: str
-    parallel: int
-
-    def to_params(self) -> ExperimentParams:
-        return ExperimentParams(
-            population_size=self.population_size,
-            palette=tuple(Colour(*triplet) for triplet in self.palette),
-            objects_per_scene=self.objects_per_scene,
-            num_interactions=self.num_interactions,
-            noise_std=self.noise_std,
-            min_separation=self.min_separation,
-            use_random_palette=self.random_palette,
-            palette_size=self.palette_size,
-            initial_score=self.initial_score,
-            inc=self.inc,
-            inh=self.inh,
-            dec=self.dec,
-            shift_rate=self.shift_rate,
-            window=self.window,
-            series_interval=self.series_interval,
-            snapshot_points=tuple(self.snapshot_points),
-            snapshot_agent=self.snapshot_agent,
-        )
+class ExperimentConfig(SimpleNamespace):
+    """The resolved configuration for a batch of runs: one attribute per key
+    of DEFAULT_CONFIG."""
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(vars(self))
 
 
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value: object) -> bool:
-    return _is_int(value) or isinstance(value, float)
+# What a config value must be, by the JSON type of its key's default.
+_TYPES = {
+    bool: ("a boolean", lambda value: isinstance(value, bool)),
+    int: ("an integer", _is_int),
+    float: ("a number", lambda value: _is_int(value) or isinstance(value, float)),
+    str: ("a string", lambda value: isinstance(value, str)),
+    list: (
+        "a list of integers",
+        lambda value: isinstance(value, list) and all(map(_is_int, value)),
+    ),
+}
 
 
 def _check_type(key: str, value: object) -> None:
     """Type-check one config entry; raises ConfigurationError on mismatch."""
-    int_keys = {
-        "population_size", "palette_size", "objects_per_scene",
-        "num_interactions", "window", "series_interval", "runs", "seed",
-        "parallel",
-    }
-    float_keys = {
-        "min_separation", "noise_std", "initial_score", "inc", "inh", "dec",
-        "shift_rate",
-    }
-    if key in int_keys:
-        if not _is_int(value):
-            raise ConfigurationError(f"{key} must be an integer, got {value!r}")
-    elif key in float_keys:
-        if not _is_number(value):
-            raise ConfigurationError(f"{key} must be a number, got {value!r}")
-    elif key == "random_palette":
-        if not isinstance(value, bool):
-            raise ConfigurationError(
-                f"random_palette must be a boolean, got {value!r}"
-            )
-    elif key == "palette":
+    if key not in DEFAULT_CONFIG:
+        raise ConfigurationError(f"unknown configuration key {key!r}")
+    if key == "palette":
         ok = isinstance(value, list) and all(
             isinstance(t, list) and len(t) == 3 and all(_is_int(ch) for ch in t)
             for t in value
@@ -142,21 +83,15 @@ def _check_type(key: str, value: object) -> None:
             raise ConfigurationError(
                 "palette must be a list of [r, g, b] integer triplets"
             )
-    elif key == "snapshot_points":
-        if not isinstance(value, list) or not all(_is_int(p) for p in value):
-            raise ConfigurationError(
-                f"snapshot_points must be a list of integers, got {value!r}"
-            )
     elif key == "snapshot_agent":
         if value != SNAPSHOT_ALL and not _is_int(value):
             raise ConfigurationError(
                 f"snapshot_agent must be 'all' or an agent index, got {value!r}"
             )
-    elif key == "out_dir":
-        if not isinstance(value, str):
-            raise ConfigurationError(f"out_dir must be a string, got {value!r}")
     else:
-        raise ConfigurationError(f"unknown configuration key {key!r}")
+        kind, accepts = _TYPES[type(DEFAULT_CONFIG[key])]
+        if not accepts(value):
+            raise ConfigurationError(f"{key} must be {kind}, got {value!r}")
 
 
 def parse_config(
@@ -171,11 +106,15 @@ def parse_config(
 
     if config_path is not None:
         try:
-            with open(config_path) as fh:
+            with open(config_path, encoding="utf-8") as fh:
                 file_config = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(
                 f"config file {config_path} is not valid JSON: {exc}"
+            ) from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(
+                f"config file {config_path} is not UTF-8 text: {exc.reason}"
             ) from exc
         except OSError as exc:
             raise ConfigurationError(
@@ -198,6 +137,15 @@ def parse_config(
     return config
 
 
+def _game_params(config: ExperimentConfig) -> ExperimentParams:
+    """The config's game keys as the engine takes them: colours and tuples
+    where the config file has lists."""
+    values = {key: getattr(config, key) for key in GAME_DEFAULTS}
+    values["palette"] = tuple(Colour(*triplet) for triplet in config.palette)
+    values["snapshot_points"] = tuple(config.snapshot_points)
+    return ExperimentParams(**values)
+
+
 def _validate_ranges(config: ExperimentConfig) -> None:
     for triplet in config.palette:
         if any(not 0 <= ch <= 255 for ch in triplet):
@@ -211,7 +159,7 @@ def _validate_ranges(config: ExperimentConfig) -> None:
     if config.parallel < 1:
         raise ConfigurationError(f"parallel must be >= 1, got {config.parallel}")
     # Shared game parameters take their range checks from the engine.
-    config.to_params().validate()
+    _game_params(config).validate()
 
 
 def _execute_run(
@@ -244,7 +192,7 @@ def run_command(config: ExperimentConfig) -> int:
         json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    params = config.to_params()
+    params = _game_params(config)
     jobs = [
         (params, config.seed + i, str(out_dir / f"run-{i}"))
         for i in range(config.runs)
@@ -281,6 +229,37 @@ def _parse_snapshot_agent(text: str) -> int | str:
         ) from None
 
 
+# The keys a `run` flag sets, in --help order, each with the argparse settings
+# it does not derive: the flag is `--<key with dashes>` and its type that of
+# the key's default. Every other key is set in a config file only.
+_FLAGS: dict[str, dict] = {
+    "population_size": {},
+    "objects_per_scene": {},
+    "num_interactions": {},
+    "runs": {},
+    "seed": {},
+    "noise_std": {},
+    "initial_score": {},
+    "inc": {},
+    "inh": {},
+    "dec": {},
+    "shift_rate": {},
+    "window": {},
+    "snapshot_points": {
+        "flag": "--snapshot-at",
+        "type": _parse_snapshot_points,
+        "metavar": "N,N,...",
+        "help": "comma-separated interaction numbers to snapshot at",
+    },
+    "snapshot_agent": {
+        "type": _parse_snapshot_agent,
+        "help": "agent index to snapshot, or 'all'",
+    },
+    "out_dir": {},
+    "parallel": {"help": "run up to N experiments concurrently"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="colourgame",
@@ -295,43 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one or more seeded experiments")
     run.add_argument("--config", help="JSON config file")
-    run.add_argument("--population-size", type=int, dest="population_size")
-    run.add_argument("--objects-per-scene", type=int, dest="objects_per_scene")
-    run.add_argument("--num-interactions", type=int, dest="num_interactions")
-    run.add_argument("--runs", type=int)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--noise-std", type=float, dest="noise_std")
-    run.add_argument("--initial-score", type=float, dest="initial_score")
-    run.add_argument("--inc", type=float)
-    run.add_argument("--inh", type=float)
-    run.add_argument("--dec", type=float)
-    run.add_argument("--shift-rate", type=float, dest="shift_rate")
-    run.add_argument("--window", type=int)
-    run.add_argument(
-        "--snapshot-at",
-        type=_parse_snapshot_points,
-        dest="snapshot_points",
-        metavar="N,N,...",
-        help="comma-separated interaction numbers to snapshot at",
-    )
-    run.add_argument(
-        "--snapshot-agent",
-        type=_parse_snapshot_agent,
-        dest="snapshot_agent",
-        help="agent index to snapshot, or 'all'",
-    )
-    run.add_argument("--out-dir", dest="out_dir")
-    run.add_argument(
-        "--parallel", type=int, help="run up to N experiments concurrently"
-    )
+    for key, settings in _FLAGS.items():
+        options = {"dest": key, "type": type(DEFAULT_CONFIG[key]), **settings}
+        flag = options.pop("flag", "--" + key.replace("_", "-"))
+        run.add_argument(flag, **options)
     return parser
-
-
-_OVERRIDE_KEYS = (
-    "population_size", "objects_per_scene", "num_interactions", "runs",
-    "seed", "noise_std", "initial_score", "inc", "inh", "dec", "shift_rate",
-    "window", "snapshot_points", "snapshot_agent", "out_dir", "parallel",
-)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -344,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
 
     overrides = {
         key: getattr(args, key)
-        for key in _OVERRIDE_KEYS
+        for key in _FLAGS
         if getattr(args, key) is not None
     }
     try:

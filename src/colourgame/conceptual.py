@@ -1,10 +1,11 @@
-"""Agent-internal colour categories and the single-primitive semantics.
+"""Agent-internal colour categories: conceptualisation and interpretation.
 
 Each agent holds a private ontology of prototype points. Conceptualisation
-finds a category that uniquely discriminates a topic within the agent's world
-model; interpretation runs the resulting one-node semantic network against a
-world model to retrieve a referent. Both directions use plain Euclidean
-distance on the raw channel values.
+finds the category that uniquely discriminates a topic within the agent's
+world model and returns its id; interpretation filters a world model by
+closeness to a category's prototype to retrieve a referent. This experiment
+never composes meanings, so a meaning is just a category id. Both directions
+use plain Euclidean distance on the raw channel values.
 """
 from __future__ import annotations
 
@@ -13,8 +14,6 @@ from dataclasses import dataclass
 from .errors import InternalConsistencyError
 from .world import Colour, Percept, WorldModel
 
-FILTER_BY_CLOSEST_COLOUR = "filter-by-closest-colour"
-
 
 @dataclass
 class ColourCategory:
@@ -22,18 +21,6 @@ class ColourCategory:
 
     category_id: int
     prototype: Colour
-
-
-@dataclass(frozen=True)
-class SemanticNetwork:
-    """A one-node network: filter the scene by closeness to one category.
-
-    This experiment never composes larger networks, so the structure is a
-    single primitive bound to a single category id.
-    """
-
-    category_id: int
-    primitive: str = FILTER_BY_CLOSEST_COLOUR
 
 
 class Ontology:
@@ -81,10 +68,8 @@ class Ontology:
         self.categories.append(category)
         return category
 
-    def conceptualise(
-        self, topic: Percept, model: WorldModel
-    ) -> SemanticNetwork | None:
-        """Find a network that uniquely discriminates `topic` in `model`.
+    def conceptualise(self, topic: Percept, model: WorldModel) -> int | None:
+        """Id of a category that uniquely discriminates `topic` in `model`.
 
         The candidate is always the category closest to the topic's observed
         colour; it qualifies only if every other percept in the model is
@@ -104,17 +89,15 @@ class Ontology:
                 continue
             if category.prototype.distance(percept.observed_colour) <= topic_distance:
                 return None
-        return SemanticNetwork(category_id=category.category_id)
+        return category.category_id
 
-    def interpret(
-        self, network: SemanticNetwork, model: WorldModel
-    ) -> Percept | None:
-        """Execute `network` against `model`: pick the closest percept.
+    def interpret(self, category_id: int, model: WorldModel) -> Percept | None:
+        """Pick the percept in `model` closest to the category's prototype.
 
-        A tie for the minimum means the network fails to single out a
+        A tie for the minimum means the category fails to single out a
         referent, so the result is None.
         """
-        prototype = self.get(network.category_id).prototype
+        prototype = self.get(category_id).prototype
         best: Percept | None = None
         best_distance = 0.0
         tied = False
@@ -132,18 +115,6 @@ class Ontology:
         self, category_id: int, observation: Colour, rate: float
     ) -> Colour:
         """Move a prototype a fraction `rate` of the way to `observation`."""
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"shift rate {rate!r} outside [0, 1]")
         category = self.get(category_id)
         category.prototype = category.prototype.shifted_towards(observation, rate)
         return category.prototype
-
-    def to_json_entries(self) -> list[dict]:
-        """Snapshot-friendly form: one dict per category."""
-        return [
-            {
-                "category_id": c.category_id,
-                "prototype": [c.prototype.r, c.prototype.g, c.prototype.b],
-            }
-            for c in self.categories
-        ]

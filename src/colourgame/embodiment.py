@@ -1,10 +1,10 @@
 """Hardware-independent body capabilities, backed here by a simulator.
 
-The game engine never talks to a body implementation directly: it creates an
-EmbodimentHandle via make_body() and issues capability calls (observe, speak,
-hear, point, nod, ...) that are dispatched to whichever backend the handle was
-created with. New backends register a factory under a new kind and callers
-stay unchanged.
+The game engine never names a body implementation: make_body() builds a
+backend of a registered kind, and the engine issues the game script's
+capability calls (embody, observe_world, speak, hear, point, nod) on it
+through this module's functions. New backends register a factory under a new
+kind and callers stay unchanged.
 
 Only the "simulated" backend ships with the package. A live backend would
 drive a remote body over HTTP; the wire contract reserved for it is a POST to
@@ -52,6 +52,7 @@ class Backend(Protocol):
     """The capability set every body backend implements."""
 
     kind: str
+    identity: str
 
     def embody(self, agent_id: object) -> bool: ...
 
@@ -67,17 +68,13 @@ class Backend(Protocol):
 
     def nod(self) -> bool: ...
 
-    def shake_head(self) -> bool: ...
-
-    def look_direction(self, direction: str, angle: float) -> bool: ...
-
 
 class SimulatedBackend:
     """In-process body: perception comes from the simulated world."""
 
     kind = SIMULATED
 
-    def __init__(self, identity: str = "", noise_std: float = 3.0) -> None:
+    def __init__(self, identity: str, noise_std: float) -> None:
         if noise_std < 0:
             raise ConfigurationError(f"noise_std must be >= 0, got {noise_std}")
         self.identity = identity
@@ -112,40 +109,17 @@ class SimulatedBackend:
     def nod(self) -> bool:
         return True
 
-    # Present for interface completeness; the colour game script never uses
-    # them. look_direction's direction/angle units are left uninterpreted.
-    def shake_head(self) -> bool:
-        return True
 
-    def look_direction(self, direction: str, angle: float) -> bool:
-        return True
+_BACKENDS: dict[str, Callable[..., Backend]] = {SIMULATED: SimulatedBackend}
 
 
-@dataclass(frozen=True)
-class EmbodimentHandle:
-    """A connection to one body; all capability calls route through it."""
-
-    backend_kind: str
-    identity: str
-    backend: Backend
-
-
-BackendFactory = Callable[..., Backend]
-
-_BACKENDS: dict[str, BackendFactory] = {SIMULATED: SimulatedBackend}
-
-
-def register_backend(kind: str, factory: BackendFactory) -> None:
+def register_backend(kind: str, factory: Callable[..., Backend]) -> None:
     """Make a backend kind available to make_body; re-registering replaces."""
     _BACKENDS[kind] = factory
 
 
-def supported_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
-def make_body(kind: str, identity: str, **options: object) -> EmbodimentHandle:
-    """Create a handle for one body of the given backend kind.
+def make_body(kind: str, identity: str, **options: object) -> Backend:
+    """Create one body of the given backend kind.
 
     The factory registered for `kind` receives the identity plus any
     backend-specific options (the simulated backend takes `noise_std`).
@@ -155,48 +129,38 @@ def make_body(kind: str, identity: str, **options: object) -> EmbodimentHandle:
     except KeyError:
         raise ConfigurationError(
             f"unsupported backend kind {kind!r}; supported kinds: "
-            f"{', '.join(supported_backends())}"
+            f"{', '.join(sorted(_BACKENDS))}"
         ) from None
-    return EmbodimentHandle(
-        backend_kind=kind, identity=identity, backend=factory(identity, **options)
-    )
+    return factory(identity, **options)
 
 
-def embody(handle: EmbodimentHandle, agent_id: object) -> bool:
+def embody(body: Backend, agent_id: object) -> bool:
     """Associate an agent with this body for the duration of one game."""
-    return handle.backend.embody(agent_id)
+    return body.embody(agent_id)
 
 
 def observe_world(
-    handle: EmbodimentHandle, world: World, scene: Scene, rng: random.Random
+    body: Backend, world: World, scene: Scene, rng: random.Random
 ) -> WorldModel:
     """Scan the scene through this body's sensors into a private world model."""
-    return handle.backend.observe_world(world, scene, rng)
+    return body.observe_world(world, scene, rng)
 
 
-def speak(handle: EmbodimentHandle, channel: UtteranceChannel, utterance: str) -> bool:
+def speak(body: Backend, channel: UtteranceChannel, utterance: str) -> bool:
     """Say the utterance onto the channel; fails if one is already pending."""
-    return handle.backend.speak(channel, utterance)
+    return body.speak(channel, utterance)
 
 
-def hear(handle: EmbodimentHandle, channel: UtteranceChannel) -> str:
+def hear(body: Backend, channel: UtteranceChannel) -> str:
     """Pick up the pending utterance, emptying the channel."""
-    return handle.backend.hear(channel)
+    return body.hear(channel)
 
 
-def point(handle: EmbodimentHandle, object_id: str) -> str:
+def point(body: Backend, object_id: str) -> str:
     """Point at a scene object; the returned id is what the observer sees."""
-    return handle.backend.point(object_id)
+    return body.point(object_id)
 
 
-def nod(handle: EmbodimentHandle) -> bool:
+def nod(body: Backend) -> bool:
     """Signal success to the other agent."""
-    return handle.backend.nod()
-
-
-def shake_head(handle: EmbodimentHandle) -> bool:
-    return handle.backend.shake_head()
-
-
-def look_direction(handle: EmbodimentHandle, direction: str, angle: float) -> bool:
-    return handle.backend.look_direction(direction, angle)
+    return body.nod()

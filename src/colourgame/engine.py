@@ -16,9 +16,9 @@ import random
 from dataclasses import dataclass, field
 
 from . import monitors
-from .conceptual import Ontology, SemanticNetwork
+from .conceptual import Ontology
 from .embodiment import (
-    EmbodimentHandle,
+    Backend,
     UtteranceChannel,
     embody,
     hear,
@@ -43,6 +43,7 @@ from .world import (
     Percept,
     World,
     WorldModel,
+    check_separation,
     make_world,
     random_palette,
     sample_scene,
@@ -66,7 +67,7 @@ class ExperimentParams:
     num_interactions: int = 1000
     noise_std: float = 3.0
     min_separation: float = DEFAULT_MIN_SEPARATION
-    use_random_palette: bool = False
+    random_palette: bool = False
     palette_size: int = 6
     initial_score: float = 0.5
     # Reward outpaces collateral inhibition so heard winners entrench quickly;
@@ -88,7 +89,7 @@ class ExperimentParams:
                 f"population_size must be >= 2, got {self.population_size}"
             )
         palette_len = (
-            self.palette_size if self.use_random_palette else len(self.palette)
+            self.palette_size if self.random_palette else len(self.palette)
         )
         if not 1 <= self.objects_per_scene <= palette_len:
             raise ConfigurationError(
@@ -108,6 +109,8 @@ class ExperimentParams:
                 raise ConfigurationError(
                     f"{name} must be finite and >= 0, got {value}"
                 )
+        if not self.random_palette:
+            check_separation(self.palette, self.min_separation)
         if not 0.0 <= self.shift_rate <= 1.0:
             raise ConfigurationError(
                 f"shift_rate must be in [0, 1], got {self.shift_rate}"
@@ -129,31 +132,12 @@ class ExperimentParams:
 
 
 class Agent:
-    """One population member: private ontology, private lexicon, and the
-    transient state of the game currently being played."""
+    """One population member: a private ontology and a private lexicon."""
 
     def __init__(self, agent_id: int) -> None:
         self.agent_id = agent_id
         self.ontology = Ontology()
         self.inventory = ConstructionInventory()
-        self.body: EmbodimentHandle | None = None
-        self.world_model: WorldModel | None = None
-        self.topic: Percept | None = None
-        self.network: SemanticNetwork | None = None
-        self.utterance: str | None = None
-        self.used_construction: Construction | None = None
-        self.hypothesis: Percept | None = None
-        self.feedback_pointed_id: str | None = None
-
-    def clear_game_state(self) -> None:
-        self.body = None
-        self.world_model = None
-        self.topic = None
-        self.network = None
-        self.utterance = None
-        self.used_construction = None
-        self.hypothesis = None
-        self.feedback_pointed_id = None
 
     def __repr__(self) -> str:
         return (
@@ -213,7 +197,7 @@ def choose_topic(model: WorldModel, rng: random.Random) -> Percept:
 def run_interaction(
     population: list[Agent],
     world: World,
-    bodies: tuple[EmbodimentHandle, EmbodimentHandle],
+    bodies: tuple[Backend, Backend],
     params: ExperimentParams,
     rng: random.Random,
     interaction_number: int,
@@ -225,152 +209,140 @@ def run_interaction(
     """
     speaker, hearer = select_pair(population, rng)
     scene = sample_scene(world, rng)
-    try:
-        body_a, body_b = bodies
-        embody(body_a, speaker.agent_id)
-        speaker.body = body_a
-        embody(body_b, hearer.agent_id)
-        hearer.body = body_b
+    speaker_body, hearer_body = bodies
+    embody(speaker_body, speaker.agent_id)
+    embody(hearer_body, hearer.agent_id)
 
-        speaker.world_model = observe_world(speaker.body, world, scene, rng)
-        hearer.world_model = observe_world(hearer.body, world, scene, rng)
+    speaker_model = observe_world(speaker_body, world, scene, rng)
+    hearer_model = observe_world(hearer_body, world, scene, rng)
 
-        speaker.topic = choose_topic(speaker.world_model, rng)
+    topic = choose_topic(speaker_model, rng)
 
-        network = speaker.ontology.conceptualise(speaker.topic, speaker.world_model)
-        if network is None:
-            # No discriminating category: invent one anchored at the observed
-            # value, then try once more.
-            speaker.ontology.invent_category(speaker.topic.observed_colour)
-            network = speaker.ontology.conceptualise(
-                speaker.topic, speaker.world_model
-            )
-        if network is None:
-            # Even a fresh category cannot separate the topic from an exact
-            # twin percept; abort with no learning updates.
-            return InteractionRecord(
-                interaction_number=interaction_number,
-                speaker_id=speaker.agent_id,
-                hearer_id=hearer.agent_id,
-                scene_object_ids=scene.object_ids,
-                topic_id=speaker.topic.object_id,
-                utterance=None,
-                pointed_id=None,
-                success=False,
-                failure_reason=FAILURE_DEGENERATE,
-            )
-        speaker.network = network
-
-        construction = speaker.inventory.produce(network.category_id)
-        if construction is None:
-            form = invent_word_form(rng, speaker.inventory.forms())
-            construction = speaker.inventory.add_construction(
-                form, network.category_id, params.initial_score
-            )
-        speaker.used_construction = construction
-        speaker.utterance = construction.form
-
-        channel = UtteranceChannel()
-        speak(speaker.body, channel, speaker.utterance)
-        heard = hear(hearer.body, channel)
-        hearer.utterance = heard
-
-        pointed_id: str | None = None
-        failure_reason = FAILURE_NONE
-        heard_construction = hearer.inventory.comprehend(heard)
-        if heard_construction is None:
-            failure_reason = FAILURE_UNKNOWN_WORD
-        else:
-            hearer.used_construction = heard_construction
-            hearer.network = SemanticNetwork(heard_construction.category_id)
-            hearer.hypothesis = hearer.ontology.interpret(
-                hearer.network, hearer.world_model
-            )
-            if hearer.hypothesis is not None:
-                pointed_id = point(hearer.body, hearer.hypothesis.object_id)
-            if pointed_id != speaker.topic.object_id:
-                failure_reason = FAILURE_WRONG_REFERENT
-
-        success = pointed_id is not None and pointed_id == speaker.topic.object_id
-        if success:
-            nod(speaker.body)
-        else:
-            hearer.feedback_pointed_id = point(speaker.body, speaker.topic.object_id)
-
-        record = InteractionRecord(
+    category_id = speaker.ontology.conceptualise(topic, speaker_model)
+    if category_id is None:
+        # No discriminating category: invent one anchored at the observed
+        # value, then try once more.
+        speaker.ontology.invent_category(topic.observed_colour)
+        category_id = speaker.ontology.conceptualise(topic, speaker_model)
+    if category_id is None:
+        # Even a fresh category cannot separate the topic from an exact
+        # twin percept; abort with no learning updates.
+        return InteractionRecord(
             interaction_number=interaction_number,
             speaker_id=speaker.agent_id,
             hearer_id=hearer.agent_id,
             scene_object_ids=scene.object_ids,
-            topic_id=speaker.topic.object_id,
-            utterance=speaker.utterance,
-            pointed_id=pointed_id,
-            success=success,
-            failure_reason=failure_reason,
+            topic_id=topic.object_id,
+            utterance=None,
+            pointed_id=None,
+            success=False,
+            failure_reason=FAILURE_DEGENERATE,
         )
-        align(speaker, SPEAKER, record, params)
-        align(hearer, HEARER, record, params)
-        return record
-    finally:
-        speaker.clear_game_state()
-        hearer.clear_game_state()
+
+    construction = speaker.inventory.produce(category_id)
+    if construction is None:
+        form = invent_word_form(rng, speaker.inventory.forms())
+        construction = speaker.inventory.add_construction(
+            form, category_id, params.initial_score
+        )
+
+    channel = UtteranceChannel()
+    speak(speaker_body, channel, construction.form)
+    heard = hear(hearer_body, channel)
+
+    pointed_id: str | None = None
+    failure_reason = FAILURE_NONE
+    hypothesis: Percept | None = None
+    heard_construction = hearer.inventory.comprehend(heard)
+    if heard_construction is None:
+        failure_reason = FAILURE_UNKNOWN_WORD
+    else:
+        hypothesis = hearer.ontology.interpret(
+            heard_construction.category_id, hearer_model
+        )
+        if hypothesis is not None:
+            pointed_id = point(hearer_body, hypothesis.object_id)
+        if pointed_id != topic.object_id:
+            failure_reason = FAILURE_WRONG_REFERENT
+
+    success = pointed_id is not None and pointed_id == topic.object_id
+    if success:
+        nod(speaker_body)
+        hearer_referent = hypothesis
+    else:
+        shown_id = point(speaker_body, topic.object_id)
+        hearer_referent = hearer_model.percept_for(shown_id)
+
+    record = InteractionRecord(
+        interaction_number=interaction_number,
+        speaker_id=speaker.agent_id,
+        hearer_id=hearer.agent_id,
+        scene_object_ids=scene.object_ids,
+        topic_id=topic.object_id,
+        utterance=construction.form,
+        pointed_id=pointed_id,
+        success=success,
+        failure_reason=failure_reason,
+    )
+    align(speaker, SPEAKER, record, params, construction, topic)
+    align(
+        hearer, HEARER, record, params,
+        heard_construction, hearer_referent, hearer_model, heard,
+    )
+    return record
 
 
 def align(
-    agent: Agent, role: str, record: InteractionRecord, params: ExperimentParams
+    agent: Agent,
+    role: str,
+    record: InteractionRecord,
+    params: ExperimentParams,
+    used: Construction | None = None,
+    referent: Percept | None = None,
+    model: WorldModel | None = None,
+    heard: str | None = None,
 ) -> None:
     """Post-game learning updates for one agent.
 
+    `used` is the construction the agent spoke or understood, if any, and
+    `referent` its own percept of the object the game was about: the topic,
+    the hearer's hypothesis, or what the speaker pointed at on failure. A
+    hearer also gets its world model and the form it `heard`.
+
     Success rewards the used construction, inhibits its competitors, and
-    shifts the used category's prototype towards the value this agent
-    observed for the referent. Failure punishes the used construction if
-    there was one; a hearer that did not know the word instead adopts it for
-    whatever category discriminates the object the speaker pointed at.
+    shifts the used category's prototype towards the referent. Failure
+    punishes the used construction if there was one; a hearer that did not
+    know the word instead adopts it for whatever category discriminates the
+    referent in its own world model, inventing the category if none fits.
     Degenerate games update nothing.
     """
     if record.failure_reason == FAILURE_DEGENERATE:
         return
     if record.success:
-        used = agent.used_construction
         if used is None:
             raise InternalConsistencyError(
                 "successful game without a used construction"
             )
         agent.inventory.reward_and_inhibit(used, role, params.inc, params.inh)
-        referent = agent.topic if role == SPEAKER else agent.hypothesis
         if referent is None:
             raise InternalConsistencyError("successful game without a referent")
         agent.ontology.shift_prototype(
             used.category_id, referent.observed_colour, params.shift_rate
         )
         return
-    if agent.used_construction is not None:
-        agent.inventory.punish(agent.used_construction, params.dec)
-    if role == HEARER and record.failure_reason == FAILURE_UNKNOWN_WORD:
-        _adopt_unknown_word(agent, params)
-
-
-def _adopt_unknown_word(hearer: Agent, params: ExperimentParams) -> None:
-    """Store the heard form for the category that discriminates the pointed
-    object in the hearer's own world model, inventing the category if none
-    fits."""
-    if (
-        hearer.feedback_pointed_id is None
-        or hearer.world_model is None
-        or hearer.utterance is None
-    ):
-        raise InternalConsistencyError("adoption without feedback pointing")
-    percept = hearer.world_model.percept_for(hearer.feedback_pointed_id)
-    network = hearer.ontology.conceptualise(percept, hearer.world_model)
-    if network is None:
-        hearer.ontology.invent_category(percept.observed_colour)
-        network = hearer.ontology.conceptualise(percept, hearer.world_model)
-    if network is None:
-        # Exact twin percept: nothing can discriminate it, adopt nothing.
+    if used is not None:
+        agent.inventory.punish(used, params.dec)
+    if role != HEARER or record.failure_reason != FAILURE_UNKNOWN_WORD:
         return
-    hearer.inventory.add_construction(
-        hearer.utterance, network.category_id, params.initial_score
-    )
+    if referent is None or model is None or heard is None:
+        raise InternalConsistencyError("adoption without feedback pointing")
+    category_id = agent.ontology.conceptualise(referent, model)
+    if category_id is None:
+        agent.ontology.invent_category(referent.observed_colour)
+        category_id = agent.ontology.conceptualise(referent, model)
+    # An exact twin percept cannot be discriminated: adopt nothing.
+    if category_id is not None:
+        agent.inventory.add_construction(heard, category_id, params.initial_score)
 
 
 def run_experiment(params: ExperimentParams, seed: int) -> RunResult:
@@ -380,7 +352,7 @@ def run_experiment(params: ExperimentParams, seed: int) -> RunResult:
     rng = random.Random(seed)
     palette = (
         random_palette(rng, params.palette_size, params.min_separation)
-        if params.use_random_palette
+        if params.random_palette
         else params.palette
     )
     world = make_world(palette, params.objects_per_scene, params.min_separation)

@@ -20,8 +20,6 @@ CONSONANTS = "bdfgklmnprstvwz"
 VOWELS = "aeiou"
 SYLLABLES_PER_WORD = 3
 
-DEFAULT_INITIAL_SCORE = 0.5
-
 # Scores move in configured decrements; rounding keeps 0.5 - 5 * 0.1 at an
 # exact 0.0 so the removal threshold is not defeated by float dust.
 _SCORE_DECIMALS = 12
@@ -68,7 +66,7 @@ class ConstructionInventory:
         return {c.form for c in self.constructions}
 
     def add_construction(
-        self, form: str, category_id: int, initial_score: float = DEFAULT_INITIAL_SCORE
+        self, form: str, category_id: int, initial_score: float
     ) -> Construction:
         """Store a new construction; the (form, category) pair must be fresh."""
         if not 0.0 < initial_score <= 1.0:
@@ -146,12 +144,6 @@ class ConstructionInventory:
         self._require_present(used)
         used.score = _rounded(used.score - dec)
         self._prune()
-
-    def to_json_entries(self) -> list[dict]:
-        return [
-            {"form": c.form, "category_id": c.category_id, "score": c.score}
-            for c in self.constructions
-        ]
 
     def _require_present(self, used: Construction) -> None:
         if not any(c is used for c in self.constructions):

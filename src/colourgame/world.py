@@ -133,15 +133,23 @@ def make_world(
 ) -> World:
     """Build a world with one object per palette entry, ids in palette order.
 
-    Rejects palettes whose colours are closer than `min_separation` so that
-    scenes stay discriminable well above the perception noise level.
+    Rejects palettes that fail check_separation; World checks the scene size.
     """
     if not palette:
         raise ConfigurationError("palette must not be empty")
-    if not 1 <= objects_per_scene <= len(palette):
-        raise ConfigurationError(
-            f"objects_per_scene={objects_per_scene} outside [1, {len(palette)}]"
-        )
+    check_separation(palette, min_separation)
+    objects = tuple(
+        WorldObject(object_id=f"obj-{i}", true_colour=colour)
+        for i, colour in enumerate(palette)
+    )
+    return World(objects=objects, objects_per_scene=objects_per_scene)
+
+
+def check_separation(
+    palette: tuple[Colour, ...] | list[Colour], min_separation: float
+) -> None:
+    """Reject palettes whose colours are closer than `min_separation`, so
+    that scenes stay discriminable well above the perception noise level."""
     for i, first in enumerate(palette):
         for j in range(i + 1, len(palette)):
             d = first.distance(palette[j])
@@ -150,11 +158,6 @@ def make_world(
                     f"palette colours {i} and {j} are {d:.2f} apart, below the "
                     f"required separation {min_separation}"
                 )
-    objects = tuple(
-        WorldObject(object_id=f"obj-{i}", true_colour=colour)
-        for i, colour in enumerate(palette)
-    )
-    return World(objects=objects, objects_per_scene=objects_per_scene)
 
 
 def random_palette(

@@ -149,14 +149,6 @@ class RecordingBackend:
         self._log("nod")
         return self.inner.nod()
 
-    def shake_head(self):
-        self._log("shake_head")
-        return self.inner.shake_head()
-
-    def look_direction(self, direction, angle):
-        self._log("look_direction")
-        return self.inner.look_direction(direction, angle)
-
 
 def register_recording_backend(trace: list) -> None:
     """Install a 'recording' backend kind writing into `trace`."""

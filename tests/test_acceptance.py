@@ -11,7 +11,7 @@ import time
 import pytest
 
 from colourgame.cli import parse_config, run_command
-from colourgame.conceptual import Ontology, SemanticNetwork
+from colourgame.conceptual import Ontology
 from colourgame.engine import ExperimentParams, run_experiment
 from colourgame.lexicon import HEARER, SPEAKER, ConstructionInventory, invent_word_form
 from colourgame.world import Percept, WorldModel
@@ -140,13 +140,13 @@ def test_criterion_5_oracle_equivalence():
             )
         )
         topic = rng.choice(model.percepts)
-        network = ontology.conceptualise(topic, model)
+        found_id = ontology.conceptualise(topic, model)
         expected = oracle_conceptualise(ontology.categories, topic, model)
-        if (network.category_id if network else None) != expected:
+        if found_id != expected:
             mismatches += 1
         if ontology.categories:
             category_id = rng.choice(ontology.categories).category_id
-            found = ontology.interpret(SemanticNetwork(category_id), model)
+            found = ontology.interpret(category_id, model)
             reference = oracle_interpret(ontology.categories, category_id, model)
             if (found.object_id if found else None) != reference:
                 mismatches += 1

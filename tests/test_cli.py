@@ -74,6 +74,11 @@ def test_parse_config_rejects_unknown_keys_and_bad_types(tmp_path):
     with pytest.raises(ConfigurationError):
         parse_config(str(not_json), {})
 
+    not_utf8 = tmp_path / "not-utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ConfigurationError):
+        parse_config(str(not_utf8), {})
+
 
 def test_parse_config_range_validation():
     with pytest.raises(ConfigurationError):
@@ -113,6 +118,23 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, text):
     assert not out_dir.exists()
 
 
+def test_crowded_fixed_palette_exits_2_before_writing(tmp_path, capsys):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(
+        json.dumps(
+            {
+                "palette": [[0, 0, 0], [10, 0, 0], [255, 255, 255]],
+                "objects_per_scene": 2,
+            }
+        )
+    )
+    out_dir = tmp_path / "out"
+    code = main(["run", "--config", str(config_file), "--out-dir", str(out_dir)])
+    assert code == 2
+    assert "separation" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_missing_config_file_exits_2_and_output_io_error_exits_1(
     tmp_path, capsys
 ):
@@ -125,6 +147,44 @@ def test_missing_config_file_exits_2_and_output_io_error_exits_1(
     blocker.write_text("occupied")
     assert main(small_args(blocker / "out")) == 1
     assert "i/o error" in capsys.readouterr().err
+
+
+# Every `run` flag: its value on the command line, the key it sets and the
+# value (and type) config.json must echo for it.
+RUN_FLAGS = [
+    ("--population-size", "3", "population_size", 3),
+    ("--objects-per-scene", "2", "objects_per_scene", 2),
+    ("--num-interactions", "7", "num_interactions", 7),
+    ("--runs", "2", "runs", 2),
+    ("--seed", "5", "seed", 5),
+    ("--noise-std", "2", "noise_std", 2.0),
+    ("--initial-score", "0.25", "initial_score", 0.25),
+    ("--inc", "0.1", "inc", 0.1),
+    ("--inh", "0.02", "inh", 0.02),
+    ("--dec", "0.3", "dec", 0.3),
+    ("--shift-rate", "0.1", "shift_rate", 0.1),
+    ("--window", "7", "window", 7),
+    ("--snapshot-at", "3,5", "snapshot_points", [3, 5]),
+    ("--snapshot-agent", "1", "snapshot_agent", 1),
+    ("--out-dir", "chosen", "out_dir", "chosen"),
+    ("--parallel", "2", "parallel", 2),
+]
+
+
+@pytest.mark.parametrize("flag, text, key, expected", RUN_FLAGS)
+def test_each_run_flag_reaches_the_echoed_config(
+    tmp_path, monkeypatch, capsys, flag, text, key, expected
+):
+    monkeypatch.chdir(tmp_path)
+    args = ["run", "--num-interactions", "5", "--out-dir", "out", flag, text]
+    assert main(args) == 0
+    capsys.readouterr()
+    out_dir = expected if key == "out_dir" else "out"
+    echoed = json.loads((tmp_path / out_dir / "config.json").read_text())
+    assert echoed == {
+        **DEFAULT_CONFIG, "num_interactions": 5, "out_dir": "out", key: expected
+    }
+    assert type(echoed[key]) is type(expected)
 
 
 def test_env_var_supplies_out_dir_fallback(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from colourgame.conceptual import Ontology, SemanticNetwork
+from colourgame.conceptual import Ontology
 from colourgame.errors import InternalConsistencyError
 from colourgame.world import Colour, Percept, WorldModel
 
@@ -67,8 +67,8 @@ def test_conceptualise_returns_discriminating_network():
     assert prototype.distance(GREEN) == pytest.approx(math.sqrt(62))
     assert prototype.distance(RED) == pytest.approx(math.sqrt(117146))
     assert prototype.distance(BLUE) == pytest.approx(math.sqrt(109066))
-    network = ontology.conceptualise(model.percept_for("green"), model)
-    assert network == SemanticNetwork(category_id=1)
+    category_id = ontology.conceptualise(model.percept_for("green"), model)
+    assert category_id == 1
 
 
 def test_conceptualise_fails_when_topic_is_not_closest():
@@ -115,9 +115,9 @@ def test_invention_postcondition_enables_conceptualisation():
         )
         topic = model.percepts[0]
         ontology.invent_category(topic.observed_colour)
-        network = ontology.conceptualise(topic, model)
-        assert network is not None
-        assert ontology.interpret(network, model) == topic
+        category_id = ontology.conceptualise(topic, model)
+        assert category_id is not None
+        assert ontology.interpret(category_id, model) == topic
 
 
 def test_interpret_picks_closest_percept():
@@ -125,27 +125,27 @@ def test_interpret_picks_closest_percept():
     model = model_of(
         green=Colour(4, 240, 6), red=Colour(251, 8, 2), blue=Colour(12, 9, 238)
     )
-    result = ontology.interpret(SemanticNetwork(category_id=1), model)
+    result = ontology.interpret(1, model)
     assert result is not None and result.object_id == "green"
 
 
 def test_interpret_single_object_model():
     ontology = ontology_with(Colour(0, 0, 0))
     model = model_of(only=Colour(255, 255, 255))
-    result = ontology.interpret(SemanticNetwork(category_id=1), model)
+    result = ontology.interpret(1, model)
     assert result is not None and result.object_id == "only"
 
 
 def test_interpret_exact_tie_yields_nothing():
     ontology = ontology_with(Colour(100, 0, 0))
     model = model_of(left=Colour(90, 0, 0), right=Colour(110, 0, 0))
-    assert ontology.interpret(SemanticNetwork(category_id=1), model) is None
+    assert ontology.interpret(1, model) is None
 
 
 def test_interpret_unknown_category_is_an_error():
     ontology = ontology_with(Colour(0, 0, 0))
     with pytest.raises(InternalConsistencyError):
-        ontology.interpret(SemanticNetwork(category_id=99), model_of(a=GREEN))
+        ontology.interpret(99, model_of(a=GREEN))
 
 
 def test_shift_prototype_linear_interpolation():
@@ -202,18 +202,18 @@ def _random_instance(rng: random.Random, max_size: int = 10):
 
 
 def test_discrimination_soundness_over_random_models():
-    # whenever conceptualisation finds a network, interpreting it retrieves
+    # whenever conceptualisation finds a category, interpreting it retrieves
     # exactly the topic again
     rng = random.Random(2024)
     found = 0
     for _ in range(2000):
         ontology, model = _random_instance(rng, max_size=8)
         topic = rng.choice(model.percepts)
-        network = ontology.conceptualise(topic, model)
-        if network is None:
+        category_id = ontology.conceptualise(topic, model)
+        if category_id is None:
             continue
         found += 1
-        assert ontology.interpret(network, model) == topic
+        assert ontology.interpret(category_id, model) == topic
     assert found > 100
 
 
@@ -230,21 +230,14 @@ def test_oracle_equivalence_on_random_instances():
             assert found is not None and found[0] is expected
 
         topic = rng.choice(model.percepts)
-        network = ontology.conceptualise(topic, model)
+        found_id = ontology.conceptualise(topic, model)
         expected_category = oracle_conceptualise(ontology.categories, topic, model)
-        assert (network.category_id if network else None) == expected_category
+        assert found_id == expected_category
 
         if ontology.categories:
             category_id = rng.choice(ontology.categories).category_id
-            result = ontology.interpret(SemanticNetwork(category_id), model)
+            result = ontology.interpret(category_id, model)
             expected_object = oracle_interpret(
                 ontology.categories, category_id, model
             )
             assert (result.object_id if result else None) == expected_object
-
-
-def test_ontology_serialises_to_snapshot_entries():
-    ontology = ontology_with(Colour(7, 246, 9))
-    assert ontology.to_json_entries() == [
-        {"category_id": 1, "prototype": [7.0, 246.0, 9.0]}
-    ]

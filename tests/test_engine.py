@@ -1,6 +1,7 @@
 import random
 import re
 from collections import Counter
+from copy import deepcopy
 from dataclasses import asdict
 
 import pytest
@@ -160,10 +161,9 @@ def test_align_success_rewards_inhibits_and_shifts():
     category = agent.ontology.invent_category(Colour(10, 0, 0))
     used = agent.inventory.add_construction("fusemo", category.category_id, 0.5)
     rival = agent.inventory.add_construction("ponuro", category.category_id, 0.4)
-    agent.topic = Percept("obj-0", Colour(20, 0, 0))
-    agent.used_construction = used
+    topic = Percept("obj-0", Colour(20, 0, 0))
 
-    align(agent, SPEAKER, _record(), params)
+    align(agent, SPEAKER, _record(), params, used, topic)
 
     assert used.score == pytest.approx(0.6)
     assert rival.score == pytest.approx(0.3)
@@ -175,10 +175,9 @@ def test_align_hearer_success_shifts_towards_pointed_percept():
     agent = Agent(1)
     category = agent.ontology.invent_category(Colour(0, 100, 0))
     used = agent.inventory.add_construction("fusemo", category.category_id, 0.5)
-    agent.hypothesis = Percept("obj-0", Colour(0, 200, 0))
-    agent.used_construction = used
+    hypothesis = Percept("obj-0", Colour(0, 200, 0))
 
-    align(agent, HEARER, _record(), params)
+    align(agent, HEARER, _record(), params, used, hypothesis)
 
     assert used.score == pytest.approx(0.6)
     assert agent.ontology.get(category.category_id).prototype == Colour(0, 150, 0)
@@ -189,12 +188,11 @@ def test_align_failure_punishes_to_removal():
     agent = Agent(1)
     category = agent.ontology.invent_category(Colour(0, 0, 0))
     used = agent.inventory.add_construction("fusemo", category.category_id, 0.1)
-    agent.used_construction = used
 
     record = _record(
         success=False, pointed_id="obj-2", failure_reason=FAILURE_WRONG_REFERENT
     )
-    align(agent, HEARER, record, params)
+    align(agent, HEARER, record, params, used)
 
     assert len(agent.inventory) == 0
 
@@ -202,19 +200,18 @@ def test_align_failure_punishes_to_removal():
 def test_align_unknown_word_adoption_reuses_or_invents():
     params = ExperimentParams(inc=0.1, inh=0.1, dec=0.1)
     agent = Agent(1)
-    agent.world_model = WorldModel(
+    model = WorldModel(
         percepts=(
             Percept("obj-0", Colour(5, 243, 2)),
             Percept("obj-1", Colour(250, 5, 5)),
         )
     )
-    agent.utterance = "fusemo"
-    agent.feedback_pointed_id = "obj-0"
+    pointed = model.percept_for("obj-0")
 
     record = _record(
         success=False, pointed_id=None, failure_reason=FAILURE_UNKNOWN_WORD
     )
-    align(agent, HEARER, record, params)
+    align(agent, HEARER, record, params, None, pointed, model, "fusemo")
 
     assert len(agent.ontology) == 1
     assert agent.ontology.categories[0].prototype == Colour(5, 243, 2)
@@ -222,8 +219,7 @@ def test_align_unknown_word_adoption_reuses_or_invents():
     assert adopted.form == "fusemo" and adopted.score == 0.5
 
     # hearing another unknown word for the same object reuses the category
-    agent.utterance = "sobele"
-    align(agent, HEARER, record, params)
+    align(agent, HEARER, record, params, None, pointed, model, "sobele")
     assert len(agent.ontology) == 1
     assert {c.form for c in agent.inventory.constructions} == {"fusemo", "sobele"}
 
@@ -233,14 +229,13 @@ def test_align_degenerate_game_updates_nothing():
     agent = Agent(0)
     category = agent.ontology.invent_category(Colour(1, 1, 1))
     used = agent.inventory.add_construction("fusemo", category.category_id, 0.5)
-    agent.used_construction = used
     record = _record(
         success=False,
         utterance=None,
         pointed_id=None,
         failure_reason=FAILURE_DEGENERATE,
     )
-    align(agent, SPEAKER, record, params)
+    align(agent, SPEAKER, record, params, used)
     assert used.score == 0.5 and len(agent.inventory) == 1
 
 
@@ -268,7 +263,7 @@ def test_games_only_mutate_the_two_participants():
     rng = random.Random(13)
     for n in range(1, 60):
         before = {
-            a.agent_id: (a.ontology.to_json_entries(), a.inventory.to_json_entries())
+            a.agent_id: deepcopy((a.ontology.categories, a.inventory.constructions))
             for a in population
         }
         record = run_interaction(population, world, bodies, params, rng, n)
@@ -276,26 +271,9 @@ def test_games_only_mutate_the_two_participants():
             if agent.agent_id in (record.speaker_id, record.hearer_id):
                 continue
             assert before[agent.agent_id] == (
-                agent.ontology.to_json_entries(),
-                agent.inventory.to_json_entries(),
+                agent.ontology.categories,
+                agent.inventory.constructions,
             )
-
-
-def test_per_game_state_is_cleared_between_interactions():
-    params = ExperimentParams()
-    world = make_world(params.palette, params.objects_per_scene)
-    population = make_population(3)
-    rng = random.Random(17)
-    run_interaction(population, world, simulated_bodies(3.0), params, rng, 1)
-    for agent in population:
-        assert agent.body is None
-        assert agent.world_model is None
-        assert agent.topic is None
-        assert agent.network is None
-        assert agent.utterance is None
-        assert agent.used_construction is None
-        assert agent.hypothesis is None
-        assert agent.feedback_pointed_id is None
 
 
 def test_degenerate_abort_on_identical_percepts():
@@ -383,6 +361,9 @@ def test_params_validation_rejects_out_of_range_values():
         ExperimentParams(snapshot_points=(0,)),
         ExperimentParams(snapshot_agent=9),
         ExperimentParams(snapshot_agent=-1),
+        ExperimentParams(
+            palette=(Colour(0, 0, 0), Colour(10, 0, 0)), objects_per_scene=2
+        ),
     ]
     for params in bad:
         with pytest.raises(ConfigurationError):

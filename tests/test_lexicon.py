@@ -200,11 +200,3 @@ def test_produce_returns_the_freshly_added_strongest_form():
         inventory.add_construction(top_form, 2, 0.9)
         produced = inventory.produce(2)
         assert produced is not None and produced.form == top_form
-
-
-def test_inventory_serialises_to_snapshot_entries():
-    inventory = ConstructionInventory()
-    inventory.add_construction("fusemo", 1, 0.5)
-    assert inventory.to_json_entries() == [
-        {"form": "fusemo", "category_id": 1, "score": 0.5}
-    ]

@@ -165,7 +165,7 @@ def test_incremental_series_equals_full_rescan(
         population_size=population_size,
         num_interactions=1500,
         noise_std=noise_std,
-        use_random_palette=random_palette,
+        random_palette=random_palette,
         series_interval=series_interval,
         snapshot_points=(),
     )
