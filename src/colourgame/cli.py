@@ -11,6 +11,7 @@ are independent but reproducible.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import sys
@@ -30,15 +31,14 @@ OUT_DIR_ENV_VAR = "NAMING_GAME_OUT_DIR"
 # Every field of ExperimentParams is a game key but the body backend, which
 # code picks through the backend registry rather than a config file. The
 # JSON round trip spells each default as a config file does: lists for
-# tuples, [r, g, b] for a colour.
+# tuples, so [r, g, b] for a colour.
 GAME_DEFAULTS: dict = json.loads(
     json.dumps(
         {
             f.name: f.default
             for f in fields(ExperimentParams)
             if f.name != "backend_kind"
-        },
-        default=Colour.as_tuple,
+        }
     )
 )
 BATCH_DEFAULTS: dict = {"runs": 1, "seed": 0, "out_dir": "out", "parallel": 1}
@@ -98,7 +98,9 @@ def parse_config(
     config_path: str | None = None, overrides: dict | None = None
 ) -> ExperimentConfig:
     """Resolve defaults, config file and flag overrides into one config."""
-    resolved = dict(DEFAULT_CONFIG)
+    # A deep copy: the palette and snapshot_points lists of a resolved config
+    # must not be the defaults' own.
+    resolved = copy.deepcopy(DEFAULT_CONFIG)
 
     env_out_dir = os.environ.get(OUT_DIR_ENV_VAR)
     if env_out_dir:

@@ -5,11 +5,13 @@ finds the category that uniquely discriminates a topic within the agent's
 world model and returns its id; interpretation filters a world model by
 closeness to a category's prototype to retrieve a referent. This experiment
 never composes meanings, so a meaning is just a category id. Both directions
-use plain Euclidean distance on the raw channel values.
+use plain Euclidean distance (`math.dist` on the colour tuples) on the raw
+channel values.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import dist
 
 from .errors import InternalConsistencyError
 from .world import Colour, Percept, WorldModel
@@ -54,7 +56,7 @@ class Ontology:
         best: ColourCategory | None = None
         best_distance = 0.0
         for category in self.categories:
-            d = category.prototype.distance(observation)
+            d = dist(category.prototype, observation)
             if best is None or d < best_distance:
                 best, best_distance = category, d
         if best is None:
@@ -87,7 +89,7 @@ class Ontology:
         for percept in model.percepts:
             if percept.object_id == topic.object_id:
                 continue
-            if category.prototype.distance(percept.observed_colour) <= topic_distance:
+            if dist(category.prototype, percept.observed_colour) <= topic_distance:
                 return None
         return category.category_id
 
@@ -102,7 +104,7 @@ class Ontology:
         best_distance = 0.0
         tied = False
         for percept in model.percepts:
-            d = prototype.distance(percept.observed_colour)
+            d = dist(prototype, percept.observed_colour)
             if best is None or d < best_distance:
                 best, best_distance, tied = percept, d, False
             elif d == best_distance:

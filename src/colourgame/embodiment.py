@@ -15,6 +15,7 @@ object id unambiguously.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Protocol
@@ -75,8 +76,11 @@ class SimulatedBackend:
     kind = SIMULATED
 
     def __init__(self, identity: str, noise_std: float) -> None:
-        if noise_std < 0:
-            raise ConfigurationError(f"noise_std must be >= 0, got {noise_std}")
+        # One chain rejects negative, NaN and infinite noise alike.
+        if not 0.0 <= noise_std < math.inf:
+            raise ConfigurationError(
+                f"noise_std must be finite and >= 0, got {noise_std}"
+            )
         self.identity = identity
         self.noise_std = noise_std
         self._scene: Scene | None = None

@@ -370,7 +370,7 @@ def run_experiment(params: ExperimentParams, seed: int) -> RunResult:
     snapshot_points = set(params.snapshot_points)
 
     records: list[InteractionRecord] = []
-    monitor = monitors.PopulationMonitor(population)
+    monitor = monitors.PopulationMonitor(population, params.window)
     series: list[monitors.SeriesPoint] = []
     snapshots: list[monitors.LexiconSnapshot] = []
     for n in range(1, params.num_interactions + 1):
@@ -378,9 +378,7 @@ def run_experiment(params: ExperimentParams, seed: int) -> RunResult:
         records.append(record)
         monitor.observe(record)
         if n % params.series_interval == 0:
-            series.append(
-                monitors.compute_series_point(monitor, records, n, params.window)
-            )
+            series.append(monitors.compute_series_point(monitor, n))
         if n in snapshot_points:
             for agent in snapshot_targets:
                 snapshots.append(monitors.take_snapshot(agent, n))

@@ -1,6 +1,6 @@
 """Per-interaction measurements, lexicon snapshots, and file export.
 
-Derives five time series from the record stream and the live population:
+Derives five time series from the game outcomes and the live population:
 windowed communicative success, mean ontology size, mean inventory size, the
 number of distinct forms alive in the population, and the two form/meaning
 ratio series. Ratio fields with an empty denominator (no agent holding any
@@ -14,7 +14,9 @@ every game, and a series point recounts the stale agents alone: its cost
 grows with the agents that played since the last row, not with the whole
 population's inventories. Each mean is still `statistics.fmean` over one
 value per agent, an exact sum, so the result does not depend on the order in
-which agents were recounted.
+which agents were recounted. Windowed success is incremental too: the monitor
+keeps the outcomes of the last `window` games and a running count of their
+successes, so a series point reads it without rescanning any record.
 
 Exports per run: `series.csv` (one row per sampled interaction),
 `snapshots.json`, and `snapshots.html` (one colour swatch per category,
@@ -28,6 +30,7 @@ import csv
 import html
 import json
 import statistics
+from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Collection, Iterable, Sequence
@@ -76,32 +79,22 @@ class LexiconSnapshot:
     entries: tuple[dict, ...]
 
 
-def windowed_success(
-    records: Sequence["InteractionRecord"], window: int, at: int
-) -> float:
-    """Fraction of successes among the last min(window, at) games up to `at`.
-
-    Zero games played means zero success by definition.
-    """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if at == 0:
-        return 0.0
-    recent = records[max(0, at - window) : at]
-    return sum(1 for r in recent if r.success) / len(recent)
-
-
 class PopulationMonitor:
     """Per-agent counts behind the series, recounted only where play happened.
 
     A game changes no agent but its speaker and hearer, so `observe` marks
     those two stale and `recount` rescans the stale agents alone. Every agent
     starts stale. `holders` maps each form alive in the population to the
-    number of agents holding it.
+    number of agents holding it. `observe` also keeps the outcomes of the
+    last `window` games and a running count of the successes among them.
     """
 
-    def __init__(self, population: Sequence["Agent"]) -> None:
+    def __init__(self, population: Sequence["Agent"], window: int) -> None:
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
         self.population = population
+        self._recent: deque[bool] = deque(maxlen=window)
+        self._successes = 0
         self._agents = {agent.agent_id: agent for agent in population}
         self._stale = set(self._agents)
         self.ontology_sizes: dict[int, int] = {}
@@ -113,9 +106,21 @@ class PopulationMonitor:
         self.holders: dict[str, int] = {}
 
     def observe(self, record: "InteractionRecord") -> None:
-        """Mark the two agents that played `record` as needing a recount."""
+        """Mark the two agents that played `record` as needing a recount, and
+        slide the success window over its outcome."""
         self._stale.add(record.speaker_id)
         self._stale.add(record.hearer_id)
+        recent = self._recent
+        if len(recent) == recent.maxlen:
+            self._successes -= recent[0]
+        recent.append(record.success)
+        self._successes += record.success
+
+    def windowed_success(self) -> float:
+        """Fraction of successes among the last min(window, games observed)
+        games; zero games observed means zero success by definition."""
+        recent = self._recent
+        return self._successes / len(recent) if recent else 0.0
 
     def recount(self) -> None:
         """Bring every stale agent's counts and the form holders up to date."""
@@ -151,17 +156,12 @@ def _mean(values: Collection[float]) -> float:
     return statistics.fmean(values) if values else 0.0
 
 
-def compute_series_point(
-    monitor: PopulationMonitor,
-    records: Sequence["InteractionRecord"],
-    at: int,
-    window: int,
-) -> SeriesPoint:
+def compute_series_point(monitor: PopulationMonitor, at: int) -> SeriesPoint:
     """Derive every monitored value at interaction `at` from the monitor."""
     monitor.recount()
     return SeriesPoint(
         interaction=at,
-        success_window_avg=windowed_success(records, window, at),
+        success_window_avg=monitor.windowed_success(),
         mean_ontology_size=_mean(monitor.ontology_sizes.values()),
         mean_inventory_size=_mean(monitor.inventory_sizes.values()),
         distinct_forms_population=len(monitor.holders),

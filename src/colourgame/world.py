@@ -4,51 +4,78 @@ The world is a fixed set of distinctly coloured objects. Each game draws a
 scene (a subset of the objects) and every participating agent perceives the
 scene through its own noisy sensors, so no two agents ever record exactly the
 same channel values for the same object.
+
+A colour is checked where it enters from outside: `Colour(...)`, which builds
+the config palette, the default palette and every `random_palette` draw.
+Inside the engine, `perceive` and `Colour.shifted_towards` build colours
+through `Colour.clipped`, whose clamps already keep every channel in range,
+so the per-game path pays no second check.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import ConfigurationError
 
 
-@dataclass(frozen=True)
-class Colour:
-    """A point in a 3-channel colour space, channels in [0, 255]."""
+class Colour(tuple):
+    """A point in a 3-channel colour space, channels in [0, 255].
 
-    r: float
-    g: float
-    b: float
+    A colour is a tuple (r, g, b), so it goes to `math.dist`, `json` and
+    `pickle` as it is. `Colour(r, g, b)` checks every channel; the engine's
+    own colours come from `clipped`, whose channels are in range by
+    construction, and skip the check.
+    """
 
-    def __post_init__(self) -> None:
-        for name in ("r", "g", "b"):
-            value = getattr(self, name)
+    __slots__ = ()
+
+    def __new__(cls, r: float, g: float, b: float) -> Colour:
+        for name, value in (("r", r), ("g", g), ("b", b)):
             if not 0.0 <= value <= 255.0:
                 raise ValueError(f"channel {name}={value!r} outside [0, 255]")
+        return tuple.__new__(cls, (r, g, b))
 
-    @classmethod
-    def clipped(cls, r: float, g: float, b: float) -> Colour:
-        """Build a colour, clamping each channel into [0, 255]."""
-        return cls(*(min(255.0, max(0.0, v)) for v in (r, g, b)))
+    def __getnewargs__(self) -> tuple[float, float, float]:
+        # pickle and copy rebuild a colour as Colour(r, g, b), not from one
+        # tuple argument; without this the `--parallel` path cannot pickle it.
+        return tuple(self)
+
+    r = property(itemgetter(0), doc="Red channel.")
+    g = property(itemgetter(1), doc="Green channel.")
+    b = property(itemgetter(2), doc="Blue channel.")
+
+    @staticmethod
+    def clipped(r: float, g: float, b: float) -> Colour:
+        """Build a colour, clamping each channel into [0, 255].
+
+        Each clamp returns exactly what min(255.0, max(0.0, v)) does, NaN
+        (to 0.0) and -0.0 (to 0.0) included.
+        """
+        return tuple.__new__(
+            Colour,
+            (
+                r if 0.0 < r < 255.0 else (255.0 if r >= 255.0 else 0.0),
+                g if 0.0 < g < 255.0 else (255.0 if g >= 255.0 else 0.0),
+                b if 0.0 < b < 255.0 else (255.0 if b >= 255.0 else 0.0),
+            ),
+        )
 
     def distance(self, other: Colour) -> float:
         """Euclidean distance to another colour."""
-        return math.dist((self.r, self.g, self.b), (other.r, other.g, other.b))
+        return math.dist(self, other)
 
     def shifted_towards(self, target: Colour, rate: float) -> Colour:
         """Move each channel a fraction `rate` of the way towards `target`."""
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"shift rate {rate!r} outside [0, 1]")
+        r, g, b = self
+        tr, tg, tb = target
         return Colour.clipped(
-            self.r + rate * (target.r - self.r),
-            self.g + rate * (target.g - self.g),
-            self.b + rate * (target.b - self.b),
+            r + rate * (tr - r), g + rate * (tg - g), b + rate * (tb - b)
         )
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.r, self.g, self.b)
 
 
 # Six saturated, well-separated colours (pairwise distance >= 255).
@@ -78,10 +105,11 @@ class World:
 
     objects: tuple[WorldObject, ...]
     objects_per_scene: int
+    object_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _by_id: dict[str, WorldObject] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ids = [o.object_id for o in self.objects]
+        ids = self.object_ids = tuple(o.object_id for o in self.objects)
         if len(set(ids)) != len(ids):
             raise ConfigurationError("object ids must be unique within a world")
         if not 1 <= self.objects_per_scene <= len(self.objects):
@@ -186,7 +214,7 @@ def random_palette(
 
 def sample_scene(world: World, rng: random.Random) -> Scene:
     """Draw `objects_per_scene` distinct objects uniformly without replacement."""
-    ids = rng.sample([o.object_id for o in world.objects], world.objects_per_scene)
+    ids = rng.sample(world.object_ids, world.objects_per_scene)
     return Scene(object_ids=tuple(ids))
 
 
@@ -194,15 +222,18 @@ def perceive(
     world: World, scene: Scene, noise_std: float, rng: random.Random
 ) -> WorldModel:
     """Observe every scene object with i.i.d. Gaussian channel noise, clipped."""
-    if noise_std < 0:
-        raise ValueError(f"noise_std must be >= 0, got {noise_std}")
+    # One chain rejects negative, NaN and infinite noise alike.
+    if not 0.0 <= noise_std < math.inf:
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
+    # Bound once per call: three draws and a clamp run for every object.
+    gauss, clipped, by_id = rng.gauss, Colour.clipped, world.object_by_id
     percepts = []
     for object_id in scene.object_ids:
-        true = world.object_by_id(object_id).true_colour
-        observed = Colour.clipped(
-            true.r + rng.gauss(0.0, noise_std),
-            true.g + rng.gauss(0.0, noise_std),
-            true.b + rng.gauss(0.0, noise_std),
+        r, g, b = by_id(object_id).true_colour
+        observed = clipped(
+            r + gauss(0.0, noise_std),
+            g + gauss(0.0, noise_std),
+            b + gauss(0.0, noise_std),
         )
         percepts.append(Percept(object_id=object_id, observed_colour=observed))
     return WorldModel(percepts=tuple(percepts))

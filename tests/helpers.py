@@ -2,8 +2,10 @@
 
 The oracles intentionally re-derive results through squared distances and
 explicit scans so they share no code path with the library implementation.
-`oracle_series_point` rescans every agent's whole inventory, the reference
-for the incremental `monitors.compute_series_point`.
+`oracle_series_point` rescans every agent's whole inventory and re-sums the
+success window from the records, the reference for the incremental
+`monitors.compute_series_point`. `oracle_perceive` replays perception with
+min/max clamps, the reference for `world.perceive`'s comparison clamps.
 Oracle comparisons should use integer-valued colours: squared distances are
 then exact integers and agree with the library's sqrt-based ordering.
 """
@@ -14,8 +16,8 @@ import statistics
 
 from colourgame.conceptual import ColourCategory
 from colourgame.embodiment import SimulatedBackend, register_backend
-from colourgame.monitors import SeriesPoint, windowed_success
-from colourgame.world import Colour, Percept, WorldModel
+from colourgame.monitors import SeriesPoint
+from colourgame.world import Colour, Percept, Scene, World, WorldModel
 
 
 def squared_distance(a: Colour, b: Colour) -> float:
@@ -69,6 +71,31 @@ def oracle_interpret(
     if len(winners) != 1:
         return None
     return winners[0]
+
+
+def oracle_perceive(
+    world: World, scene: Scene, noise_std: float, rng: random.Random
+) -> list[tuple[str, tuple[float, float, float]]]:
+    """Each scene object's observed channels, clamped with min and max, from
+    the same stream of `rng.gauss` draws as `world.perceive`."""
+    observed = []
+    for object_id in scene.object_ids:
+        true = world.object_by_id(object_id).true_colour
+        channels = tuple(
+            min(255.0, max(0.0, v + rng.gauss(0.0, noise_std)))
+            for v in (true.r, true.g, true.b)
+        )
+        observed.append((object_id, channels))
+    return observed
+
+
+def windowed_success(records, window: int, at: int) -> float:
+    """Fraction of successes among the last min(window, at) games up to `at`,
+    re-summed from the records; zero games played means zero success."""
+    if at == 0:
+        return 0.0
+    recent = records[max(0, at - window) : at]
+    return sum(1 for r in recent if r.success) / len(recent)
 
 
 def oracle_series_point(population, records, at: int, window: int) -> SeriesPoint:

@@ -42,6 +42,18 @@ def test_parse_config_defaults_match_builtins():
     assert config.to_dict() == DEFAULT_CONFIG
 
 
+def test_mutating_a_resolved_config_leaves_the_defaults_alone(capsys):
+    assert main(["print-default-config"]) == 0
+    printed = capsys.readouterr().out
+    config = parse_config(None, {})
+    config.snapshot_points.append(999)
+    config.palette.append([1, 2, 3])
+    config.palette[0][0] = 7
+    assert parse_config(None, {}).to_dict() == json.loads(printed)
+    assert main(["print-default-config"]) == 0
+    assert capsys.readouterr().out == printed
+
+
 def test_flag_overrides_and_file_precedence(tmp_path):
     config_file = tmp_path / "config.json"
     config_file.write_text(json.dumps({"population_size": 7, "noise_std": 1.5}))

@@ -109,7 +109,7 @@ def test_invention_postcondition_enables_conceptualisation():
         percepts = {}
         while len(percepts) < 3:
             colour = random_int_colour(rng)
-            percepts[colour.as_tuple()] = colour  # unique observed values
+            percepts[tuple(colour)] = colour  # unique observed values
         model = model_of(
             **{f"o{i}": c for i, c in enumerate(percepts.values())}
         )

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -28,6 +29,9 @@ def test_make_body_simulated():
     body = make_body("simulated", "body-a", noise_std=0.0)
     assert body.kind == "simulated"
     assert body.identity == "body-a"
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigurationError):
+            make_body("simulated", "body-a", noise_std=bad)
 
 
 def test_make_body_rejects_unsupported_kind():

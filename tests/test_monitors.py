@@ -21,10 +21,9 @@ from colourgame.monitors import (
     export_aggregate,
     export_run,
     take_snapshot,
-    windowed_success,
 )
 from colourgame.world import Colour
-from helpers import oracle_series_point
+from helpers import oracle_series_point, windowed_success
 
 
 def records_with(successes: list[bool]) -> list[InteractionRecord]:
@@ -44,27 +43,32 @@ def records_with(successes: list[bool]) -> list[InteractionRecord]:
     ]
 
 
+def monitor_after(successes: list[bool], window: int = 50) -> PopulationMonitor:
+    monitor = PopulationMonitor([Agent(0), Agent(1)], window)
+    for record in records_with(successes):
+        monitor.observe(record)
+    return monitor
+
+
 def test_windowed_success_basics():
-    records = records_with([True] * 50)
-    assert windowed_success(records, window=50, at=50) == 1.0
-    assert windowed_success(records_with([False]), window=50, at=1) == 0.0
-    assert windowed_success([], window=50, at=0) == 0.0
+    assert monitor_after([True] * 50).windowed_success() == 1.0
+    assert monitor_after([False]).windowed_success() == 0.0
+    assert monitor_after([]).windowed_success() == 0.0
 
 
 def test_windowed_success_alternating_and_clamping():
-    records = records_with([i % 2 == 0 for i in range(100)])
-    assert windowed_success(records, window=50, at=100) == 0.5
-    # only the first three games exist at at=3
-    records = records_with([True, True, False])
-    assert windowed_success(records, window=50, at=3) == pytest.approx(2 / 3)
+    assert monitor_after([i % 2 == 0 for i in range(100)]).windowed_success() == 0.5
+    # only three games have been played
+    assert monitor_after([True, True, False]).windowed_success() == pytest.approx(
+        2 / 3
+    )
     with pytest.raises(ValueError):
-        windowed_success(records, window=0, at=3)
+        PopulationMonitor([Agent(0), Agent(1)], window=0)
 
 
 def test_windowed_success_uses_most_recent_games():
-    records = records_with([False] * 50 + [True] * 50)
-    assert windowed_success(records, window=50, at=100) == 1.0
-    assert windowed_success(records, window=50, at=50) == 0.0
+    assert monitor_after([False] * 50 + [True] * 50).windowed_success() == 1.0
+    assert monitor_after([False] * 50).windowed_success() == 0.0
 
 
 def test_windowed_success_never_drops_when_success_evicts_failure():
@@ -73,11 +77,15 @@ def test_windowed_success_never_drops_when_success_evicts_failure():
     rng = _random.Random(40)
     flags = [rng.random() < 0.5 for _ in range(200)]
     records = records_with(flags)
-    for n in range(51, 201):
-        if flags[n - 1] and not flags[n - 51]:
-            assert windowed_success(records, 50, n) >= windowed_success(
-                records, 50, n - 1
-            )
+    monitor = PopulationMonitor([Agent(0), Agent(1)], 50)
+    previous = 0.0
+    for n, record in enumerate(records, start=1):
+        monitor.observe(record)
+        current = monitor.windowed_success()
+        assert current == windowed_success(records, 50, n)
+        if n > 50 and flags[n - 1] and not flags[n - 51]:
+            assert current >= previous
+        previous = current
 
 
 def agent_with(agent_id: int, pairs: list[tuple[str, int]]) -> Agent:
@@ -95,8 +103,8 @@ def agent_with(agent_id: int, pairs: list[tuple[str, int]]) -> Agent:
 
 
 def test_series_point_on_empty_population():
-    monitor = PopulationMonitor([Agent(0), Agent(1)])
-    point = compute_series_point(monitor, [], at=0, window=50)
+    monitor = PopulationMonitor([Agent(0), Agent(1)], window=50)
+    point = compute_series_point(monitor, at=0)
     assert point.mean_ontology_size == 0.0
     assert point.mean_inventory_size == 0.0
     assert point.distinct_forms_population == 0
@@ -110,9 +118,9 @@ def test_series_point_on_converged_population():
         agent_with(i, [(form, m) for m, form in enumerate(forms, start=1)])
         for i in range(5)
     ]
-    point = compute_series_point(
-        PopulationMonitor(population), records_with([True]), at=1, window=50
-    )
+    monitor = PopulationMonitor(population, window=50)
+    monitor.observe(records_with([True])[0])
+    point = compute_series_point(monitor, at=1)
     assert point.mean_ontology_size == 6.0
     assert point.mean_inventory_size == 6.0
     assert point.distinct_forms_population == 6
@@ -123,13 +131,13 @@ def test_series_point_on_converged_population():
 def test_series_point_synonymy_and_homonymy_counts():
     # one agent holding two forms for one meaning
     population = [agent_with(0, [("bakala", 1), ("defile", 1)]), Agent(1)]
-    point = compute_series_point(PopulationMonitor(population), [], at=0, window=50)
+    point = compute_series_point(PopulationMonitor(population, 50), at=0)
     assert point.mean_forms_per_meaning == 2.0
     assert point.mean_meanings_per_form == 1.0
     assert point.distinct_forms_population == 2
     # agents without constructions are excluded from the ratio means
     population.append(agent_with(2, [("bakala", 1)]))
-    point = compute_series_point(PopulationMonitor(population), [], at=0, window=50)
+    point = compute_series_point(PopulationMonitor(population, 50), at=0)
     assert point.mean_forms_per_meaning == pytest.approx(1.5)
 
 
@@ -138,34 +146,60 @@ def test_distinct_forms_dominates_per_agent_counts():
         agent_with(0, [("bakala", 1), ("defile", 2)]),
         agent_with(1, [("bakala", 1), ("gikolu", 2)]),
     ]
-    point = compute_series_point(PopulationMonitor(population), [], at=0, window=50)
+    point = compute_series_point(PopulationMonitor(population, 50), at=0)
     per_agent_max = max(len(a.inventory.forms()) for a in population)
     assert point.distinct_forms_population >= per_agent_max
     assert point.distinct_forms_population == 3
 
 
-@pytest.mark.parametrize("random_palette", [False, True])
+# Windows 1 and 7 ride along with the palette kind, so each runs over every
+# population size, series interval and noise level next to the default 50.
+@pytest.mark.parametrize(
+    ("random_palette", "window"),
+    [
+        pytest.param(False, 50, id="False"),
+        pytest.param(True, 50, id="True"),
+        pytest.param(False, 1, id="False-window1"),
+        pytest.param(True, 7, id="True-window7"),
+    ],
+)
 @pytest.mark.parametrize("noise_std", [0.0, 3.0, 20.0])
 @pytest.mark.parametrize("series_interval", [1, 7])
 @pytest.mark.parametrize("population_size", [2, 3, 20, 50])
 def test_incremental_series_equals_full_rescan(
-    monkeypatch, population_size, series_interval, noise_std, random_palette
+    monkeypatch, population_size, series_interval, noise_std, random_palette, window
 ):
-    incremental = monitors.compute_series_point
     checked = []
 
-    def checked_point(monitor, records, at, window):
-        point = incremental(monitor, records, at, window)
-        assert point == oracle_series_point(monitor.population, records, at, window)
+    class CheckedMonitor(PopulationMonitor):
+        """Keeps the observed records for the oracle's re-summed window."""
+
+        def __init__(self, population, window):
+            super().__init__(population, window)
+            self.records = []
+
+        def observe(self, record):
+            super().observe(record)
+            self.records.append(record)
+
+    incremental = monitors.compute_series_point
+
+    def checked_point(monitor, at):
+        point = incremental(monitor, at)
+        assert point == oracle_series_point(
+            monitor.population, monitor.records, at, window
+        )
         checked.append(at)
         return point
 
+    monkeypatch.setattr(monitors, "PopulationMonitor", CheckedMonitor)
     monkeypatch.setattr(monitors, "compute_series_point", checked_point)
     params = ExperimentParams(
         population_size=population_size,
         num_interactions=1500,
         noise_std=noise_std,
         random_palette=random_palette,
+        window=window,
         series_interval=series_interval,
         snapshot_points=(),
     )

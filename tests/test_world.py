@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import statistics
 from collections import Counter
@@ -17,6 +18,8 @@ from colourgame.world import (
     sample_scene,
 )
 
+from helpers import oracle_perceive
+
 
 def test_colour_rejects_out_of_range_channels():
     with pytest.raises(ValueError):
@@ -28,6 +31,10 @@ def test_colour_rejects_out_of_range_channels():
 def test_colour_clipped_clamps_into_range():
     c = Colour.clipped(-40, 300, 128)
     assert (c.r, c.g, c.b) == (0.0, 255.0, 128.0)
+    # Same value and type as min(255.0, max(0.0, v)), -0.0 and NaN included.
+    for v in (-0.0, 0.0, 0, 255, 255.0, 1e-300, -1e-300, 254.5, 255.5,
+              math.nan, math.inf, -math.inf):
+        assert repr(Colour.clipped(v, v, v).r) == repr(min(255.0, max(0.0, v)))
 
 
 def test_colour_distance_matches_hand_computation():
@@ -180,8 +187,48 @@ def test_perceive_same_seed_same_model_fresh_noise_differs():
 def test_perceive_rejects_negative_noise():
     world = make_world([Colour(0, 0, 0)], objects_per_scene=1)
     scene = sample_scene(world, random.Random(0))
-    with pytest.raises(ValueError):
-        perceive(world, scene, noise_std=-1.0, rng=random.Random(0))
+    # NaN noise would read every channel as 0, inf would saturate them.
+    for bad in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            perceive(world, scene, noise_std=bad, rng=random.Random(0))
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 3.0, 200.0])
+def test_perceive_matches_the_min_max_clamp_oracle(noise_std):
+    # Boundary channels make both clamps fire at any noise > 0; noise 200
+    # pushes interior channels past both ends as well.
+    pick = random.Random(31)
+
+    def channel():
+        return pick.choice((0, 255, 0.0, 255.0, pick.uniform(0, 255)))
+
+    seen = Counter()
+    for trial in range(40):
+        palette = [
+            Colour(channel(), channel(), channel())
+            for _ in range(pick.randint(1, 6))
+        ]
+        world = make_world(palette, len(palette), min_separation=0.0)
+        scene = sample_scene(world, random.Random(trial))
+        model = perceive(world, scene, noise_std, random.Random(1000 + trial))
+        expected = oracle_perceive(
+            world, scene, noise_std, random.Random(1000 + trial)
+        )
+        assert [
+            (p.object_id, [repr(v) for v in p.observed_colour])
+            for p in model.percepts
+        ] == [(oid, [repr(v) for v in channels]) for oid, channels in expected]
+        for percept in model.percepts:
+            colour = percept.observed_colour
+            assert type(colour) is Colour
+            seen.update("low" if v == 0 else "high" if v == 255 else "inside"
+                        for v in colour)
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                copied = pickle.loads(pickle.dumps(colour, protocol))
+                assert type(copied) is Colour
+                assert copied == colour and hash(copied) == hash(colour)
+                assert (copied.r, copied.g, copied.b) == tuple(colour)
+    assert seen["low"] and seen["high"] and seen["inside"]
 
 
 def test_world_model_lookup():
