@@ -200,7 +200,10 @@ def run_command(config: ExperimentConfig) -> int:
         for i in range(config.runs)
     ]
     if config.parallel > 1 and config.runs > 1:
-        with ProcessPoolExecutor(max_workers=config.parallel) as pool:
+        # The pool forks all its workers at the first submit, so ask for no
+        # more than there are runs.
+        workers = min(config.parallel, config.runs)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             series_per_run = list(pool.map(_execute_run, *zip(*jobs)))
     else:
         series_per_run = [_execute_run(*job) for job in jobs]

@@ -122,6 +122,8 @@ class ConstructionInventory:
             raise ValueError("inc and inh must be >= 0")
         self._require_present(used)
         used.score = _rounded(min(1.0, used.score + inc))
+        # Only an inhibited competitor can reach zero, since inc >= 0.
+        zeroed = False
         for other in self.constructions:
             if other is used:
                 continue
@@ -135,7 +137,9 @@ class ConstructionInventory:
                 )
             if competes:
                 other.score = _rounded(other.score - inh)
-        self._prune()
+                zeroed = zeroed or other.score <= 0.0
+        if zeroed:
+            self._prune()
 
     def punish(self, used: Construction, dec: float) -> None:
         """Decrease the used construction's score, removing it at zero."""
@@ -143,7 +147,8 @@ class ConstructionInventory:
             raise ValueError("dec must be >= 0")
         self._require_present(used)
         used.score = _rounded(used.score - dec)
-        self._prune()
+        if used.score <= 0.0:
+            self._prune()
 
     def _require_present(self, used: Construction) -> None:
         if not any(c is used for c in self.constructions):

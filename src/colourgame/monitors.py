@@ -23,15 +23,27 @@ Exports per run: `series.csv` (one row per sampled interaction),
 labelled with its scored forms). Multi-run aggregation writes
 `aggregate.csv` with the per-interaction mean and sample standard deviation
 of every series field.
+
+The standard deviation is the correctly rounded square root of the exact
+sample variance, the value `statistics.stdev` returns from CPython 3.11 on,
+computed by `_stdev` in integers. Every float is a dyadic rational, so the
+values are put over one power-of-two denominator 2**shift as integers i, and
+the variance is exactly (n*sum(i*i) - sum(i)**2) / (n*(n-1) * 4**shift). The
+square root of that fraction is taken with `math.isqrt` on a radicand scaled
+to at least 2*53+3 bits, rounded to odd (a sticky bit for an inexact root),
+and turned into a float by one correctly rounded division.
 """
 from __future__ import annotations
 
 import csv
 import html
 import json
+import math
+import operator
 import statistics
+import sys
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
@@ -229,8 +241,19 @@ def export_run(
 
     json_path = out / SNAPSHOTS_JSON
     with json_path.open("w") as fh:
+        # take_snapshot already copied the entries, so no deep copy here.
         json.dump(
-            [asdict(s) for s in snapshots], fh, indent=2, sort_keys=True
+            [
+                {
+                    "interaction_number": s.interaction_number,
+                    "agent_id": s.agent_id,
+                    "entries": s.entries,
+                }
+                for s in snapshots
+            ],
+            fh,
+            indent=2,
+            sort_keys=True,
         )
         fh.write("\n")
 
@@ -275,6 +298,41 @@ def render_snapshots_html(snapshots: Sequence[LexiconSnapshot]) -> str:
     return "\n".join(parts) + "\n"
 
 
+# Bits kept in the radicand of `_stdev`'s integer square root: the root then
+# carries at least 53 + 2 bits, enough for rounding to odd and then to nearest
+# to round correctly.
+_RADICAND_BITS = 2 * sys.float_info.mant_dig + 3
+
+
+def _stdev(values: Sequence[float]) -> float:
+    """Correctly rounded sample standard deviation of two or more finite
+    floats; equal to `statistics.stdev` on CPython 3.11 and later."""
+    n = len(values)
+    ratios = [v.as_integer_ratio() for v in values]
+    # Every denominator is a power of two; over the largest, 2**shift, every
+    # value is an integer.
+    bits = max([den for _, den in ratios]).bit_length()
+    scaled = [num << (bits - den.bit_length()) for num, den in ratios]
+    shift = bits - 1
+    total = sum(scaled)
+    num = n * sum(map(operator.mul, scaled, scaled)) - total * total
+    if not num:
+        return 0.0
+    den = n * (n - 1)
+    # stdev = sqrt(num / den) / 2**shift = sqrt(num * 4**k / den) / 2**(shift + k)
+    k = (_RADICAND_BITS + den.bit_length() - num.bit_length() + 1) // 2
+    if k >= 0:
+        top, bottom = num << 2 * k, den
+    else:
+        top, bottom = num, den << -2 * k
+    root = math.isqrt(top // bottom)
+    root |= root * root * bottom != top
+    exponent = shift + k
+    if exponent >= 0:
+        return root / (1 << exponent)
+    return float(root << -exponent)
+
+
 def aggregate_runs(
     series_per_run: Sequence[Sequence[SeriesPoint]],
 ) -> list[dict[str, float]]:
@@ -302,9 +360,7 @@ def aggregate_runs(
         for fname in SERIES_FIELDS:
             values = [float(getattr(series[i], fname)) for series in series_per_run]
             row[f"{fname}_mean"] = statistics.fmean(values)
-            row[f"{fname}_std"] = (
-                statistics.stdev(values) if len(values) > 1 else 0.0
-            )
+            row[f"{fname}_std"] = _stdev(values) if len(values) > 1 else 0.0
         rows.append(row)
     return rows
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from colourgame import cli
 from colourgame.cli import (
     DEFAULT_CONFIG,
     OUT_DIR_ENV_VAR,
@@ -270,6 +271,44 @@ def test_parallel_runs_match_sequential_output(tmp_path, capsys):
             par / f"run-{i}" / "series.csv"
         ).read_bytes()
     assert (seq / "aggregate.csv").read_bytes() == (par / "aggregate.csv").read_bytes()
+
+
+def test_parallel_asks_for_no_more_workers_than_runs(tmp_path, capsys, monkeypatch):
+    requested = []
+
+    class SerialPool:
+        """In-process stand-in for ProcessPoolExecutor: records the worker
+        count asked for and maps serially, so no process is started."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    seq, par = tmp_path / "seq", tmp_path / "par"
+    assert main(small_args(seq, runs=2)) == 0
+    seq_printed = capsys.readouterr().out
+    assert requested == []
+    assert main(small_args(par, runs=2, parallel=8)) == 0
+    assert requested == [2]
+    assert capsys.readouterr().out == seq_printed
+    written = sorted(
+        path.relative_to(seq) for path in seq.rglob("*") if path.is_file()
+    )
+    assert written == sorted(
+        path.relative_to(par) for path in par.rglob("*") if path.is_file()
+    )
+    for path in written:
+        if path.name != "config.json":  # echoes out_dir and parallel
+            assert (seq / path).read_bytes() == (par / path).read_bytes(), path
 
 
 def test_zero_interaction_run_produces_header_only_files(tmp_path, capsys):

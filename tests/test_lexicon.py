@@ -127,6 +127,21 @@ def test_inhibition_removes_constructions_at_zero():
     assert len(inventory) == 1
 
 
+def test_inhibition_to_exactly_zero_prunes_and_keeps_survivor_order():
+    inventory = ConstructionInventory()
+    first = inventory.add_construction("sobele", 2, 0.3)
+    doomed = inventory.add_construction("ponuro", 1, 0.1)
+    used = inventory.add_construction("fusemo", 1, 0.5)
+    survivor = inventory.add_construction("kadilu", 1, 0.4)
+    last = inventory.add_construction("fusemo", 2, 0.2)
+    inventory.reward_and_inhibit(used, SPEAKER, inc=0.1, inh=0.1)
+    assert doomed.score == 0.0
+    assert list(map(id, inventory.constructions)) == list(
+        map(id, [first, used, survivor, last])
+    )
+    assert survivor.score == pytest.approx(0.3)
+
+
 def test_reward_requires_membership_and_valid_role():
     inventory = ConstructionInventory()
     used = inventory.add_construction("fusemo", 1, 0.5)

@@ -1,6 +1,9 @@
 import csv
 import json
+import math
+import random
 import statistics
+import sys
 
 import pytest
 
@@ -319,14 +322,74 @@ def test_aggregate_runs_degenerate_and_two_run_cases():
     rows = aggregate_runs([run_a, run_b])
     assert rows[0]["success_window_avg_mean"] == pytest.approx(0.5)
     # sample standard deviation, as documented
-    assert rows[0]["success_window_avg_std"] == pytest.approx(
-        statistics.stdev([0.4, 0.6])
-    )
+    assert rows[0]["success_window_avg_std"] == statistics.stdev([0.4, 0.6])
     assert rows[0]["success_window_avg_std"] == pytest.approx(0.141421356)
 
     single = aggregate_runs([run_b])
     assert single[0]["success_window_avg_mean"] == 0.6
     assert single[0]["success_window_avg_std"] == 0.0
+
+
+def stdev_vectors(count: int, seed: int) -> list[list[float]]:
+    """Seeded vectors of 2..30 finite floats of every kind `_stdev` must
+    round like `statistics.stdev`, then the fixed edge cases."""
+    rng = random.Random(seed)
+    vectors = []
+    for i in range(count):
+        n = rng.randint(2, 30)
+        kind = i % 5
+        if kind == 0:  # uniform floats
+            scale = 10.0 ** rng.randint(-3, 3)
+            vector = [rng.uniform(-scale, scale) for _ in range(n)]
+        elif kind == 1:  # non-dyadic ratios, like means over a population of 5
+            d = rng.choice((3, 5, 7))
+            vector = [rng.randint(0, 60) / d for _ in range(n)]
+        elif kind == 2:  # across the exponent range, subnormals included
+            vector = [
+                math.copysign(
+                    math.ldexp(rng.random(), rng.randint(-1074, 1020)),
+                    rng.random() - 0.5,
+                )
+                for _ in range(n)
+            ]
+        elif kind == 3:  # one shared exponent, full 53-bit mantissas
+            e = rng.randint(-1074, 960)
+            vector = [math.ldexp(rng.getrandbits(53), e) for _ in range(n)]
+        else:  # 1-ulp neighbours
+            x = rng.uniform(-1e6, 1e6)
+            vector = [rng.choice((x, math.nextafter(x, math.inf))) for _ in range(n)]
+        vectors.append(vector)
+    tiny = 5e-324
+    vectors += [
+        [tiny, 0.0],
+        [tiny, 2 * tiny, 0.0],
+        [tiny] * 3 + [-tiny],
+        [1e308, -1e308],
+        [1e308, 1e308, -1e308],
+        [-1e308, 0.0, 1e308],
+        [0.0, -0.0],
+        [-0.0, -0.0, -0.0],
+        [2.5] * 7,
+        [0.1] * 20,
+        [1.0, math.nextafter(1.0, 2.0)],
+        [1.0, math.nextafter(1.0, 0.0), 1.0],
+        [0.4, 0.6],
+    ]
+    return vectors
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="statistics.stdev is correctly rounded only from CPython 3.11",
+)
+def test_stdev_matches_statistics_stdev():
+    mismatches = [
+        (vector, got, want)
+        for vector in stdev_vectors(3000, seed=20)
+        if (got := repr(monitors._stdev(vector)))
+        != (want := repr(statistics.stdev(vector)))
+    ]
+    assert mismatches == [], f"{len(mismatches)} mismatches, first {mismatches[:3]}"
 
 
 def test_aggregate_runs_rejects_mismatched_runs():
