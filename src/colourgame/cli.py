@@ -199,10 +199,10 @@ def run_command(config: ExperimentConfig) -> int:
         (params, config.seed + i, str(out_dir / f"run-{i}"))
         for i in range(config.runs)
     ]
-    if config.parallel > 1 and config.runs > 1:
-        # The pool forks all its workers at the first submit, so ask for no
-        # more than there are runs.
-        workers = min(config.parallel, config.runs)
+    # The pool forks all its workers at the first submit, so ask for no more
+    # than there are runs or CPUs to run them on.
+    workers = min(config.parallel, config.runs, _usable_cpus())
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             series_per_run = list(pool.map(_execute_run, *zip(*jobs)))
     else:
@@ -212,6 +212,14 @@ def run_command(config: ExperimentConfig) -> int:
     for i, series in enumerate(series_per_run):
         print(_run_summary(i, config.seed + i, series))
     return 0
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _parse_snapshot_points(text: str) -> list[int]:

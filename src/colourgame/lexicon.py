@@ -58,6 +58,10 @@ class ConstructionInventory:
 
     def __init__(self) -> None:
         self.constructions: list[Construction] = []
+        # Bumped by every method that adds or removes a construction, so a
+        # monitor can tell an inventory whose form and category sets may
+        # have changed from one whose scores alone moved.
+        self.edits = 0
 
     def __len__(self) -> int:
         return len(self.constructions)
@@ -82,30 +86,34 @@ class ConstructionInventory:
             form=form, category_id=category_id, score=_rounded(initial_score)
         )
         self.constructions.append(construction)
+        self.edits += 1
         return construction
 
     def produce(self, category_id: int) -> Construction | None:
         """Strongest construction for a category; score ties go to the
         lexicographically smallest form."""
-        candidates = [c for c in self.constructions if c.category_id == category_id]
-        if not candidates:
-            return None
-        top = max(c.score for c in candidates)
-        return min(
-            (c for c in candidates if c.score == top), key=lambda c: c.form
-        )
+        best = None
+        for c in self.constructions:
+            if c.category_id == category_id and (
+                best is None
+                or c.score > top
+                or (c.score == top and c.form < best.form)
+            ):
+                best, top = c, c.score
+        return best
 
     def comprehend(self, form: str) -> Construction | None:
         """Strongest construction for a form; ties go to the smallest
         category id."""
-        candidates = [c for c in self.constructions if c.form == form]
-        if not candidates:
-            return None
-        top = max(c.score for c in candidates)
-        return min(
-            (c for c in candidates if c.score == top),
-            key=lambda c: c.category_id,
-        )
+        best = None
+        for c in self.constructions:
+            if c.form == form and (
+                best is None
+                or c.score > top
+                or (c.score == top and c.category_id < best.category_id)
+            ):
+                best, top = c, c.score
+        return best
 
     def reward_and_inhibit(
         self, used: Construction, role: str, inc: float, inh: float
@@ -120,24 +128,26 @@ class ConstructionInventory:
             raise ValueError(f"role must be {SPEAKER!r} or {HEARER!r}, got {role!r}")
         if inc < 0 or inh < 0:
             raise ValueError("inc and inh must be >= 0")
-        self._require_present(used)
+        # One scan finds the competitors and checks that `used` is here, so
+        # a foreign construction raises before any score moves.
+        present = False
+        competitors = []
+        for other in self.constructions:
+            if other is used:
+                present = True
+            elif role == SPEAKER:
+                if other.category_id == used.category_id and other.form != used.form:
+                    competitors.append(other)
+            elif other.form == used.form and other.category_id != used.category_id:
+                competitors.append(other)
+        if not present:
+            raise _not_in_inventory(used)
         used.score = _rounded(min(1.0, used.score + inc))
         # Only an inhibited competitor can reach zero, since inc >= 0.
         zeroed = False
-        for other in self.constructions:
-            if other is used:
-                continue
-            if role == SPEAKER:
-                competes = (
-                    other.category_id == used.category_id and other.form != used.form
-                )
-            else:
-                competes = (
-                    other.form == used.form and other.category_id != used.category_id
-                )
-            if competes:
-                other.score = _rounded(other.score - inh)
-                zeroed = zeroed or other.score <= 0.0
+        for other in competitors:
+            other.score = _rounded(other.score - inh)
+            zeroed = zeroed or other.score <= 0.0
         if zeroed:
             self._prune()
 
@@ -152,9 +162,14 @@ class ConstructionInventory:
 
     def _require_present(self, used: Construction) -> None:
         if not any(c is used for c in self.constructions):
-            raise InternalConsistencyError(
-                f"construction ({used.form!r}, {used.category_id}) not in inventory"
-            )
+            raise _not_in_inventory(used)
 
     def _prune(self) -> None:
         self.constructions = [c for c in self.constructions if c.score > 0.0]
+        self.edits += 1
+
+
+def _not_in_inventory(used: Construction) -> InternalConsistencyError:
+    return InternalConsistencyError(
+        f"construction ({used.form!r}, {used.category_id}) not in inventory"
+    )

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from math import cos as _cos, log as _log, sin as _sin, sqrt as _sqrt
 from operator import itemgetter
 
 from .errors import ConfigurationError
@@ -89,6 +90,9 @@ DEFAULT_PALETTE: tuple[Colour, ...] = (
 )
 
 DEFAULT_MIN_SEPARATION = 100.0
+
+# The constant `random.gauss` scales its uniform angle by.
+_TWOPI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -221,19 +225,41 @@ def sample_scene(world: World, rng: random.Random) -> Scene:
 def perceive(
     world: World, scene: Scene, noise_std: float, rng: random.Random
 ) -> WorldModel:
-    """Observe every scene object with i.i.d. Gaussian channel noise, clipped."""
+    """Observe every scene object with i.i.d. Gaussian channel noise, clipped.
+
+    The 3 * k channel noises of a k-object scene are drawn in one loop that
+    is CPython's `random.gauss`, unrolled: the same Box-Muller pairs from the
+    same `rng.random()` calls in the same order, and the spare second value
+    of a pair read from and written back to `rng.gauss_next`. So the
+    observed colours and the generator's state afterwards are exactly those
+    of 3 * k `rng.gauss(0.0, noise_std)` calls, as every output depends on.
+    The algorithm is the same in CPython 3.10 to 3.13;
+    `tests/test_world.py::test_perceive_draws_exactly_what_gauss_draws`
+    pins it against `rng.gauss`.
+    """
     # One chain rejects negative, NaN and infinite noise alike.
     if not 0.0 <= noise_std < math.inf:
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
-    # Bound once per call: three draws and a clamp run for every object.
-    gauss, clipped, by_id = rng.gauss, Colour.clipped, world.object_by_id
+    object_ids = scene.object_ids
+    count = 3 * len(object_ids)
+    spare = rng.gauss_next
+    z = [] if spare is None else [spare]
+    uniform = rng.random
+    while len(z) < count:
+        x2pi = uniform() * _TWOPI
+        g2rad = _sqrt(-2.0 * _log(1.0 - uniform()))
+        z.append(_cos(x2pi) * g2rad)
+        z.append(_sin(x2pi) * g2rad)
+    rng.gauss_next = z.pop() if len(z) > count else None
+    # gauss returns 0.0 + z * sigma; the channel adds z * sigma alone, which
+    # differs only in the sign of a zero sum, and the clamp maps both to 0.0.
+    clipped, by_id = Colour.clipped, world.object_by_id
     percepts = []
-    for object_id in scene.object_ids:
+    draws = iter(z)  # zip takes three in order for each object
+    for object_id, zr, zg, zb in zip(object_ids, draws, draws, draws):
         r, g, b = by_id(object_id).true_colour
         observed = clipped(
-            r + gauss(0.0, noise_std),
-            g + gauss(0.0, noise_std),
-            b + gauss(0.0, noise_std),
+            r + zr * noise_std, g + zg * noise_std, b + zb * noise_std
         )
         percepts.append(Percept(object_id=object_id, observed_colour=observed))
     return WorldModel(percepts=tuple(percepts))

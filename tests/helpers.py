@@ -5,7 +5,10 @@ explicit scans so they share no code path with the library implementation.
 `oracle_series_point` rescans every agent's whole inventory and re-sums the
 success window from the records, the reference for the incremental
 `monitors.compute_series_point`. `oracle_perceive` replays perception with
-min/max clamps, the reference for `world.perceive`'s comparison clamps.
+min/max clamps and `rng.gauss`, the reference for `world.perceive`'s
+comparison clamps and in-line noise draws. `oracle_produce` and
+`oracle_comprehend` filter, take the top score, then break ties, the
+reference for the lexicon's one-pass lookups.
 Oracle comparisons should use integer-valued colours: squared distances are
 then exact integers and agree with the library's sqrt-based ordering.
 """
@@ -87,6 +90,28 @@ def oracle_perceive(
         )
         observed.append((object_id, channels))
     return observed
+
+
+def oracle_produce(constructions, category_id: int):
+    """Strongest construction for a category, score ties to the smallest
+    form: filter, take the top score, then break the tie."""
+    candidates = [c for c in constructions if c.category_id == category_id]
+    if not candidates:
+        return None
+    top = max(c.score for c in candidates)
+    return min((c for c in candidates if c.score == top), key=lambda c: c.form)
+
+
+def oracle_comprehend(constructions, form: str):
+    """Strongest construction for a form, score ties to the smallest
+    category id."""
+    candidates = [c for c in constructions if c.form == form]
+    if not candidates:
+        return None
+    top = max(c.score for c in candidates)
+    return min(
+        (c for c in candidates if c.score == top), key=lambda c: c.category_id
+    )
 
 
 def windowed_success(records, window: int, at: int) -> float:

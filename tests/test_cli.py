@@ -261,7 +261,11 @@ def test_echoed_config_alone_reproduces_the_run(tmp_path, capsys):
     ).read_bytes()
 
 
-def test_parallel_runs_match_sequential_output(tmp_path, capsys):
+def test_parallel_runs_match_sequential_output(tmp_path, capsys, monkeypatch):
+    # Three usable CPUs whatever the host has, so three real workers run.
+    monkeypatch.setattr(
+        cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+    )
     seq, par = tmp_path / "seq", tmp_path / "par"
     assert main(small_args(seq, runs=3)) == 0
     assert main(small_args(par, runs=3, parallel=3)) == 0
@@ -292,23 +296,48 @@ def test_parallel_asks_for_no_more_workers_than_runs(tmp_path, capsys, monkeypat
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
+    def cpus(n):
+        monkeypatch.setattr(
+            cli.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False
+        )
+
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    seq, par = tmp_path / "seq", tmp_path / "par"
-    assert main(small_args(seq, runs=2)) == 0
+    seq = tmp_path / "seq"
+    assert main(small_args(seq, runs=5)) == 0
     seq_printed = capsys.readouterr().out
     assert requested == []
-    assert main(small_args(par, runs=2, parallel=8)) == 0
-    assert requested == [2]
-    assert capsys.readouterr().out == seq_printed
     written = sorted(
         path.relative_to(seq) for path in seq.rglob("*") if path.is_file()
     )
-    assert written == sorted(
-        path.relative_to(par) for path in par.rglob("*") if path.is_file()
-    )
-    for path in written:
-        if path.name != "config.json":  # echoes out_dir and parallel
-            assert (seq / path).read_bytes() == (par / path).read_bytes(), path
+
+    def assert_same_output(par):
+        assert capsys.readouterr().out == seq_printed
+        assert written == sorted(
+            path.relative_to(par) for path in par.rglob("*") if path.is_file()
+        )
+        for path in written:
+            if path.name != "config.json":  # echoes out_dir and parallel
+                assert (seq / path).read_bytes() == (par / path).read_bytes(), path
+
+    # (CPUs, --parallel) -> workers asked for: capped by runs, then by CPUs;
+    # one worker runs in this process with no pool at all.
+    for n_cpus, parallel, workers in ((16, 8, 5), (3, 8, 3), (1, 8, None)):
+        cpus(n_cpus)
+        requested.clear()
+        par = tmp_path / f"par-{n_cpus}"
+        assert main(small_args(par, runs=5, parallel=parallel)) == 0
+        assert requested == ([] if workers is None else [workers])
+        assert_same_output(par)
+    # Without an affinity call the machine's CPU count caps the pool, and an
+    # unknown count means one CPU.
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    for count, workers in ((4, 4), (None, None)):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda count=count: count)
+        requested.clear()
+        par = tmp_path / f"count-{count}"
+        assert main(small_args(par, runs=5, parallel=8)) == 0
+        assert requested == ([] if workers is None else [workers])
+        assert_same_output(par)
 
 
 def test_zero_interaction_run_produces_header_only_files(tmp_path, capsys):

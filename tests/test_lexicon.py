@@ -14,6 +14,8 @@ from colourgame.lexicon import (
     invent_word_form,
 )
 
+from helpers import oracle_comprehend, oracle_produce
+
 WORD_SHAPE = re.compile(f"^([{CONSONANTS}][{VOWELS}]){{3}}$")
 
 
@@ -148,6 +150,13 @@ def test_reward_requires_membership_and_valid_role():
     other = ConstructionInventory().add_construction("fusemo", 1, 0.5)
     with pytest.raises(InternalConsistencyError):
         inventory.reward_and_inhibit(other, SPEAKER, 0.1, 0.1)
+    # A foreign construction that `used` competes with moves no score.
+    for role, foreign in ((SPEAKER, ("zalemo", 1)), (HEARER, ("fusemo", 2))):
+        outsider = ConstructionInventory().add_construction(*foreign, 0.5)
+        with pytest.raises(InternalConsistencyError):
+            inventory.reward_and_inhibit(outsider, role, 0.1, 0.5)
+        assert inventory.constructions == [used] and used.score == 0.5
+        assert outsider.score == 0.5
     with pytest.raises(ValueError):
         inventory.reward_and_inhibit(used, "bystander", 0.1, 0.1)
 
@@ -215,3 +224,41 @@ def test_produce_returns_the_freshly_added_strongest_form():
         inventory.add_construction(top_form, 2, 0.9)
         produced = inventory.produce(2)
         assert produced is not None and produced.form == top_form
+
+
+def test_one_pass_lookups_pick_what_the_two_pass_oracles_pick():
+    # Few forms, few categories and few distinct scores make ties common.
+    # 0.1 + 0.2 and 0.7 - 0.2 are not 0.3 and 0.5 as floats, but the
+    # inventory rounds them to exactly those, so they tie as well; rewards,
+    # inhibitions and punishments then move scores onto shared values too.
+    rng = random.Random(2024)
+    forms = ["bakala", "defile", "gikolu", "lamune"]
+    scores = [0.3, 0.1 + 0.2, 0.5, 0.7 - 0.2, 1.0, 0.25, 0.05 * 5]
+    ties = 0
+    for _ in range(600):
+        inventory = ConstructionInventory()
+        pairs = [(f, c) for f in forms for c in range(1, 5)]
+        for form, category_id in rng.sample(pairs, rng.randint(0, len(pairs))):
+            inventory.add_construction(form, category_id, rng.choice(scores))
+        for _ in range(rng.randint(0, 6)):
+            if not inventory.constructions:
+                break
+            used = rng.choice(inventory.constructions)
+            if rng.random() < 0.5:
+                inventory.reward_and_inhibit(
+                    used, rng.choice((SPEAKER, HEARER)), 0.1, 0.2
+                )
+            else:
+                inventory.punish(used, 0.2)
+        constructions = inventory.constructions
+        for category_id in range(0, 6):
+            assert inventory.produce(category_id) is oracle_produce(
+                constructions, category_id
+            )
+        for form in forms + ["zuzuzu"]:
+            assert inventory.comprehend(form) is oracle_comprehend(
+                constructions, form
+            )
+            matching = [c.score for c in constructions if c.form == form]
+            ties += len(matching) != len(set(matching))
+    assert ties > 100

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import random
@@ -15,6 +16,7 @@ from colourgame.engine import (
     run_experiment,
 )
 from colourgame.errors import ConfigurationError
+from colourgame.lexicon import SPEAKER
 from colourgame.monitors import (
     SERIES_HEADER,
     PopulationMonitor,
@@ -153,6 +155,53 @@ def test_distinct_forms_dominates_per_agent_counts():
     per_agent_max = max(len(a.inventory.forms()) for a in population)
     assert point.distinct_forms_population >= per_agent_max
     assert point.distinct_forms_population == 3
+
+
+def test_recount_follows_inventory_edits_between_rows():
+    population = [
+        agent_with(0, [("bakala", 1), ("defile", 2)]),
+        agent_with(1, [("bakala", 1), ("gikolu", 1)]),
+        agent_with(2, [("lamune", 1)]),
+    ]
+    monitor = PopulationMonitor(population, window=50)
+    records = []
+
+    def play(speaker_id, hearer_id, at):
+        record = dataclasses.replace(
+            records_with([True])[0],
+            interaction_number=at,
+            speaker_id=speaker_id,
+            hearer_id=hearer_id,
+        )
+        monitor.observe(record)
+        records.append(record)
+        point = compute_series_point(monitor, at)
+        assert point == oracle_series_point(population, records, at, 50)
+        return point
+
+    assert compute_series_point(monitor, 0) == oracle_series_point(
+        population, records, 0, 50
+    )
+    # Agent 0 swaps a word: one construction in, one pruned out, so its
+    # inventory size stays 2 while its form set changes. Agent 1 only sees
+    # scores move, and is skipped.
+    swapper, scorer = population[0].inventory, population[1].inventory
+    bakala = swapper.constructions[0]
+    swapper.add_construction("zulewa", bakala.category_id, 0.5)
+    swapper.punish(bakala, 1.0)
+    assert len(swapper) == 2 and swapper.forms() == {"defile", "zulewa"}
+    scorer.reward_and_inhibit(scorer.constructions[0], SPEAKER, 0.1, 0.2)
+    scorer.punish(scorer.constructions[1], 0.1)
+    assert len(scorer) == 2
+    assert play(0, 1, 1).distinct_forms_population == 5
+    # A word adopted for a category the agent already has: the ontology
+    # stays, only the inventory grows.
+    adopter = population[2].inventory
+    adopter.add_construction("defile", adopter.constructions[0].category_id, 0.5)
+    assert play(2, 1, 2).mean_forms_per_meaning == pytest.approx(5 / 3)
+    # A construction pruned with nothing added in its place.
+    adopter.punish(adopter.constructions[0], 1.0)
+    assert play(1, 2, 3).distinct_forms_population == 4
 
 
 # Windows 1 and 7 ride along with the palette kind, so each runs over every

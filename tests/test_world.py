@@ -10,6 +10,7 @@ from colourgame.errors import ConfigurationError
 from colourgame.world import (
     DEFAULT_PALETTE,
     Colour,
+    Scene,
     World,
     WorldObject,
     make_world,
@@ -229,6 +230,37 @@ def test_perceive_matches_the_min_max_clamp_oracle(noise_std):
                 assert copied == colour and hash(copied) == hash(colour)
                 assert (copied.r, copied.g, copied.b) == tuple(colour)
     assert seen["low"] and seen["high"] and seen["inside"]
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 3.0, 200.0])
+def test_perceive_draws_exactly_what_gauss_draws(noise_std):
+    # One generator across many calls, as in a run. A scene of k objects
+    # draws 3k noises, so an odd k leaves the second value of a Box-Muller
+    # pair in rng.gauss_next for the next call, across the sample and choice
+    # draws in between; a bare gauss call can leave one before a call, too.
+    world = make_world(DEFAULT_PALETTE, 1)
+
+    def next_scene(r):
+        scene = Scene(object_ids=tuple(r.sample(world.object_ids, r.randint(1, 6))))
+        if r.random() < 0.1:
+            r.gauss()
+        return scene
+
+    rng, oracle_rng = random.Random(77), random.Random(77)
+    carried = 0
+    for _ in range(300):
+        scene = next_scene(rng)
+        assert next_scene(oracle_rng) == scene
+        carried += rng.gauss_next is not None
+        model = perceive(world, scene, noise_std, rng)
+        expected = oracle_perceive(world, scene, noise_std, oracle_rng)
+        assert [
+            (p.object_id, [repr(v) for v in p.observed_colour])
+            for p in model.percepts
+        ] == [(oid, [repr(v) for v in channels]) for oid, channels in expected]
+        assert rng.getstate() == oracle_rng.getstate()
+        assert rng.choice(world.object_ids) == oracle_rng.choice(world.object_ids)
+    assert 50 < carried < 250
 
 
 def test_world_model_lookup():
