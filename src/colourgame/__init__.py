@@ -22,15 +22,7 @@ from .errors import (
 )
 from .lexicon import Construction, ConstructionInventory, invent_word_form
 from .monitors import LexiconSnapshot, SeriesPoint
-from .world import (
-    DEFAULT_PALETTE,
-    Colour,
-    Percept,
-    Scene,
-    World,
-    WorldModel,
-    make_world,
-)
+from .world import DEFAULT_PALETTE, Colour, World, make_world
 
 __version__ = "0.1.0"
 
@@ -48,13 +40,10 @@ __all__ = [
     "InternalConsistencyError",
     "LexiconSnapshot",
     "Ontology",
-    "Percept",
     "ProtocolError",
     "RunResult",
-    "Scene",
     "SeriesPoint",
     "World",
-    "WorldModel",
     "invent_word_form",
     "make_world",
     "run_experiment",

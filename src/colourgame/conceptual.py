@@ -1,12 +1,13 @@
 """Agent-internal colour categories: conceptualisation and interpretation.
 
-Each agent holds a private ontology of prototype points. Conceptualisation
-finds the category that uniquely discriminates a topic within the agent's
-world model and returns its id; interpretation filters a world model by
-closeness to a category's prototype to retrieve a referent. This experiment
-never composes meanings, so a meaning is just a category id. Both directions
-use plain Euclidean distance (`math.dist` on the colour tuples) on the raw
-channel values.
+Each agent holds a private ontology of prototype points. A world model is the
+agent's own observation of a scene: a dict from each scene object's id to its
+observed colour. Conceptualisation finds the category that uniquely
+discriminates a topic id within the agent's world model and returns its id;
+interpretation filters a world model by closeness to a category's prototype
+to retrieve a referent's id. This experiment never composes meanings, so a
+meaning is just a category id. Both directions use plain Euclidean distance
+(`math.dist` on the colour tuples) on the raw channel values.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from math import dist
 
 from .errors import InternalConsistencyError
-from .world import Colour, Percept, WorldModel
+from .world import Colour
 
 
 @dataclass
@@ -70,46 +71,47 @@ class Ontology:
         self.categories.append(category)
         return category
 
-    def conceptualise(self, topic: Percept, model: WorldModel) -> int | None:
-        """Id of a category that uniquely discriminates `topic` in `model`.
+    def conceptualise(self, topic_id: str, model: dict[str, Colour]) -> int | None:
+        """Id of a category that uniquely discriminates `topic_id` in `model`.
 
         The candidate is always the category closest to the topic's observed
-        colour; it qualifies only if every other percept in the model is
+        colour; it qualifies only if every other object in the model is
         strictly farther from its prototype. Returns None when the ontology is
         empty or the closest category fails to discriminate.
         """
-        if all(p.object_id != topic.object_id for p in model.percepts):
+        try:
+            topic = model[topic_id]
+        except KeyError:
             raise InternalConsistencyError(
-                f"topic {topic.object_id!r} is not part of the world model"
-            )
-        found = self.closest_category(topic.observed_colour)
+                f"topic {topic_id!r} is not part of the world model"
+            ) from None
+        found = self.closest_category(topic)
         if found is None:
             return None
         category, topic_distance = found
-        for percept in model.percepts:
-            if percept.object_id == topic.object_id:
-                continue
-            if dist(category.prototype, percept.observed_colour) <= topic_distance:
+        prototype = category.prototype
+        for object_id, observed in model.items():
+            if object_id != topic_id and dist(prototype, observed) <= topic_distance:
                 return None
         return category.category_id
 
-    def interpret(self, category_id: int, model: WorldModel) -> Percept | None:
-        """Pick the percept in `model` closest to the category's prototype.
+    def interpret(self, category_id: int, model: dict[str, Colour]) -> str | None:
+        """Id of the object in `model` closest to the category's prototype.
 
         A tie for the minimum means the category fails to single out a
         referent, so the result is None.
         """
         prototype = self.get(category_id).prototype
-        best: Percept | None = None
+        best: str | None = None
         best_distance = 0.0
         tied = False
-        for percept in model.percepts:
-            d = dist(prototype, percept.observed_colour)
+        for object_id, observed in model.items():
+            d = dist(prototype, observed)
             if best is None or d < best_distance:
-                best, best_distance, tied = percept, d, False
+                best, best_distance, tied = object_id, d, False
             elif d == best_distance:
                 tied = True
-        if best is None or tied:
+        if tied:
             return None
         return best
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from .errors import ConfigurationError, ProtocolError
-from .world import Scene, World, WorldModel, perceive
+from .world import Colour, World, perceive
 
 SIMULATED = "simulated"
 
@@ -58,8 +58,8 @@ class Backend(Protocol):
     def embody(self, agent_id: object) -> bool: ...
 
     def observe_world(
-        self, world: World, scene: Scene, rng: random.Random
-    ) -> WorldModel: ...
+        self, world: World, scene: tuple[str, ...], rng: random.Random
+    ) -> dict[str, Colour]: ...
 
     def speak(self, channel: UtteranceChannel, utterance: str) -> bool: ...
 
@@ -83,14 +83,14 @@ class SimulatedBackend:
             )
         self.identity = identity
         self.noise_std = noise_std
-        self._scene: Scene | None = None
+        self._scene: tuple[str, ...] | None = None
 
     def embody(self, agent_id: object) -> bool:
         return True
 
     def observe_world(
-        self, world: World, scene: Scene, rng: random.Random
-    ) -> WorldModel:
+        self, world: World, scene: tuple[str, ...], rng: random.Random
+    ) -> dict[str, Colour]:
         # Each call consumes fresh noise, so two bodies observing the same
         # scene build different models whenever noise_std > 0.
         self._scene = scene
@@ -144,9 +144,11 @@ def embody(body: Backend, agent_id: object) -> bool:
 
 
 def observe_world(
-    body: Backend, world: World, scene: Scene, rng: random.Random
-) -> WorldModel:
-    """Scan the scene through this body's sensors into a private world model."""
+    body: Backend, world: World, scene: tuple[str, ...], rng: random.Random
+) -> dict[str, Colour]:
+    """Scan the scene's objects through this body's sensors into a private
+    world model: each object's id mapped to its observed colour, in scene
+    order."""
     return body.observe_world(world, scene, rng)
 
 

@@ -8,6 +8,11 @@ and points at its hypothesis; the speaker nods on success or points at the
 true topic on failure; finally both agents align their lexicons and
 prototypes. Nothing is shared between agents except the scene, the utterance
 and the pointing gestures.
+
+A scene is the tuple of its object ids and a world model maps each of them
+to the observed colour (see `world`), so the topic, the hearer's hypothesis
+and every referent are object ids. Each agent reads a referent's colour from
+its own world model.
 """
 from __future__ import annotations
 
@@ -40,9 +45,7 @@ from .world import (
     DEFAULT_MIN_SEPARATION,
     DEFAULT_PALETTE,
     Colour,
-    Percept,
     World,
-    WorldModel,
     check_separation,
     make_world,
     random_palette,
@@ -187,11 +190,11 @@ def select_pair(
     return speaker, hearer
 
 
-def choose_topic(model: WorldModel, rng: random.Random) -> Percept:
-    """Pick the object the speaker will talk about, uniformly."""
-    if not model.percepts:
-        raise InternalConsistencyError("cannot choose a topic in an empty model")
-    return rng.choice(model.percepts)
+def choose_topic(scene: tuple[str, ...], rng: random.Random) -> str:
+    """Pick the id of the object the speaker will talk about, uniformly."""
+    if not scene:
+        raise InternalConsistencyError("cannot choose a topic in an empty scene")
+    return rng.choice(scene)
 
 
 def run_interaction(
@@ -216,27 +219,20 @@ def run_interaction(
     speaker_model = observe_world(speaker_body, world, scene, rng)
     hearer_model = observe_world(hearer_body, world, scene, rng)
 
-    topic = choose_topic(speaker_model, rng)
+    topic_id = choose_topic(scene, rng)
 
-    category_id = speaker.ontology.conceptualise(topic, speaker_model)
+    category_id = speaker.ontology.conceptualise(topic_id, speaker_model)
     if category_id is None:
         # No discriminating category: invent one anchored at the observed
         # value, then try once more.
-        speaker.ontology.invent_category(topic.observed_colour)
-        category_id = speaker.ontology.conceptualise(topic, speaker_model)
+        speaker.ontology.invent_category(speaker_model[topic_id])
+        category_id = speaker.ontology.conceptualise(topic_id, speaker_model)
     if category_id is None:
         # Even a fresh category cannot separate the topic from an exact
-        # twin percept; abort with no learning updates.
+        # twin observation; abort with no learning updates.
         return InteractionRecord(
-            interaction_number=interaction_number,
-            speaker_id=speaker.agent_id,
-            hearer_id=hearer.agent_id,
-            scene_object_ids=scene.object_ids,
-            topic_id=topic.object_id,
-            utterance=None,
-            pointed_id=None,
-            success=False,
-            failure_reason=FAILURE_DEGENERATE,
+            interaction_number, speaker.agent_id, hearer.agent_id, scene,
+            topic_id, None, None, False, FAILURE_DEGENERATE,
         )
 
     construction = speaker.inventory.produce(category_id)
@@ -252,42 +248,33 @@ def run_interaction(
 
     pointed_id: str | None = None
     failure_reason = FAILURE_NONE
-    hypothesis: Percept | None = None
     heard_construction = hearer.inventory.comprehend(heard)
     if heard_construction is None:
         failure_reason = FAILURE_UNKNOWN_WORD
     else:
-        hypothesis = hearer.ontology.interpret(
+        hypothesis_id = hearer.ontology.interpret(
             heard_construction.category_id, hearer_model
         )
-        if hypothesis is not None:
-            pointed_id = point(hearer_body, hypothesis.object_id)
-        if pointed_id != topic.object_id:
+        if hypothesis_id is not None:
+            pointed_id = point(hearer_body, hypothesis_id)
+        if pointed_id != topic_id:
             failure_reason = FAILURE_WRONG_REFERENT
 
-    success = pointed_id is not None and pointed_id == topic.object_id
+    success = pointed_id is not None and pointed_id == topic_id
     if success:
         nod(speaker_body)
-        hearer_referent = hypothesis
+        hearer_referent_id = pointed_id
     else:
-        shown_id = point(speaker_body, topic.object_id)
-        hearer_referent = hearer_model.percept_for(shown_id)
+        hearer_referent_id = point(speaker_body, topic_id)
 
     record = InteractionRecord(
-        interaction_number=interaction_number,
-        speaker_id=speaker.agent_id,
-        hearer_id=hearer.agent_id,
-        scene_object_ids=scene.object_ids,
-        topic_id=topic.object_id,
-        utterance=construction.form,
-        pointed_id=pointed_id,
-        success=success,
-        failure_reason=failure_reason,
+        interaction_number, speaker.agent_id, hearer.agent_id, scene,
+        topic_id, construction.form, pointed_id, success, failure_reason,
     )
-    align(speaker, SPEAKER, record, params, construction, topic)
+    align(speaker, SPEAKER, record, params, construction, topic_id, speaker_model)
     align(
         hearer, HEARER, record, params,
-        heard_construction, hearer_referent, hearer_model, heard,
+        heard_construction, hearer_referent_id, hearer_model, heard,
     )
     return record
 
@@ -298,16 +285,17 @@ def align(
     record: InteractionRecord,
     params: ExperimentParams,
     used: Construction | None = None,
-    referent: Percept | None = None,
-    model: WorldModel | None = None,
+    referent_id: str | None = None,
+    model: dict[str, Colour] | None = None,
     heard: str | None = None,
 ) -> None:
     """Post-game learning updates for one agent.
 
-    `used` is the construction the agent spoke or understood, if any, and
-    `referent` its own percept of the object the game was about: the topic,
-    the hearer's hypothesis, or what the speaker pointed at on failure. A
-    hearer also gets its world model and the form it `heard`.
+    `used` is the construction the agent spoke or understood, if any;
+    `referent_id` is the object the game was about (the topic, the hearer's
+    hypothesis, or what the speaker pointed at on failure) and `model` the
+    agent's own world model, from which its observed colour is read. A hearer
+    also gets the form it `heard`.
 
     Success rewards the used construction, inhibits its competitors, and
     shifts the used category's prototype towards the referent. Failure
@@ -324,23 +312,23 @@ def align(
                 "successful game without a used construction"
             )
         agent.inventory.reward_and_inhibit(used, role, params.inc, params.inh)
-        if referent is None:
+        if referent_id is None or model is None:
             raise InternalConsistencyError("successful game without a referent")
         agent.ontology.shift_prototype(
-            used.category_id, referent.observed_colour, params.shift_rate
+            used.category_id, model[referent_id], params.shift_rate
         )
         return
     if used is not None:
         agent.inventory.punish(used, params.dec)
     if role != HEARER or record.failure_reason != FAILURE_UNKNOWN_WORD:
         return
-    if referent is None or model is None or heard is None:
+    if referent_id is None or model is None or heard is None:
         raise InternalConsistencyError("adoption without feedback pointing")
-    category_id = agent.ontology.conceptualise(referent, model)
+    category_id = agent.ontology.conceptualise(referent_id, model)
     if category_id is None:
-        agent.ontology.invent_category(referent.observed_colour)
-        category_id = agent.ontology.conceptualise(referent, model)
-    # An exact twin percept cannot be discriminated: adopt nothing.
+        agent.ontology.invent_category(model[referent_id])
+        category_id = agent.ontology.conceptualise(referent_id, model)
+    # An exact twin observation cannot be discriminated: adopt nothing.
     if category_id is not None:
         agent.inventory.add_construction(heard, category_id, params.initial_score)
 

@@ -1,9 +1,11 @@
 """Simulated environment: coloured objects, per-game scenes, noisy perception.
 
-The world is a fixed set of distinctly coloured objects. Each game draws a
-scene (a subset of the objects) and every participating agent perceives the
-scene through its own noisy sensors, so no two agents ever record exactly the
-same channel values for the same object.
+The world is a fixed set of distinctly coloured objects, held as one
+object id -> true colour dict. Each game draws a scene, the tuple of the ids
+of a subset of the objects, and every participating agent perceives the
+scene through its own noisy sensors into a private world model: a dict from
+each scene object's id to its observed colour, in scene order. So no two
+agents ever record exactly the same channel values for the same object.
 
 A colour is checked where it enters from outside: `Colour(...)`, which builds
 the config palette, the default palette and every `random_palette` draw.
@@ -95,67 +97,25 @@ DEFAULT_MIN_SEPARATION = 100.0
 _TWOPI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class WorldObject:
-    """One distinctly coloured object, identified stably across a run."""
-
-    object_id: str
-    true_colour: Colour
-
-
 @dataclass
 class World:
-    """Immutable set of objects plus the per-game scene size."""
+    """Immutable set of objects plus the per-game scene size.
 
-    objects: tuple[WorldObject, ...]
+    `true_colours` maps each object id to the object's true colour; a dict
+    holds each id once, so ids are unique within a world.
+    """
+
+    true_colours: dict[str, Colour]
     objects_per_scene: int
     object_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _by_id: dict[str, WorldObject] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ids = self.object_ids = tuple(o.object_id for o in self.objects)
-        if len(set(ids)) != len(ids):
-            raise ConfigurationError("object ids must be unique within a world")
-        if not 1 <= self.objects_per_scene <= len(self.objects):
+        self.object_ids = tuple(self.true_colours)
+        if not 1 <= self.objects_per_scene <= len(self.object_ids):
             raise ConfigurationError(
                 f"objects_per_scene={self.objects_per_scene} outside "
-                f"[1, {len(self.objects)}]"
+                f"[1, {len(self.object_ids)}]"
             )
-        self._by_id = {o.object_id: o for o in self.objects}
-
-    def object_by_id(self, object_id: str) -> WorldObject:
-        return self._by_id[object_id]
-
-
-@dataclass(frozen=True)
-class Scene:
-    """The object ids drawn for a single game."""
-
-    object_ids: tuple[str, ...]
-
-    def __contains__(self, object_id: str) -> bool:
-        return object_id in self.object_ids
-
-
-@dataclass(frozen=True)
-class Percept:
-    """One agent's noisy observation of one scene object."""
-
-    object_id: str
-    observed_colour: Colour
-
-
-@dataclass(frozen=True)
-class WorldModel:
-    """An agent-private collection of percepts, one per scene object."""
-
-    percepts: tuple[Percept, ...]
-
-    def percept_for(self, object_id: str) -> Percept:
-        for percept in self.percepts:
-            if percept.object_id == object_id:
-                return percept
-        raise KeyError(object_id)
 
 
 def make_world(
@@ -170,11 +130,8 @@ def make_world(
     if not palette:
         raise ConfigurationError("palette must not be empty")
     check_separation(palette, min_separation)
-    objects = tuple(
-        WorldObject(object_id=f"obj-{i}", true_colour=colour)
-        for i, colour in enumerate(palette)
-    )
-    return World(objects=objects, objects_per_scene=objects_per_scene)
+    true_colours = {f"obj-{i}": colour for i, colour in enumerate(palette)}
+    return World(true_colours=true_colours, objects_per_scene=objects_per_scene)
 
 
 def check_separation(
@@ -216,16 +173,19 @@ def random_palette(
     )
 
 
-def sample_scene(world: World, rng: random.Random) -> Scene:
-    """Draw `objects_per_scene` distinct objects uniformly without replacement."""
-    ids = rng.sample(world.object_ids, world.objects_per_scene)
-    return Scene(object_ids=tuple(ids))
+def sample_scene(world: World, rng: random.Random) -> tuple[str, ...]:
+    """Draw the ids of `objects_per_scene` distinct objects uniformly without
+    replacement."""
+    return tuple(rng.sample(world.object_ids, world.objects_per_scene))
 
 
 def perceive(
-    world: World, scene: Scene, noise_std: float, rng: random.Random
-) -> WorldModel:
+    world: World, scene: tuple[str, ...], noise_std: float, rng: random.Random
+) -> dict[str, Colour]:
     """Observe every scene object with i.i.d. Gaussian channel noise, clipped.
+
+    Returns the world model: each scene object's id mapped to its observed
+    colour, in scene order.
 
     The 3 * k channel noises of a k-object scene are drawn in one loop that
     is CPython's `random.gauss`, unrolled: the same Box-Muller pairs from the
@@ -240,8 +200,7 @@ def perceive(
     # One chain rejects negative, NaN and infinite noise alike.
     if not 0.0 <= noise_std < math.inf:
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
-    object_ids = scene.object_ids
-    count = 3 * len(object_ids)
+    count = 3 * len(scene)
     spare = rng.gauss_next
     z = [] if spare is None else [spare]
     uniform = rng.random
@@ -253,13 +212,12 @@ def perceive(
     rng.gauss_next = z.pop() if len(z) > count else None
     # gauss returns 0.0 + z * sigma; the channel adds z * sigma alone, which
     # differs only in the sign of a zero sum, and the clamp maps both to 0.0.
-    clipped, by_id = Colour.clipped, world.object_by_id
-    percepts = []
+    clipped, true_colours = Colour.clipped, world.true_colours
+    model = {}
     draws = iter(z)  # zip takes three in order for each object
-    for object_id, zr, zg, zb in zip(object_ids, draws, draws, draws):
-        r, g, b = by_id(object_id).true_colour
-        observed = clipped(
+    for object_id, zr, zg, zb in zip(scene, draws, draws, draws):
+        r, g, b = true_colours[object_id]
+        model[object_id] = clipped(
             r + zr * noise_std, g + zg * noise_std, b + zb * noise_std
         )
-        percepts.append(Percept(object_id=object_id, observed_colour=observed))
-    return WorldModel(percepts=tuple(percepts))
+    return model

@@ -20,7 +20,7 @@ import statistics
 from colourgame.conceptual import ColourCategory
 from colourgame.embodiment import SimulatedBackend, register_backend
 from colourgame.monitors import SeriesPoint
-from colourgame.world import Colour, Percept, Scene, World, WorldModel
+from colourgame.world import Colour, World
 
 
 def squared_distance(a: Colour, b: Colour) -> float:
@@ -43,29 +43,29 @@ def oracle_closest(
 
 
 def oracle_conceptualise(
-    categories: list[ColourCategory], topic: Percept, model: WorldModel
+    categories: list[ColourCategory], topic_id: str, model: dict[str, Colour]
 ) -> int | None:
-    best = oracle_closest(categories, topic.observed_colour)
+    best = oracle_closest(categories, model[topic_id])
     if best is None:
         return None
-    topic_d = squared_distance(best.prototype, topic.observed_colour)
-    for percept in model.percepts:
-        if percept.object_id == topic.object_id:
+    topic_d = squared_distance(best.prototype, model[topic_id])
+    for object_id, observed in model.items():
+        if object_id == topic_id:
             continue
-        if squared_distance(best.prototype, percept.observed_colour) <= topic_d:
+        if squared_distance(best.prototype, observed) <= topic_d:
             return None
     return best.category_id
 
 
 def oracle_interpret(
-    categories: list[ColourCategory], category_id: int, model: WorldModel
+    categories: list[ColourCategory], category_id: int, model: dict[str, Colour]
 ) -> str | None:
     prototype = next(
         c.prototype for c in categories if c.category_id == category_id
     )
     distances = [
-        (squared_distance(prototype, p.observed_colour), p.object_id)
-        for p in model.percepts
+        (squared_distance(prototype, observed), object_id)
+        for object_id, observed in model.items()
     ]
     if not distances:
         return None
@@ -77,13 +77,13 @@ def oracle_interpret(
 
 
 def oracle_perceive(
-    world: World, scene: Scene, noise_std: float, rng: random.Random
+    world: World, scene: tuple[str, ...], noise_std: float, rng: random.Random
 ) -> list[tuple[str, tuple[float, float, float]]]:
     """Each scene object's observed channels, clamped with min and max, from
     the same stream of `rng.gauss` draws as `world.perceive`."""
     observed = []
-    for object_id in scene.object_ids:
-        true = world.object_by_id(object_id).true_colour
+    for object_id in scene:
+        true = world.true_colours[object_id]
         channels = tuple(
             min(255.0, max(0.0, v + rng.gauss(0.0, noise_std)))
             for v in (true.r, true.g, true.b)
@@ -181,7 +181,9 @@ class RecordingBackend:
         self._log("embody")
         return self.inner.embody(agent_id)
 
-    def observe_world(self, world, scene, rng):
+    def observe_world(
+        self, world: World, scene: tuple[str, ...], rng: random.Random
+    ) -> dict[str, Colour]:
         self._log("observe_world")
         return self.inner.observe_world(world, scene, rng)
 

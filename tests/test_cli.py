@@ -116,6 +116,15 @@ def test_non_finite_flag_exits_2(tmp_path, capsys, flag, value):
     assert not out_dir.exists()
 
 
+def test_dash_value_in_equals_form_reaches_the_range_check(tmp_path, capsys):
+    # argparse takes "-inf" after a space for an option ("expected one
+    # argument"); written --noise-std=-inf it is a value and is range-checked.
+    out_dir = tmp_path / "out"
+    assert main([*small_args(out_dir), "--noise-std=-inf"]) == 2
+    assert "noise_std must be finite and >= 0, got -inf" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "text",
     ['{"noise_std": NaN}', '{"min_separation": Infinity}', '{"inc": NaN}',

@@ -5,7 +5,7 @@ import pytest
 
 from colourgame.conceptual import Ontology
 from colourgame.errors import InternalConsistencyError
-from colourgame.world import Colour, Percept, WorldModel
+from colourgame.world import Colour
 
 from helpers import (
     oracle_closest,
@@ -22,12 +22,8 @@ def ontology_with(*prototypes: Colour) -> Ontology:
     return ontology
 
 
-def model_of(**colours: Colour) -> WorldModel:
-    return WorldModel(
-        percepts=tuple(
-            Percept(object_id=name, observed_colour=c) for name, c in colours.items()
-        )
-    )
+def model_of(**colours: Colour) -> dict[str, Colour]:
+    return dict(colours)
 
 
 def test_closest_category_hand_computed_distance():
@@ -63,31 +59,30 @@ def test_conceptualise_returns_discriminating_network():
     ontology = ontology_with(Colour(7, 246, 9))
     model = model_of(green=GREEN, red=RED, blue=BLUE)
     prototype = ontology.categories[0].prototype
-    # distance table: the green percept is far closer than the other two
+    # distance table: the green object is far closer than the other two
     assert prototype.distance(GREEN) == pytest.approx(math.sqrt(62))
     assert prototype.distance(RED) == pytest.approx(math.sqrt(117146))
     assert prototype.distance(BLUE) == pytest.approx(math.sqrt(109066))
-    category_id = ontology.conceptualise(model.percept_for("green"), model)
+    category_id = ontology.conceptualise("green", model)
     assert category_id == 1
 
 
 def test_conceptualise_fails_when_topic_is_not_closest():
     ontology = ontology_with(Colour(7, 246, 9))
     model = model_of(green=GREEN, red=RED, blue=BLUE)
-    assert ontology.conceptualise(model.percept_for("red"), model) is None
+    assert ontology.conceptualise("red", model) is None
 
 
 def test_conceptualise_empty_ontology():
     model = model_of(green=GREEN)
-    assert Ontology().conceptualise(model.percept_for("green"), model) is None
+    assert Ontology().conceptualise("green", model) is None
 
 
 def test_conceptualise_requires_topic_in_model():
     ontology = ontology_with(Colour(7, 246, 9))
     model = model_of(green=GREEN)
-    stranger = Percept(object_id="other", observed_colour=RED)
     with pytest.raises(InternalConsistencyError):
-        ontology.conceptualise(stranger, model)
+        ontology.conceptualise("other", model)
 
 
 def test_invent_category_anchors_prototype_at_observation():
@@ -113,11 +108,11 @@ def test_invention_postcondition_enables_conceptualisation():
         model = model_of(
             **{f"o{i}": c for i, c in enumerate(percepts.values())}
         )
-        topic = model.percepts[0]
-        ontology.invent_category(topic.observed_colour)
-        category_id = ontology.conceptualise(topic, model)
+        topic_id = "o0"
+        ontology.invent_category(model[topic_id])
+        category_id = ontology.conceptualise(topic_id, model)
         assert category_id is not None
-        assert ontology.interpret(category_id, model) == topic
+        assert ontology.interpret(category_id, model) == topic_id
 
 
 def test_interpret_picks_closest_percept():
@@ -125,15 +120,13 @@ def test_interpret_picks_closest_percept():
     model = model_of(
         green=Colour(4, 240, 6), red=Colour(251, 8, 2), blue=Colour(12, 9, 238)
     )
-    result = ontology.interpret(1, model)
-    assert result is not None and result.object_id == "green"
+    assert ontology.interpret(1, model) == "green"
 
 
 def test_interpret_single_object_model():
     ontology = ontology_with(Colour(0, 0, 0))
     model = model_of(only=Colour(255, 255, 255))
-    result = ontology.interpret(1, model)
-    assert result is not None and result.object_id == "only"
+    assert ontology.interpret(1, model) == "only"
 
 
 def test_interpret_exact_tie_yields_nothing():
@@ -192,12 +185,7 @@ def _random_instance(rng: random.Random, max_size: int = 10):
     for _ in range(rng.randint(0, max_size)):
         ontology.invent_category(random_int_colour(rng))
     n_objects = rng.randint(1, max_size)
-    model = WorldModel(
-        percepts=tuple(
-            Percept(object_id=f"o{i}", observed_colour=random_int_colour(rng))
-            for i in range(n_objects)
-        )
-    )
+    model = {f"o{i}": random_int_colour(rng) for i in range(n_objects)}
     return ontology, model
 
 
@@ -208,12 +196,12 @@ def test_discrimination_soundness_over_random_models():
     found = 0
     for _ in range(2000):
         ontology, model = _random_instance(rng, max_size=8)
-        topic = rng.choice(model.percepts)
-        category_id = ontology.conceptualise(topic, model)
+        topic_id = rng.choice(tuple(model))
+        category_id = ontology.conceptualise(topic_id, model)
         if category_id is None:
             continue
         found += 1
-        assert ontology.interpret(category_id, model) == topic
+        assert ontology.interpret(category_id, model) == topic_id
     assert found > 100
 
 
@@ -229,9 +217,11 @@ def test_oracle_equivalence_on_random_instances():
         else:
             assert found is not None and found[0] is expected
 
-        topic = rng.choice(model.percepts)
-        found_id = ontology.conceptualise(topic, model)
-        expected_category = oracle_conceptualise(ontology.categories, topic, model)
+        topic_id = rng.choice(tuple(model))
+        found_id = ontology.conceptualise(topic_id, model)
+        expected_category = oracle_conceptualise(
+            ontology.categories, topic_id, model
+        )
         assert found_id == expected_category
 
         if ontology.categories:
@@ -240,4 +230,4 @@ def test_oracle_equivalence_on_random_instances():
             expected_object = oracle_interpret(
                 ontology.categories, category_id, model
             )
-            assert (result.object_id if result else None) == expected_object
+            assert result == expected_object

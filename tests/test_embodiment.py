@@ -87,11 +87,11 @@ def test_point_requires_object_in_current_scene(world_and_scene):
     world, scene = world_and_scene
     body = make_body("simulated", "a", noise_std=0.0)
     with pytest.raises(ProtocolError):
-        point(body, scene.object_ids[0])  # nothing observed yet
+        point(body, scene[0])  # nothing observed yet
     observe_world(body, world, scene, random.Random(0))
-    assert point(body, scene.object_ids[0]) == scene.object_ids[0]
+    assert point(body, scene[0]) == scene[0]
     missing = next(
-        o.object_id for o in world.objects if o.object_id not in scene.object_ids
+        object_id for object_id in world.true_colours if object_id not in scene
     )
     with pytest.raises(ProtocolError):
         point(body, missing)
@@ -110,9 +110,7 @@ def test_observe_world_gives_private_noisy_models(world_and_scene):
     rng = random.Random(9)
     model_a = observe_world(speaker, world, scene, rng)
     model_b = observe_world(hearer, world, scene, rng)
-    assert [p.object_id for p in model_a.percepts] == [
-        p.object_id for p in model_b.percepts
-    ]
+    assert list(model_a) == list(model_b) == list(scene)
     assert model_a != model_b  # fresh noise per observation
 
 
@@ -140,7 +138,7 @@ def test_custom_backend_registration_needs_no_caller_changes(world_and_scene):
     observe_world(b, world, scene, rng)
     speak(a, channel, "fusemo")
     assert hear(b, channel) == "fusemo"
-    point(b, scene.object_ids[0])
+    point(b, scene[0])
     nod(a)
     assert [call for call, _ in trace] == [
         "observe_world", "observe_world", "speak", "hear", "point", "nod",

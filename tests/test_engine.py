@@ -27,8 +27,6 @@ from colourgame.lexicon import HEARER, SPEAKER
 from colourgame.world import (
     DEFAULT_PALETTE,
     Colour,
-    Percept,
-    WorldModel,
     make_world,
     perceive,
     sample_scene,
@@ -79,21 +77,16 @@ def test_select_pair_requires_two_agents():
 def test_choose_topic_uniform():
     world = make_world(DEFAULT_PALETTE, objects_per_scene=3)
     scene = sample_scene(world, random.Random(1))
-    model = perceive(world, scene, 0.0, random.Random(0))
     rng = random.Random(10)
-    counts = Counter(
-        choose_topic(model, rng).object_id for _ in range(30_000)
-    )
-    for object_id in scene.object_ids:
+    counts = Counter(choose_topic(scene, rng) for _ in range(30_000))
+    for object_id in scene:
         assert abs(counts[object_id] / 30_000 - 1 / 3) <= 0.02
 
 
 def test_choose_topic_forced_and_replayable():
-    model = WorldModel(percepts=(Percept("only", Colour(1, 2, 3)),))
-    assert choose_topic(model, random.Random(0)).object_id == "only"
+    assert choose_topic(("only",), random.Random(0)) == "only"
     world = make_world(DEFAULT_PALETTE, objects_per_scene=3)
-    scene = sample_scene(world, random.Random(2))
-    big = perceive(world, scene, 0.0, random.Random(0))
+    big = sample_scene(world, random.Random(2))
     seq_a = [choose_topic(big, random.Random(5)) for _ in range(1)]
     rng_a, rng_b = random.Random(8), random.Random(8)
     for _ in range(30):
@@ -101,9 +94,25 @@ def test_choose_topic_forced_and_replayable():
     assert seq_a
 
 
+def test_choose_topic_draws_what_a_choice_over_observations_draws():
+    # Every output depends on the order the generator is consumed in: a draw
+    # over the scene's ids must pick the same object and leave the same
+    # state as rng.choice over the speaker's observations, one per object.
+    worlds = [make_world(DEFAULT_PALETTE, k) for k in range(1, 7)]
+    rng, old_rng = random.Random(2718), random.Random(2718)
+    for world in worlds * 50:
+        scene = sample_scene(world, rng)
+        assert sample_scene(world, old_rng) == scene
+        model = perceive(world, scene, 3.0, rng)
+        observations = tuple(perceive(world, scene, 3.0, old_rng).items())
+        topic_id = choose_topic(scene, rng)
+        assert (topic_id, model[topic_id]) == old_rng.choice(observations)
+        assert rng.getstate() == old_rng.getstate()
+
+
 def test_choose_topic_empty_model_is_an_error():
     with pytest.raises(InternalConsistencyError):
-        choose_topic(WorldModel(percepts=()), random.Random(0))
+        choose_topic((), random.Random(0))
 
 
 def test_first_game_invention_and_adoption():
@@ -135,7 +144,7 @@ def test_first_game_invention_and_adoption():
     assert adopted.form == record.utterance
     assert adopted.score == pytest.approx(params.initial_score)
     # the adopted prototype reflects the hearer's own noisy percept
-    true_topic = world.object_by_id(record.topic_id).true_colour
+    true_topic = world.true_colours[record.topic_id]
     assert hearer.ontology.categories[0].prototype.distance(true_topic) < 25.0
 
 
@@ -161,9 +170,9 @@ def test_align_success_rewards_inhibits_and_shifts():
     category = agent.ontology.invent_category(Colour(10, 0, 0))
     used = agent.inventory.add_construction("fusemo", category.category_id, 0.5)
     rival = agent.inventory.add_construction("ponuro", category.category_id, 0.4)
-    topic = Percept("obj-0", Colour(20, 0, 0))
+    model = {"obj-0": Colour(20, 0, 0), "obj-1": Colour(200, 0, 0)}
 
-    align(agent, SPEAKER, _record(), params, used, topic)
+    align(agent, SPEAKER, _record(), params, used, "obj-0", model)
 
     assert used.score == pytest.approx(0.6)
     assert rival.score == pytest.approx(0.3)
@@ -175,9 +184,9 @@ def test_align_hearer_success_shifts_towards_pointed_percept():
     agent = Agent(1)
     category = agent.ontology.invent_category(Colour(0, 100, 0))
     used = agent.inventory.add_construction("fusemo", category.category_id, 0.5)
-    hypothesis = Percept("obj-0", Colour(0, 200, 0))
+    model = {"obj-1": Colour(0, 0, 200), "obj-0": Colour(0, 200, 0)}
 
-    align(agent, HEARER, _record(), params, used, hypothesis)
+    align(agent, HEARER, _record(), params, used, "obj-0", model)
 
     assert used.score == pytest.approx(0.6)
     assert agent.ontology.get(category.category_id).prototype == Colour(0, 150, 0)
@@ -200,13 +209,8 @@ def test_align_failure_punishes_to_removal():
 def test_align_unknown_word_adoption_reuses_or_invents():
     params = ExperimentParams(inc=0.1, inh=0.1, dec=0.1)
     agent = Agent(1)
-    model = WorldModel(
-        percepts=(
-            Percept("obj-0", Colour(5, 243, 2)),
-            Percept("obj-1", Colour(250, 5, 5)),
-        )
-    )
-    pointed = model.percept_for("obj-0")
+    model = {"obj-0": Colour(5, 243, 2), "obj-1": Colour(250, 5, 5)}
+    pointed = "obj-0"
 
     record = _record(
         success=False, pointed_id=None, failure_reason=FAILURE_UNKNOWN_WORD

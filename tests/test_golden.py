@@ -77,6 +77,15 @@ DEFAULT_CONFIG_TEXT = """\
 
 BATCH = {"runs": 2, "num_interactions": 300, "seed": 0}
 
+# Config entries each case adds to BATCH. At noise 200 with every object in
+# every scene, clamped channels make exact twin observations: the high-noise
+# case plays 16 degenerate aborts and 151 wrong-referent games of its 600.
+CASES = {
+    "fixed_palette": {"random_palette": False},
+    "random_palette": {"random_palette": True},
+    "high_noise": {"noise_std": 200, "objects_per_scene": 6},
+}
+
 # SHA-256 of every file a batch writes, and of what it prints; config.json
 # is hashed without its out_dir line, which names the test's directory.
 GOLDEN_DIGESTS = {
@@ -101,6 +110,17 @@ GOLDEN_DIGESTS = {
         "run-1/snapshots.html": "aed5731b59c75334405cdbb0b8ad8d6983ab9400698226bd49b285813fd31929",
         "run-1/snapshots.json": "9b81ca323b361e36f20fda6505f8754c6e26179a41a4675e82402089d4e6a1c0",
         "stdout": "3b00077760026bbc155e2dbc8c8d192ef1949f3e550bc7fef2ee9ac657b8f0d7",
+    },
+    "high_noise": {
+        "aggregate.csv": "0a32a3320e092d3d475744647ea19f14da444e6d43bae47598b4dab6f8672d2e",
+        "config.json": "8bbbdaa5d895cb7c56b33f4902905730ff956522291238b16a1edef1597393b8",
+        "run-0/series.csv": "f38e2c2ad3d2ad1436c6f1cf073a549cff3628b3482b8027062d92a78b953ef0",
+        "run-0/snapshots.html": "7250ad1609f4715734022ff1f919f10f8154ddcbd12726e1029fbd2b5c3e1f4f",
+        "run-0/snapshots.json": "a16323b58b7f5f04662426b64f537b03d627c068f14a89176eede6ba4c22ee2f",
+        "run-1/series.csv": "113a8eeb5ebd02336290c4887b4c0f47f6c3f91f5d257ed4a725252cc81d592d",
+        "run-1/snapshots.html": "4315dd25d604257dc920cbcb9f43acca152b878713aec7c84ba44bf945339cf1",
+        "run-1/snapshots.json": "740bafd68d229e1af739bf3b8dd4bbe7c5a3976ec85f76442c1734fb8a7ac82d",
+        "stdout": "e829f5286ea51a002ff45cd3c26938a05d1cc80bf58c79bc1644b1a67f850f6c",
     },
 }
 
@@ -128,5 +148,5 @@ def batch_digests(tmp_path, capsys, entries: dict) -> dict:
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_DIGESTS))
 def test_batch_outputs_are_byte_identical(tmp_path, capsys, case):
-    entries = {**BATCH, "random_palette": case == "random_palette"}
+    entries = {**BATCH, **CASES[case]}
     assert batch_digests(tmp_path, capsys, entries) == GOLDEN_DIGESTS[case]

@@ -10,9 +10,6 @@ from colourgame.errors import ConfigurationError
 from colourgame.world import (
     DEFAULT_PALETTE,
     Colour,
-    Scene,
-    World,
-    WorldObject,
     make_world,
     perceive,
     random_palette,
@@ -57,17 +54,18 @@ def test_default_palette_is_six_well_separated_colours():
 
 def test_make_world_assigns_ids_in_palette_order():
     world = make_world(DEFAULT_PALETTE, objects_per_scene=3)
-    assert len(world.objects) == 6
-    assert [o.object_id for o in world.objects] == [f"obj-{i}" for i in range(6)]
+    assert len(world.true_colours) == 6
+    assert list(world.true_colours) == [f"obj-{i}" for i in range(6)]
+    assert world.object_ids == tuple(f"obj-{i}" for i in range(6))
     assert all(
-        o.true_colour == c for o, c in zip(world.objects, DEFAULT_PALETTE)
+        t == c for t, c in zip(world.true_colours.values(), DEFAULT_PALETTE)
     )
     assert world.objects_per_scene == 3
 
 
 def test_make_world_single_colour_world_is_valid():
     world = make_world([Colour(10, 20, 30)], objects_per_scene=1)
-    assert len(world.objects) == 1
+    assert len(world.true_colours) == 1
 
 
 def test_make_world_rejects_identical_colours():
@@ -87,19 +85,10 @@ def test_make_world_rejects_bad_scene_size():
         make_world([], objects_per_scene=1)
 
 
-def test_world_rejects_duplicate_ids():
-    objects = (
-        WorldObject("obj-0", Colour(0, 0, 0)),
-        WorldObject("obj-0", Colour(255, 255, 255)),
-    )
-    with pytest.raises(ConfigurationError):
-        World(objects=objects, objects_per_scene=1)
-
-
 def test_sample_scene_single_object_forced():
     world = make_world([Colour(1, 2, 3)], objects_per_scene=1)
     scene = sample_scene(world, random.Random(0))
-    assert scene.object_ids == ("obj-0",)
+    assert scene == ("obj-0",)
 
 
 def test_sample_scene_replay_is_deterministic():
@@ -119,8 +108,8 @@ def test_sample_scene_object_frequency():
     counts = Counter()
     draws = 10_000
     for _ in range(draws):
-        counts.update(sample_scene(world, rng).object_ids)
-    for object_id in (o.object_id for o in world.objects):
+        counts.update(sample_scene(world, rng))
+    for object_id in world.true_colours:
         assert abs(counts[object_id] / draws - 0.5) <= 0.02
 
 
@@ -131,7 +120,7 @@ def test_sample_scene_uniform_over_subsets():
     counts = Counter()
     draws = 10_000
     for _ in range(draws):
-        counts[frozenset(sample_scene(world, rng).object_ids)] += 1
+        counts[frozenset(sample_scene(world, rng))] += 1
     assert len(counts) == 20
     expected = draws / 20
     chi2 = sum((n - expected) ** 2 / expected for n in counts.values())
@@ -142,10 +131,9 @@ def test_perceive_zero_noise_is_exact():
     world = make_world(DEFAULT_PALETTE, objects_per_scene=3)
     scene = sample_scene(world, random.Random(1))
     model = perceive(world, scene, noise_std=0.0, rng=random.Random(2))
-    for percept in model.percepts:
-        assert percept.observed_colour == world.object_by_id(
-            percept.object_id
-        ).true_colour
+    assert list(model) == list(scene)
+    for object_id, observed in model.items():
+        assert observed == world.true_colours[object_id]
 
 
 def test_perceive_clips_channels_at_the_boundaries():
@@ -154,8 +142,7 @@ def test_perceive_clips_channels_at_the_boundaries():
     rng = random.Random(5)
     floored = 0
     for _ in range(200):
-        observed = perceive(world, scene, noise_std=200.0, rng=rng).percepts[0]
-        c = observed.observed_colour
+        c = perceive(world, scene, noise_std=200.0, rng=rng)["obj-0"]
         assert 0.0 <= c.r <= 255.0 and 0.0 <= c.g <= 255.0 and 0.0 <= c.b <= 255.0
         floored += c.r == 0.0
     assert floored > 0  # large negative draws pinned at exactly 0
@@ -166,7 +153,7 @@ def test_perceive_noise_standard_deviation():
     scene = sample_scene(world, random.Random(0))
     rng = random.Random(77)
     samples = [
-        perceive(world, scene, noise_std=3.0, rng=rng).percepts[0].observed_colour.r
+        perceive(world, scene, noise_std=3.0, rng=rng)["obj-0"].r
         for _ in range(10_000)
     ]
     assert 2.9 <= statistics.stdev(samples) <= 3.1
@@ -216,11 +203,10 @@ def test_perceive_matches_the_min_max_clamp_oracle(noise_std):
             world, scene, noise_std, random.Random(1000 + trial)
         )
         assert [
-            (p.object_id, [repr(v) for v in p.observed_colour])
-            for p in model.percepts
+            (object_id, [repr(v) for v in observed])
+            for object_id, observed in model.items()
         ] == [(oid, [repr(v) for v in channels]) for oid, channels in expected]
-        for percept in model.percepts:
-            colour = percept.observed_colour
+        for colour in model.values():
             assert type(colour) is Colour
             seen.update("low" if v == 0 else "high" if v == 255 else "inside"
                         for v in colour)
@@ -241,7 +227,7 @@ def test_perceive_draws_exactly_what_gauss_draws(noise_std):
     world = make_world(DEFAULT_PALETTE, 1)
 
     def next_scene(r):
-        scene = Scene(object_ids=tuple(r.sample(world.object_ids, r.randint(1, 6))))
+        scene = tuple(r.sample(world.object_ids, r.randint(1, 6)))
         if r.random() < 0.1:
             r.gauss()
         return scene
@@ -254,9 +240,10 @@ def test_perceive_draws_exactly_what_gauss_draws(noise_std):
         carried += rng.gauss_next is not None
         model = perceive(world, scene, noise_std, rng)
         expected = oracle_perceive(world, scene, noise_std, oracle_rng)
+        assert list(model) == list(scene)
         assert [
-            (p.object_id, [repr(v) for v in p.observed_colour])
-            for p in model.percepts
+            (object_id, [repr(v) for v in observed])
+            for object_id, observed in model.items()
         ] == [(oid, [repr(v) for v in channels]) for oid, channels in expected]
         assert rng.getstate() == oracle_rng.getstate()
         assert rng.choice(world.object_ids) == oracle_rng.choice(world.object_ids)
@@ -267,10 +254,10 @@ def test_world_model_lookup():
     world = make_world(DEFAULT_PALETTE, objects_per_scene=3)
     scene = sample_scene(world, random.Random(4))
     model = perceive(world, scene, 0.0, random.Random(0))
-    present = scene.object_ids[0]
-    assert model.percept_for(present).object_id == present
+    present = scene[0]
+    assert model[present] == world.true_colours[present]
     with pytest.raises(KeyError):
-        model.percept_for("obj-nope")
+        model["obj-nope"]
 
 
 def test_random_palette_respects_separation():
