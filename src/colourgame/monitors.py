@@ -6,15 +6,25 @@ number of distinct forms alive in the population, and the two form/meaning
 ratio series. Ratio fields with an empty denominator (no agent holding any
 construction) are reported as 0 by convention.
 
-The population counts are incremental. A `PopulationMonitor` caches each
-agent's ontology size, inventory size, form/meaning ratios and form set, plus
-a population-wide count of the agents holding each form. Only a game's
-speaker and hearer can change, so the monitor marks those two stale after
-every game, and a series point recounts the stale agents alone: its cost
-grows with the agents that played since the last row, not with the whole
-population's inventories. Each mean is the exact sum (`math.fsum`) of one
-value per agent over their count, as `statistics.fmean` computes it, so the
-result does not depend on the order in which agents were recounted.
+The population counts are incremental, and a series row costs O(1) plus the
+work on the agents whose counts changed. A `PopulationMonitor` remembers what
+it last counted for each agent and keeps running totals over the population:
+of ontology sizes, of inventory sizes, of the two form/meaning ratios, and of
+the agents holding each form. Only a game's speaker and hearer can change, so
+the monitor marks those two stale after every game, and a series row
+recounts the stale agents alone, moving each total by the difference between
+an agent's new and old counts.
+
+Each mean equals the exact sum (`math.fsum`) of one value per agent over
+their count, as `statistics.fmean` computes it, and the totals are exact
+integers, so no order of recounting can move a result. Sizes are ints, and
+int / int rounds the exact quotient once, as fsum's exact sum over the count
+does. A form/meaning ratio is n/k with 1 <= k <= n, so as a float it lies in
+[1, n]: its last mantissa bit is worth at least 2**-52, and the ratio is a
+whole number of 2**-52 units. The ratio totals are kept in those units, so
+total / 2**52 is the correctly rounded exact sum, which is what fsum returns,
+and dividing that by the count gives fsum's mean bit for bit. A ratio that
+is not a whole number of units raises rather than being truncated.
 
 Most games change no count at all. Score updates move no series field; only
 an added or pruned construction or an invented category does. So the monitor
@@ -26,6 +36,11 @@ version. At pop 5 about one recount in fifteen changes anything, at pop 50
 about three in ten. Windowed success is incremental too: the monitor
 keeps the outcomes of the last `window` games and a running count of their
 successes, so a series point reads it without rescanning any record.
+
+A `SeriesPoint` is a named tuple in `series.csv`'s column order. Each CSV
+row is written with one `%` format over the row's values, one line at a
+time: no file is ever built whole as one string, so writing costs no memory
+that grows with the run.
 
 Exports per run: `series.csv` (one row per sampled interaction),
 `snapshots.json`, and `snapshots.html` (one colour swatch per category,
@@ -44,7 +59,6 @@ and turned into a float by one correctly rounded division.
 """
 from __future__ import annotations
 
-import csv
 import html
 import json
 import math
@@ -53,7 +67,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Collection, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import ConfigurationError
 
@@ -77,9 +91,8 @@ SNAPSHOTS_HTML = "snapshots.html"
 AGGREGATE_CSV = "aggregate.csv"
 
 
-@dataclass(frozen=True)
-class SeriesPoint:
-    """All monitored values at one interaction."""
+class SeriesPoint(NamedTuple):
+    """All monitored values at one interaction, in series.csv's order."""
 
     interaction: int
     success_window_avg: float
@@ -99,15 +112,36 @@ class LexiconSnapshot:
     entries: tuple[dict, ...]
 
 
+# Fixed point for the form/meaning ratio totals: a ratio n/k with 1 <= k <= n
+# is at least 1, so it is a whole number of 2**-52 units.
+_RATIO_UNIT = 1 << (sys.float_info.mant_dig - 1)
+
+# What an agent not yet counted contributes: nothing. Its edit count never
+# matches, because an inventory's edits start at 0.
+_UNCOUNTED = (0, -1, 0, 0, 0, frozenset())
+
+
+def _ratio_units(ratio: float) -> int:
+    """`ratio` as an exact whole number of 2**-52 units."""
+    num, den = ratio.as_integer_ratio()
+    if den > _RATIO_UNIT:
+        raise ValueError(f"ratio {ratio!r} is not a whole number of 2**-52 units")
+    return num * (_RATIO_UNIT // den)
+
+
 class PopulationMonitor:
-    """Per-agent counts behind the series, recounted only where play happened.
+    """Running totals behind the series, recounted only where play happened.
 
     A game changes no agent but its speaker and hearer, so `observe` marks
     those two stale and `recount` rescans the stale agents alone, skipping
     one whose ontology size and inventory edit count are those it last
-    counted. Every agent starts stale. `holders` maps each form alive in the
-    population to the number of agents holding it. `observe` also keeps the outcomes of the
-    last `window` games and a running count of the successes among them.
+    counted. Every agent starts stale. Per agent, `counted` keeps what it
+    last counted; over the population, the totals of ontology sizes, inventory
+    sizes and (in 2**-52 units) the two form/meaning ratios, the number of
+    agents holding any construction, and `holders`, which maps each form
+    alive in the population to the number of agents holding it. `observe`
+    also keeps the outcomes of the last `window` games and a running count of
+    the successes among them.
     """
 
     def __init__(self, population: Sequence["Agent"], window: int) -> None:
@@ -118,13 +152,16 @@ class PopulationMonitor:
         self._successes = 0
         self._agents = {agent.agent_id: agent for agent in population}
         self._stale = set(self._agents)
-        self.ontology_sizes: dict[int, int] = {}
-        self.inventory_sizes: dict[int, int] = {}
-        # Only agents holding at least one construction have a ratio entry.
-        self.forms_per_meaning: dict[int, float] = {}
-        self.meanings_per_form: dict[int, float] = {}
-        self._forms: dict[int, set[str]] = {}
-        self._versions: dict[int, tuple[int, int]] = {}
+        # agent id -> (ontology size, inventory edits, inventory size,
+        # forms-per-meaning units, meanings-per-form units, form set) as last
+        # counted: the agents the totals cover.
+        self.counted: dict[int, tuple] = {}
+        self.ontology_total = 0
+        self.inventory_total = 0
+        # Agents holding at least one construction: the ratios' count.
+        self.ratio_agents = 0
+        self.forms_per_meaning_units = 0
+        self.meanings_per_form_units = 0
         self.holders: dict[str, int] = {}
 
     def observe(self, record: "InteractionRecord") -> None:
@@ -145,56 +182,62 @@ class PopulationMonitor:
         return self._successes / len(recent) if recent else 0.0
 
     def recount(self) -> None:
-        """Bring every stale agent's counts and the form holders up to date."""
+        """Bring the stale agents' counts and every total up to date."""
+        counted = self.counted
+        holders = self.holders
         for agent_id in self._stale:
             agent = self._agents[agent_id]
             ontology_size = len(agent.ontology)
-            version = (ontology_size, agent.inventory.edits)
-            if self._versions.get(agent_id) == version:
+            edits = agent.inventory.edits
+            old = counted.get(agent_id, _UNCOUNTED)
+            if old[0] == ontology_size and old[1] == edits:
                 continue
-            self._versions[agent_id] = version
+            _, _, old_size, old_fpm, old_mpf, old_forms = old
             constructions = agent.inventory.constructions
-            self.ontology_sizes[agent_id] = ontology_size
-            self.inventory_sizes[agent_id] = len(constructions)
+            size = len(constructions)
             forms = {c.form for c in constructions}
-            old_forms = self._forms.get(agent_id, set())
-            for form in old_forms - forms:
-                if self.holders[form] == 1:
-                    del self.holders[form]
-                else:
-                    self.holders[form] -= 1
-            for form in forms - old_forms:
-                self.holders[form] = self.holders.get(form, 0) + 1
-            self._forms[agent_id] = forms
-            if constructions:
-                n = len(constructions)
+            if size:
                 categories = {c.category_id for c in constructions}
-                self.forms_per_meaning[agent_id] = n / len(categories)
-                self.meanings_per_form[agent_id] = n / len(forms)
+                fpm = _ratio_units(size / len(categories))
+                mpf = _ratio_units(size / len(forms))
             else:
-                self.forms_per_meaning.pop(agent_id, None)
-                self.meanings_per_form.pop(agent_id, None)
+                fpm = mpf = 0
+            counted[agent_id] = (ontology_size, edits, size, fpm, mpf, forms)
+            self.ontology_total += ontology_size - old[0]
+            self.inventory_total += size - old_size
+            self.ratio_agents += (size > 0) - (old_size > 0)
+            self.forms_per_meaning_units += fpm - old_fpm
+            self.meanings_per_form_units += mpf - old_mpf
+            for form in old_forms - forms:
+                if holders[form] == 1:
+                    del holders[form]
+                else:
+                    holders[form] -= 1
+            for form in forms - old_forms:
+                holders[form] = holders.get(form, 0) + 1
         self._stale.clear()
-
-
-def _mean(values: Collection[float]) -> float:
-    # The exact sum (math.fsum) over the count, which is how statistics.fmean
-    # computes it, so the order of the agents cannot move a result; an empty
-    # collection reads 0 by convention.
-    return math.fsum(values) / len(values) if values else 0.0
 
 
 def compute_series_point(monitor: PopulationMonitor, at: int) -> SeriesPoint:
     """Derive every monitored value at interaction `at` from the monitor."""
     monitor.recount()
+    agents = len(monitor.counted)
+    ratio_agents = monitor.ratio_agents
+    # units / 2**52 is the correctly rounded exact sum of the ratios, which is
+    # what math.fsum returns (see the module docstring).
+    if ratio_agents:
+        forms_per_meaning = monitor.forms_per_meaning_units / _RATIO_UNIT / ratio_agents
+        meanings_per_form = monitor.meanings_per_form_units / _RATIO_UNIT / ratio_agents
+    else:
+        forms_per_meaning = meanings_per_form = 0.0
     return SeriesPoint(
-        interaction=at,
-        success_window_avg=monitor.windowed_success(),
-        mean_ontology_size=_mean(monitor.ontology_sizes.values()),
-        mean_inventory_size=_mean(monitor.inventory_sizes.values()),
-        distinct_forms_population=len(monitor.holders),
-        mean_forms_per_meaning=_mean(monitor.forms_per_meaning.values()),
-        mean_meanings_per_form=_mean(monitor.meanings_per_form.values()),
+        at,
+        monitor.windowed_success(),
+        monitor.ontology_total / agents if agents else 0.0,
+        monitor.inventory_total / agents if agents else 0.0,
+        len(monitor.holders),
+        forms_per_meaning,
+        meanings_per_form,
     )
 
 
@@ -227,16 +270,8 @@ def take_snapshot(agent: "Agent", at: int) -> LexiconSnapshot:
     )
 
 
-def _format_row(point: SeriesPoint) -> list[str]:
-    return [
-        str(point.interaction),
-        f"{point.success_window_avg:.6f}",
-        f"{point.mean_ontology_size:.6f}",
-        f"{point.mean_inventory_size:.6f}",
-        str(point.distinct_forms_population),
-        f"{point.mean_forms_per_meaning:.6f}",
-        f"{point.mean_meanings_per_form:.6f}",
-    ]
+# One series.csv row: `_SERIES_LINE % point`.
+_SERIES_LINE = "%d,%.6f,%.6f,%.6f,%d,%.6f,%.6f\n"
 
 
 def export_run(
@@ -250,10 +285,8 @@ def export_run(
 
     series_path = out / SERIES_CSV
     with series_path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SERIES_HEADER)
-        for point in series:
-            writer.writerow(_format_row(point))
+        fh.write(",".join(SERIES_HEADER) + "\n")
+        fh.writelines(map(_SERIES_LINE.__mod__, series))
 
     json_path = out / SNAPSHOTS_JSON
     with json_path.open("w") as fh:
@@ -322,7 +355,8 @@ _RADICAND_BITS = 2 * sys.float_info.mant_dig + 3
 
 def _stdev(values: Sequence[float]) -> float:
     """Correctly rounded sample standard deviation of two or more finite
-    floats; equal to `statistics.stdev` on CPython 3.11 and later."""
+    floats or ints, such as an int column of `distinct_forms_population`;
+    equal to `statistics.stdev` on CPython 3.11 and later."""
     n = len(values)
     # The variance is zero exactly when every value is equal, as in a quarter
     # of the ensemble's aggregate columns; answer those without the integers.
@@ -353,7 +387,12 @@ def _stdev(values: Sequence[float]) -> float:
 
 # Each series field with its two aggregate keys, in aggregate.csv's order.
 _AGGREGATE_KEYS = tuple((f"{f}_mean", f"{f}_std") for f in SERIES_FIELDS)
-_series_values = operator.attrgetter(*SERIES_FIELDS)
+_AGGREGATE_COLUMNS = ("interaction",) + tuple(
+    key for pair in _AGGREGATE_KEYS for key in pair
+)
+# One aggregate.csv row: `_AGGREGATE_LINE % _aggregate_values(row)`.
+_AGGREGATE_LINE = "%d" + ",%.6f" * (len(_AGGREGATE_COLUMNS) - 1) + "\n"
+_aggregate_values = operator.itemgetter(*_AGGREGATE_COLUMNS)
 
 
 def aggregate_runs(
@@ -374,19 +413,17 @@ def aggregate_runs(
     n = len(series_per_run)
     rows: list[dict[str, float]] = []
     for i, points in enumerate(zip(*series_per_run)):
-        interactions = {point.interaction for point in points}
-        if len(interactions) != 1:
+        # One tuple of values per run, transposed to one column per field.
+        interactions, *columns = zip(*points)
+        if interactions.count(interactions[0]) != n:
             raise ConfigurationError(
                 f"runs disagree on interaction numbering at row {i}: "
-                f"{sorted(interactions)}"
+                f"{sorted(set(interactions))}"
             )
-        row: dict[str, float] = {"interaction": interactions.pop()}
-        # One tuple of field values per run, transposed to one per field.
-        columns = zip(*map(_series_values, points))
+        row: dict[str, float] = {"interaction": interactions[0]}
         for (mean_key, std_key), column in zip(_AGGREGATE_KEYS, columns):
-            values = list(map(float, column))
-            row[mean_key] = math.fsum(values) / n
-            row[std_key] = _stdev(values) if n > 1 else 0.0
+            row[mean_key] = math.fsum(column) / n
+            row[std_key] = _stdev(column) if n > 1 else 0.0
         rows.append(row)
     return rows
 
@@ -398,16 +435,8 @@ def export_aggregate(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / AGGREGATE_CSV
-    header = ["interaction"]
-    for mean_key, std_key in _AGGREGATE_KEYS:
-        header.extend([mean_key, std_key])
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(",".join(_AGGREGATE_COLUMNS) + "\n")
         for row in rows:
-            formatted = [str(int(row["interaction"]))]
-            for mean_key, std_key in _AGGREGATE_KEYS:
-                formatted.append(f"{row[mean_key]:.6f}")
-                formatted.append(f"{row[std_key]:.6f}")
-            writer.writerow(formatted)
+            fh.write(_AGGREGATE_LINE % _aggregate_values(row))
     return path

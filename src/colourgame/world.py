@@ -97,12 +97,14 @@ DEFAULT_MIN_SEPARATION = 100.0
 _TWOPI = 2.0 * math.pi
 
 
-@dataclass
+@dataclass(frozen=True)
 class World:
     """Immutable set of objects plus the per-game scene size.
 
     `true_colours` maps each object id to the object's true colour; a dict
-    holds each id once, so ids are unique within a world.
+    holds each id once, so ids are unique within a world. The fields cannot
+    be rebound, so the scene-size check made at construction holds for the
+    world's whole life.
     """
 
     true_colours: dict[str, Colour]
@@ -110,7 +112,7 @@ class World:
     object_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.object_ids = tuple(self.true_colours)
+        object.__setattr__(self, "object_ids", tuple(self.true_colours))
         if not 1 <= self.objects_per_scene <= len(self.object_ids):
             raise ConfigurationError(
                 f"objects_per_scene={self.objects_per_scene} outside "

@@ -8,18 +8,23 @@ success window from the records, the reference for the incremental
 min/max clamps and `rng.gauss`, the reference for `world.perceive`'s
 comparison clamps and in-line noise draws. `oracle_produce` and
 `oracle_comprehend` filter, take the top score, then break ties, the
-reference for the lexicon's one-pass lookups.
+reference for the lexicon's one-pass lookups. `oracle_series_csv` and
+`oracle_aggregate_csv` write each field with its own f-string through
+`csv.writer`, the reference for the one `%` format per line of
+`monitors.export_run` and `monitors.export_aggregate`.
 Oracle comparisons should use integer-valued colours: squared distances are
 then exact integers and agree with the library's sqrt-based ordering.
 """
 from __future__ import annotations
 
+import csv
+import io
 import random
 import statistics
 
 from colourgame.conceptual import ColourCategory
 from colourgame.embodiment import SimulatedBackend, register_backend
-from colourgame.monitors import SeriesPoint
+from colourgame.monitors import SERIES_FIELDS, SERIES_HEADER, SeriesPoint
 from colourgame.world import Colour, World
 
 
@@ -158,6 +163,42 @@ def oracle_series_point(population, records, at: int, window: int) -> SeriesPoin
             statistics.fmean(meanings_per_form) if meanings_per_form else 0.0
         ),
     )
+
+
+def oracle_series_csv(series) -> str:
+    """series.csv's text: the interaction and the form count through str,
+    the other fields with a six-decimal f-string, each row written by
+    `csv.writer`."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(SERIES_HEADER)
+    for point in series:
+        writer.writerow(
+            [
+                str(point.interaction),
+                f"{point.success_window_avg:.6f}",
+                f"{point.mean_ontology_size:.6f}",
+                f"{point.mean_inventory_size:.6f}",
+                str(point.distinct_forms_population),
+                f"{point.mean_forms_per_meaning:.6f}",
+                f"{point.mean_meanings_per_form:.6f}",
+            ]
+        )
+    return buffer.getvalue()
+
+
+def oracle_aggregate_csv(rows) -> str:
+    """aggregate.csv's text: the interaction through int and str, every mean
+    and std with a six-decimal f-string, each row written by `csv.writer`."""
+    keys = [f"{field}_{stat}" for field in SERIES_FIELDS for stat in ("mean", "std")]
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["interaction", *keys])
+    for row in rows:
+        writer.writerow(
+            [str(int(row["interaction"]))] + [f"{row[key]:.6f}" for key in keys]
+        )
+    return buffer.getvalue()
 
 
 def random_int_colour(rng: random.Random) -> Colour:

@@ -80,10 +80,18 @@ BATCH = {"runs": 2, "num_interactions": 300, "seed": 0}
 # Config entries each case adds to BATCH. At noise 200 with every object in
 # every scene, clamped channels make exact twin observations: the high-noise
 # case plays 16 degenerate aborts and 151 wrong-referent games of its 600.
+# The one-run case takes the aggregate branch where a single run aggregates
+# to itself, with a series row every seventh game over twenty agents.
 CASES = {
     "fixed_palette": {"random_palette": False},
     "random_palette": {"random_palette": True},
     "high_noise": {"noise_std": 200, "objects_per_scene": 6},
+    "one_run_pop20": {
+        "runs": 1,
+        "population_size": 20,
+        "series_interval": 7,
+        "snapshot_agent": 3,
+    },
 }
 
 # SHA-256 of every file a batch writes, and of what it prints; config.json
@@ -121,6 +129,14 @@ GOLDEN_DIGESTS = {
         "run-1/snapshots.html": "4315dd25d604257dc920cbcb9f43acca152b878713aec7c84ba44bf945339cf1",
         "run-1/snapshots.json": "740bafd68d229e1af739bf3b8dd4bbe7c5a3976ec85f76442c1734fb8a7ac82d",
         "stdout": "e829f5286ea51a002ff45cd3c26938a05d1cc80bf58c79bc1644b1a67f850f6c",
+    },
+    "one_run_pop20": {
+        "aggregate.csv": "bba68896ba96e0603ff6c13dd543813afedc3f9247bd40825651822b319d3023",
+        "config.json": "6b90034586bb08cf784cb51f5f0dd9c3bd54d572fe7a9baa0ac42c424988df2d",
+        "run-0/series.csv": "b9864ddd82b4158f56a06af3db334779459abeaefd5b49df0cbec9eeee5e6a17",
+        "run-0/snapshots.html": "1523d108d4462ab4bd2e76bbfcadcc90c9dd10b76dbf2cc9e21088909bbd98fd",
+        "run-0/snapshots.json": "27d789a29b3b09a2c1208813fad9ba227795cde2ff9b17ceb0c5d0dd4b51b8a9",
+        "stdout": "fc0112e2403fa2ad2374346c6403e812dfb8ad36f881f031a893fd5fcf2599a3",
     },
 }
 

@@ -28,7 +28,12 @@ from colourgame.monitors import (
     take_snapshot,
 )
 from colourgame.world import Colour
-from helpers import oracle_series_point, windowed_success
+from helpers import (
+    oracle_aggregate_csv,
+    oracle_series_csv,
+    oracle_series_point,
+    windowed_success,
+)
 
 
 def records_with(successes: list[bool]) -> list[InteractionRecord]:
@@ -217,7 +222,7 @@ def test_recount_follows_inventory_edits_between_rows():
 )
 @pytest.mark.parametrize("noise_std", [0.0, 3.0, 20.0])
 @pytest.mark.parametrize("series_interval", [1, 7])
-@pytest.mark.parametrize("population_size", [2, 3, 20, 50])
+@pytest.mark.parametrize("population_size", [2, 3, 20, 50, 200])
 def test_incremental_series_equals_full_rescan(
     monkeypatch, population_size, series_interval, noise_std, random_palette, window
 ):
@@ -342,6 +347,46 @@ def test_export_run_writes_csv_json_and_html(tmp_path):
     assert "fusemo" in html and "0.50" in html
 
 
+# Values whose six-decimal text is easy to get wrong: a negative zero, a sum
+# off its decimal, ties and near-ties at the sixth decimal, a float past 2**53,
+# and ints where the columns hold floats.
+CSV_FLOATS = (-0.0, 0.1 + 0.2, 5e-7, 2.5e-7, 1.5e-6, 1e16, 1 / 3, 0, 6, 10**6)
+CSV_INTS = (0, 1, 7, 999_999, 10**6)
+
+
+def test_csv_lines_match_the_csv_module_oracle(tmp_path):
+    # Each point shifts the float values one column along, so every float
+    # field takes every value; the two int fields run through CSV_INTS.
+    series = [
+        SeriesPoint(
+            CSV_INTS[i % len(CSV_INTS)],
+            *(CSV_FLOATS[(i + k) % len(CSV_FLOATS)] for k in range(3)),
+            CSV_INTS[-1 - i % len(CSV_INTS)],
+            *(CSV_FLOATS[(i + k) % len(CSV_FLOATS)] for k in range(3, 5)),
+        )
+        for i in range(2 * len(CSV_FLOATS))
+    ]
+    series_path = export_run(series, [], tmp_path)[0]
+    assert series_path.read_bytes() == oracle_series_csv(series).encode()
+
+    keys = [f"{f}_{stat}" for f in SERIES_HEADER[1:] for stat in ("mean", "std")]
+    rows = [
+        {
+            "interaction": CSV_INTS[i % len(CSV_INTS)],
+            **{
+                key: CSV_FLOATS[(i + k) % len(CSV_FLOATS)]
+                for k, key in enumerate(keys)
+            },
+        }
+        for i in range(2 * len(CSV_FLOATS))
+    ]
+    # The same interactions with another run's values, for nonzero deviations.
+    other = [SeriesPoint(a[0], *b[1:]) for a, b in zip(series, reversed(series))]
+    rows += aggregate_runs([series]) + aggregate_runs([series, other])
+    aggregate_path = export_aggregate(rows, tmp_path)
+    assert aggregate_path.read_bytes() == oracle_aggregate_csv(rows).encode()
+
+
 def test_export_run_unwritable_directory(tmp_path):
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("occupied")
@@ -367,7 +412,7 @@ def test_aggregate_runs_degenerate_and_two_run_cases():
             mean_meanings_per_form=1.0,
         )
     ]
-    run_a[0] = run_b[0].__class__(**{**run_b[0].__dict__, "success_window_avg": 0.4})
+    run_a[0] = run_b[0]._replace(success_window_avg=0.4)
     rows = aggregate_runs([run_a, run_b])
     assert rows[0]["success_window_avg_mean"] == pytest.approx(0.5)
     # sample standard deviation, as documented
@@ -447,7 +492,7 @@ def test_aggregate_runs_rejects_mismatched_runs():
     with pytest.raises(ConfigurationError):
         aggregate_runs([synthetic_series(5), synthetic_series(6)])
     shifted = synthetic_series(5)
-    shifted[0] = SeriesPoint(**{**shifted[0].__dict__, "interaction": 99})
+    shifted[0] = shifted[0]._replace(interaction=99)
     with pytest.raises(ConfigurationError):
         aggregate_runs([synthetic_series(5), shifted])
 

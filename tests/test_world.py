@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 import random
@@ -83,6 +84,20 @@ def test_make_world_rejects_bad_scene_size():
         make_world(DEFAULT_PALETTE, objects_per_scene=7)
     with pytest.raises(ConfigurationError):
         make_world([], objects_per_scene=1)
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [("objects_per_scene", 9), ("true_colours", {}), ("object_ids", ())],
+    ids=["objects_per_scene", "true_colours", "object_ids"],
+)
+def test_world_fields_cannot_be_rebound(field, value):
+    # A rebound scene size would skip the range check made at construction,
+    # and sample_scene would fail with a bare ValueError.
+    world = make_world(DEFAULT_PALETTE, objects_per_scene=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(world, field, value)
+    assert len(sample_scene(world, random.Random(0))) == 3
 
 
 def test_sample_scene_single_object_forced():
