@@ -8,6 +8,9 @@ interpretation filters a world model by closeness to a category's prototype
 to retrieve a referent's id. This experiment never composes meanings, so a
 meaning is just a category id. Both directions use plain Euclidean distance
 (`math.dist` on the colour tuples) on the raw channel values.
+
+Categories are never deleted, so an agent's category ids are 1, 2, ... in
+creation order: a category's id is its position in the ontology plus one.
 """
 from __future__ import annotations
 
@@ -29,21 +32,19 @@ class ColourCategory:
 class Ontology:
     """An agent's private, append-only set of colour categories.
 
-    Category ids are never reused, and categories are never deleted; only
-    their prototypes move.
+    Categories are never deleted; only their prototypes move. `get` finds a
+    category at its id minus one in `categories`.
     """
 
     def __init__(self) -> None:
         self.categories: list[ColourCategory] = []
-        self._next_id = 1
 
     def __len__(self) -> int:
         return len(self.categories)
 
     def get(self, category_id: int) -> ColourCategory:
-        for category in self.categories:
-            if category.category_id == category_id:
-                return category
+        if 0 < category_id <= len(self.categories):
+            return self.categories[category_id - 1]
         raise InternalConsistencyError(f"unknown category id {category_id}")
 
     def closest_category(
@@ -66,8 +67,9 @@ class Ontology:
 
     def invent_category(self, observed: Colour) -> ColourCategory:
         """Create a category whose first prototype is the observed value."""
-        category = ColourCategory(category_id=self._next_id, prototype=observed)
-        self._next_id += 1
+        category = ColourCategory(
+            category_id=len(self.categories) + 1, prototype=observed
+        )
         self.categories.append(category)
         return category
 

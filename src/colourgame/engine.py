@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 
 from . import monitors
@@ -120,6 +121,11 @@ class ExperimentParams:
             )
         if self.window < 1:
             raise ConfigurationError("window must be >= 1")
+        # The success window is a deque, whose length is a C ssize_t.
+        if self.window > sys.maxsize:
+            raise ConfigurationError(
+                f"window must be <= {sys.maxsize}, got {self.window}"
+            )
         if self.series_interval < 1:
             raise ConfigurationError("series_interval must be >= 1")
         if any(p < 1 for p in self.snapshot_points):

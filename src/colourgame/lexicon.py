@@ -5,6 +5,14 @@ form with one category id under an entrenchment score in (0, 1]. Production
 and comprehension pick the strongest match; successful games reward the used
 construction and laterally inhibit its competitors, failed games punish it.
 A construction whose score drops to zero disappears.
+
+An inventory keeps its constructions in one list, in the order they were
+added, and indexes the same objects twice: `by_form` groups them by word form
+and `by_category` by category id, each bucket in list order, and no bucket
+is ever empty. `add_construction` and `_prune`, the only methods that add or
+remove a construction, keep the list and both indexes in step. So every
+lookup reads the one bucket it needs and costs its matches, not the whole
+inventory.
 """
 from __future__ import annotations
 
@@ -58,6 +66,8 @@ class ConstructionInventory:
 
     def __init__(self) -> None:
         self.constructions: list[Construction] = []
+        self.by_form: dict[str, list[Construction]] = {}
+        self.by_category: dict[int, list[Construction]] = {}
         # Bumped by every method that adds or removes a construction, so a
         # monitor can tell an inventory whose form and category sets may
         # have changed from one whose scores alone moved.
@@ -67,7 +77,7 @@ class ConstructionInventory:
         return len(self.constructions)
 
     def forms(self) -> set[str]:
-        return {c.form for c in self.constructions}
+        return set(self.by_form)
 
     def add_construction(
         self, form: str, category_id: int, initial_score: float
@@ -77,8 +87,8 @@ class ConstructionInventory:
             raise ValueError(
                 f"initial score must be in (0, 1], got {initial_score!r}"
             )
-        for existing in self.constructions:
-            if existing.form == form and existing.category_id == category_id:
+        for existing in self.by_form.get(form, ()):
+            if existing.category_id == category_id:
                 raise InternalConsistencyError(
                     f"construction ({form!r}, {category_id}) already present"
                 )
@@ -86,6 +96,8 @@ class ConstructionInventory:
             form=form, category_id=category_id, score=_rounded(initial_score)
         )
         self.constructions.append(construction)
+        self.by_form.setdefault(form, []).append(construction)
+        self.by_category.setdefault(category_id, []).append(construction)
         self.edits += 1
         return construction
 
@@ -93,11 +105,9 @@ class ConstructionInventory:
         """Strongest construction for a category; score ties go to the
         lexicographically smallest form."""
         best = None
-        for c in self.constructions:
-            if c.category_id == category_id and (
-                best is None
-                or c.score > top
-                or (c.score == top and c.form < best.form)
+        for c in self.by_category.get(category_id, ()):
+            if best is None or c.score > top or (
+                c.score == top and c.form < best.form
             ):
                 best, top = c, c.score
         return best
@@ -106,11 +116,9 @@ class ConstructionInventory:
         """Strongest construction for a form; ties go to the smallest
         category id."""
         best = None
-        for c in self.constructions:
-            if c.form == form and (
-                best is None
-                or c.score > top
-                or (c.score == top and c.category_id < best.category_id)
+        for c in self.by_form.get(form, ()):
+            if best is None or c.score > top or (
+                c.score == top and c.category_id < best.category_id
             ):
                 best, top = c, c.score
         return best
@@ -128,19 +136,16 @@ class ConstructionInventory:
             raise ValueError(f"role must be {SPEAKER!r} or {HEARER!r}, got {role!r}")
         if inc < 0 or inh < 0:
             raise ValueError("inc and inh must be >= 0")
-        # One scan finds the competitors and checks that `used` is here, so
-        # a foreign construction raises before any score moves.
-        present = False
-        competitors = []
-        for other in self.constructions:
-            if other is used:
-                present = True
-            elif role == SPEAKER:
-                if other.category_id == used.category_id and other.form != used.form:
-                    competitors.append(other)
-            elif other.form == used.form and other.category_id != used.category_id:
-                competitors.append(other)
-        if not present:
+        # The competitors are the rest of `used`'s bucket, since a (form,
+        # category) pair is held once. A bucket that does not hold `used`
+        # itself means a foreign construction, which raises before any
+        # score moves.
+        if role == SPEAKER:
+            bucket = self.by_category.get(used.category_id, ())
+        else:
+            bucket = self.by_form.get(used.form, ())
+        competitors = [other for other in bucket if other is not used]
+        if len(competitors) == len(bucket):
             raise _not_in_inventory(used)
         used.score = _rounded(min(1.0, used.score + inc))
         # Only an inhibited competitor can reach zero, since inc >= 0.
@@ -155,18 +160,33 @@ class ConstructionInventory:
         """Decrease the used construction's score, removing it at zero."""
         if dec < 0:
             raise ValueError("dec must be >= 0")
-        self._require_present(used)
+        if not any(c is used for c in self.by_form.get(used.form, ())):
+            raise _not_in_inventory(used)
         used.score = _rounded(used.score - dec)
         if used.score <= 0.0:
             self._prune()
 
-    def _require_present(self, used: Construction) -> None:
-        if not any(c is used for c in self.constructions):
-            raise _not_in_inventory(used)
-
     def _prune(self) -> None:
-        self.constructions = [c for c in self.constructions if c.score > 0.0]
+        """Remove every construction whose score is no longer positive, from
+        the list and from both indexes."""
+        kept = []
+        for c in self.constructions:
+            if c.score > 0.0:
+                kept.append(c)
+            else:
+                _unindex(self.by_form, c.form, c)
+                _unindex(self.by_category, c.category_id, c)
+        self.constructions = kept
         self.edits += 1
+
+
+def _unindex(buckets: dict, key: object, construction: Construction) -> None:
+    """Take `construction` out of its bucket, deleting a bucket left empty."""
+    bucket = buckets[key]
+    if len(bucket) == 1:
+        del buckets[key]
+    else:
+        buckets[key] = [c for c in bucket if c is not construction]
 
 
 def _not_in_inventory(used: Construction) -> InternalConsistencyError:

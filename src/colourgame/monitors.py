@@ -37,16 +37,29 @@ about three in ten. Windowed success is incremental too: the monitor
 keeps the outcomes of the last `window` games and a running count of their
 successes, so a series point reads it without rescanning any record.
 
-A `SeriesPoint` is a named tuple in `series.csv`'s column order. Each CSV
-row is written with one `%` format over the row's values, one line at a
+A `SeriesPoint` is a named tuple in `series.csv`'s column order, and an
+aggregate row a plain tuple in `aggregate.csv`'s (`AGGREGATE_HEADER`). Each
+CSV row is written with one `%` format over the row's values, one line at a
 time: no file is ever built whole as one string, so writing costs no memory
 that grows with the run.
 
 Exports per run: `series.csv` (one row per sampled interaction),
 `snapshots.json`, and `snapshots.html` (one colour swatch per category,
-labelled with its scored forms). Multi-run aggregation writes
-`aggregate.csv` with the per-interaction mean and sample standard deviation
-of every series field.
+labelled with its scored forms). `snapshots.json` comes from a fixed-layout
+writer for `take_snapshot`'s schema, one snapshot at a time. It writes
+exactly the text `json.dump(..., indent=2, sort_keys=True)` plus a newline
+would: strings through json's own ASCII escaper, numbers as json spells them
+(NaN and the infinities included), and `[]` for an empty list.
+
+Multi-run aggregation writes `aggregate.csv` with the per-interaction mean
+and sample standard deviation of every series field. A single run passes
+through as itself with zero deviation, each value as `fsum([v]) / 1` spells
+it, which is `v + 0.0`. Across several runs, a field's column that is `==`
+to its column in the previous row reuses that row's mean and deviation
+rather than summing again: `==` values are equal reals, and both the mean
+(`math.fsum` gives 0.0 for any mix of signed zeros) and `_stdev` depend on
+the reals alone. In the default 20-run ensemble at seeds 0-19, 62% of
+the 6,000 columns repeat.
 
 The standard deviation is the correctly rounded square root of the exact
 sample variance, the value `statistics.stdev` returns from CPython 3.11 on,
@@ -193,12 +206,11 @@ class PopulationMonitor:
             if old[0] == ontology_size and old[1] == edits:
                 continue
             _, _, old_size, old_fpm, old_mpf, old_forms = old
-            constructions = agent.inventory.constructions
-            size = len(constructions)
-            forms = {c.form for c in constructions}
+            inventory = agent.inventory
+            size = len(inventory.constructions)
+            forms = set(inventory.by_form)
             if size:
-                categories = {c.category_id for c in constructions}
-                fpm = _ratio_units(size / len(categories))
+                fpm = _ratio_units(size / len(inventory.by_category))
                 mpf = _ratio_units(size / len(forms))
             else:
                 fpm = mpf = 0
@@ -246,12 +258,13 @@ def take_snapshot(agent: "Agent", at: int) -> LexiconSnapshot:
 
     Later mutation of the agent leaves the snapshot untouched.
     """
+    by_category = agent.inventory.by_category
     entries = []
-    for category in sorted(agent.ontology.categories, key=lambda c: c.category_id):
+    # Categories are listed in id order, which is their creation order.
+    for category in agent.ontology.categories:
         forms = [
             {"form": c.form, "score": c.score}
-            for c in agent.inventory.constructions
-            if c.category_id == category.category_id
+            for c in by_category.get(category.category_id, ())
         ]
         forms.sort(key=lambda f: (-f["score"], f["form"]))
         entries.append(
@@ -290,25 +303,84 @@ def export_run(
 
     json_path = out / SNAPSHOTS_JSON
     with json_path.open("w") as fh:
-        # take_snapshot already copied the entries, so no deep copy here.
-        json.dump(
-            [
-                {
-                    "interaction_number": s.interaction_number,
-                    "agent_id": s.agent_id,
-                    "entries": s.entries,
-                }
-                for s in snapshots
-            ],
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+        write_snapshots_json(snapshots, fh)
 
     html_path = out / SNAPSHOTS_HTML
     html_path.write_text(render_snapshots_html(snapshots))
     return [series_path, json_path, html_path]
+
+
+# A string as json.dump's default ensure_ascii=True writes it, quotes included.
+_json_string = json.encoder.encode_basestring_ascii
+# How json spells the floats it has no literal for.
+_NON_FINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
+
+def _json_number(value: float) -> str:
+    """A float or int as `json.dumps` spells it."""
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        return _NON_FINITE.get(value) or float.__repr__(value)
+    return int.__repr__(value)
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A list of already encoded items laid out as `json.dump(indent=2)`
+    does, where `indent` is the indent of the line that opens it."""
+    if not items:
+        return "[]"
+    inner = "\n  " + indent
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+# The objects of take_snapshot's schema at their depth in snapshots.json,
+# keys sorted: one form, one entry, one snapshot.
+_FORM_JSON = '{\n            "form": %s,\n            "score": %s\n          }'
+_ENTRY_JSON = (
+    '{\n        "category_id": %s,\n        "forms": %s,'
+    '\n        "prototype": %s\n      }'
+)
+_SNAPSHOT_JSON = (
+    '  {\n    "agent_id": %s,\n    "entries": %s,'
+    '\n    "interaction_number": %s\n  }'
+)
+
+
+def _entry_json(entry: dict) -> str:
+    forms = [
+        _FORM_JSON % (_json_string(f["form"]), _json_number(f["score"]))
+        for f in entry["forms"]
+    ]
+    prototype = list(map(_json_number, entry["prototype"]))
+    return _ENTRY_JSON % (
+        _json_number(entry["category_id"]),
+        _json_list(forms, "        "),
+        _json_list(prototype, "        "),
+    )
+
+
+def write_snapshots_json(snapshots: Sequence[LexiconSnapshot], fh) -> None:
+    """Write `snapshots` to the text file `fh` as snapshots.json: exactly
+    the text `json.dump(..., indent=2, sort_keys=True)` plus a newline
+    writes for them, one snapshot at a time."""
+    if not snapshots:
+        fh.write("[]\n")
+        return
+    opening = "[\n"
+    for s in snapshots:
+        entries = [_entry_json(entry) for entry in s.entries]
+        fh.write(
+            opening
+            + _SNAPSHOT_JSON
+            % (
+                _json_number(s.agent_id),
+                _json_list(entries, "    "),
+                _json_number(s.interaction_number),
+            )
+        )
+        opening = ",\n"
+    fh.write("\n]\n")
 
 
 def render_snapshots_html(snapshots: Sequence[LexiconSnapshot]) -> str:
@@ -385,23 +457,21 @@ def _stdev(values: Sequence[float]) -> float:
     return float(root << -exponent)
 
 
-# Each series field with its two aggregate keys, in aggregate.csv's order.
-_AGGREGATE_KEYS = tuple((f"{f}_mean", f"{f}_std") for f in SERIES_FIELDS)
-_AGGREGATE_COLUMNS = ("interaction",) + tuple(
-    key for pair in _AGGREGATE_KEYS for key in pair
+AGGREGATE_HEADER = ("interaction",) + tuple(
+    f"{field}_{stat}" for field in SERIES_FIELDS for stat in ("mean", "std")
 )
-# One aggregate.csv row: `_AGGREGATE_LINE % _aggregate_values(row)`.
-_AGGREGATE_LINE = "%d" + ",%.6f" * (len(_AGGREGATE_COLUMNS) - 1) + "\n"
-_aggregate_values = operator.itemgetter(*_AGGREGATE_COLUMNS)
+# One aggregate.csv row: `_AGGREGATE_LINE % row`.
+_AGGREGATE_LINE = "%d" + ",%.6f" * (len(AGGREGATE_HEADER) - 1) + "\n"
 
 
 def aggregate_runs(
     series_per_run: Sequence[Sequence[SeriesPoint]],
-) -> list[dict[str, float]]:
+) -> list[tuple]:
     """Per-interaction mean and sample standard deviation across runs.
 
-    All runs must share the same interaction grid. A single run aggregates to
-    itself with zero deviation.
+    Each row is a tuple in `AGGREGATE_HEADER`'s order. All runs must share
+    the same interaction grid. A single run aggregates to itself with zero
+    deviation.
     """
     if not series_per_run:
         raise ConfigurationError("nothing to aggregate: no runs given")
@@ -411,7 +481,16 @@ def aggregate_runs(
             f"runs disagree on series length: {sorted(lengths)}"
         )
     n = len(series_per_run)
-    rows: list[dict[str, float]] = []
+    if n == 1:
+        # fsum([v]) / 1 is float(v), but 0.0 for -0.0: v + 0.0 exactly.
+        return [
+            (i, a + 0.0, 0.0, b + 0.0, 0.0, c + 0.0, 0.0, d + 0.0, 0.0,
+             e + 0.0, 0.0, f + 0.0, 0.0)
+            for i, a, b, c, d, e, f in series_per_run[0]
+        ]
+    rows: list[tuple] = []
+    last_columns: list = [None] * len(SERIES_FIELDS)
+    last_stats: list = [None] * len(SERIES_FIELDS)
     for i, points in enumerate(zip(*series_per_run)):
         # One tuple of values per run, transposed to one column per field.
         interactions, *columns = zip(*points)
@@ -420,23 +499,26 @@ def aggregate_runs(
                 f"runs disagree on interaction numbering at row {i}: "
                 f"{sorted(set(interactions))}"
             )
-        row: dict[str, float] = {"interaction": interactions[0]}
-        for (mean_key, std_key), column in zip(_AGGREGATE_KEYS, columns):
-            row[mean_key] = math.fsum(column) / n
-            row[std_key] = _stdev(column) if n > 1 else 0.0
-        rows.append(row)
+        # A column == to the previous row's keeps its mean and deviation
+        # (see the module docstring).
+        stats = [
+            old if column == last else (math.fsum(column) / n, _stdev(column))
+            for column, last, old in zip(columns, last_columns, last_stats)
+        ]
+        row = [interactions[0]]
+        for pair in stats:
+            row += pair
+        rows.append(tuple(row))
+        last_columns, last_stats = columns, stats
     return rows
 
 
-def export_aggregate(
-    rows: Iterable[dict[str, float]], out_dir: str | Path
-) -> Path:
+def export_aggregate(rows: Iterable[tuple], out_dir: str | Path) -> Path:
     """Write the aggregated series as aggregate.csv in `out_dir`."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / AGGREGATE_CSV
     with path.open("w", newline="") as fh:
-        fh.write(",".join(_AGGREGATE_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(_AGGREGATE_LINE % _aggregate_values(row))
+        fh.write(",".join(AGGREGATE_HEADER) + "\n")
+        fh.writelines(map(_AGGREGATE_LINE.__mod__, rows))
     return path

@@ -8,10 +8,13 @@ success window from the records, the reference for the incremental
 min/max clamps and `rng.gauss`, the reference for `world.perceive`'s
 comparison clamps and in-line noise draws. `oracle_produce` and
 `oracle_comprehend` filter, take the top score, then break ties, the
-reference for the lexicon's one-pass lookups. `oracle_series_csv` and
+reference for the lexicon's indexed lookups. `oracle_series_csv` and
 `oracle_aggregate_csv` write each field with its own f-string through
 `csv.writer`, the reference for the one `%` format per line of
 `monitors.export_run` and `monitors.export_aggregate`.
+`oracle_aggregate_rows` builds one dict per row with a fresh `math.fsum` and
+`_stdev` on every column, the reference for `monitors.aggregate_runs`' tuple
+rows, its one-run pass-through and its reuse of repeated columns.
 Oracle comparisons should use integer-valued colours: squared distances are
 then exact integers and agree with the library's sqrt-based ordering.
 """
@@ -19,12 +22,20 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import random
 import statistics
 
 from colourgame.conceptual import ColourCategory
 from colourgame.embodiment import SimulatedBackend, register_backend
-from colourgame.monitors import SERIES_FIELDS, SERIES_HEADER, SeriesPoint
+from colourgame.errors import ConfigurationError
+from colourgame.monitors import (
+    AGGREGATE_HEADER,
+    SERIES_FIELDS,
+    SERIES_HEADER,
+    SeriesPoint,
+    _stdev,
+)
 from colourgame.world import Colour, World
 
 
@@ -187,14 +198,44 @@ def oracle_series_csv(series) -> str:
     return buffer.getvalue()
 
 
+def oracle_aggregate_rows(series_per_run) -> list[dict[str, float]]:
+    """Per-interaction mean and sample standard deviation across runs, one
+    dict per row keyed by `AGGREGATE_HEADER`: every column transposed and
+    summed afresh, whatever the number of runs."""
+    if not series_per_run:
+        raise ConfigurationError("nothing to aggregate: no runs given")
+    lengths = {len(series) for series in series_per_run}
+    if len(lengths) != 1:
+        raise ConfigurationError(
+            f"runs disagree on series length: {sorted(lengths)}"
+        )
+    n = len(series_per_run)
+    rows: list[dict[str, float]] = []
+    for i, points in enumerate(zip(*series_per_run)):
+        interactions, *columns = zip(*points)
+        if interactions.count(interactions[0]) != n:
+            raise ConfigurationError(
+                f"runs disagree on interaction numbering at row {i}: "
+                f"{sorted(set(interactions))}"
+            )
+        row: dict[str, float] = {"interaction": interactions[0]}
+        for field, column in zip(SERIES_FIELDS, columns):
+            row[f"{field}_mean"] = math.fsum(column) / n
+            row[f"{field}_std"] = _stdev(column) if n > 1 else 0.0
+        rows.append(row)
+    return rows
+
+
 def oracle_aggregate_csv(rows) -> str:
-    """aggregate.csv's text: the interaction through int and str, every mean
-    and std with a six-decimal f-string, each row written by `csv.writer`."""
+    """aggregate.csv's text from tuple rows read through `AGGREGATE_HEADER`:
+    the interaction through int and str, every mean and std with a
+    six-decimal f-string, each row written by `csv.writer`."""
     keys = [f"{field}_{stat}" for field in SERIES_FIELDS for stat in ("mean", "std")]
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["interaction", *keys])
-    for row in rows:
+    for values in rows:
+        row = dict(zip(AGGREGATE_HEADER, values, strict=True))
         writer.writerow(
             [str(int(row["interaction"]))] + [f"{row[key]:.6f}" for key in keys]
         )

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -138,6 +139,28 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, text):
     assert code == 2
     assert "finite" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+# A window past sys.maxsize cannot size the success window's deque.
+HUGE_WINDOW = 10**20
+
+
+@pytest.mark.parametrize("source", ["config-file", "flag"])
+def test_window_above_sys_maxsize_exits_2_before_writing(tmp_path, capsys, source):
+    out_dir = tmp_path / "out"
+    if source == "flag":
+        args = [*small_args(out_dir), f"--window={HUGE_WINDOW}"]
+    else:
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"window": HUGE_WINDOW}))
+        args = ["run", "--config", str(config_file), "--out-dir", str(out_dir)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"window must be <= {sys.maxsize}, got {HUGE_WINDOW}" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+    # The largest window a deque can take is still accepted.
+    assert parse_config(None, {"window": sys.maxsize}).window == sys.maxsize
 
 
 def test_crowded_fixed_palette_exits_2_before_writing(tmp_path, capsys):

@@ -141,6 +141,18 @@ def test_interpret_unknown_category_is_an_error():
         ontology.interpret(99, model_of(a=GREEN))
 
 
+def test_get_finds_a_category_by_its_position():
+    ontology = ontology_with(Colour(0, 0, 0))
+    second = ontology.invent_category(Colour(9, 9, 9))
+    assert [c.category_id for c in ontology.categories] == [1, 2]
+    assert ontology.get(2) is second
+    assert ontology.get(1) is ontology.categories[0]
+    # Ids outside 1..n are unknown, however a list index would read them.
+    for unknown in (0, -1, -2, 3):
+        with pytest.raises(InternalConsistencyError):
+            ontology.get(unknown)
+
+
 def test_shift_prototype_linear_interpolation():
     ontology = ontology_with(Colour(10, 0, 0))
     shifted = ontology.shift_prototype(1, Colour(20, 0, 0), rate=0.1)

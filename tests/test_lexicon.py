@@ -262,3 +262,89 @@ def test_one_pass_lookups_pick_what_the_two_pass_oracles_pick():
             matching = [c.score for c in constructions if c.form == form]
             ties += len(matching) != len(set(matching))
     assert ties > 100
+
+
+def grouped(constructions, key) -> dict:
+    """`constructions` grouped by `key`, each group in list order."""
+    groups: dict = {}
+    for c in constructions:
+        groups.setdefault(key(c), []).append(c)
+    return groups
+
+
+def assert_index_matches(inventory: ConstructionInventory) -> None:
+    """Both buckets hold exactly the grouping of the flat list: the same
+    objects in the same order, and no bucket is empty."""
+    constructions = inventory.constructions
+    for buckets, key in (
+        (inventory.by_form, lambda c: c.form),
+        (inventory.by_category, lambda c: c.category_id),
+    ):
+        expected = grouped(constructions, key)
+        assert {k: list(map(id, v)) for k, v in buckets.items()} == {
+            k: list(map(id, v)) for k, v in expected.items()
+        }
+        assert all(buckets.values())
+    assert inventory.forms() == {c.form for c in constructions}
+
+
+def test_index_follows_every_add_reward_punish_and_prune():
+    rng = random.Random(1717)
+    forms = ["bakala", "defile", "gikolu", "lamune", "pesoro"]
+    scores = [0.05, 0.1, 0.25, 0.3, 0.5, 0.7 - 0.2, 1.0]
+    prunes = foreign = 0
+    for _ in range(300):
+        inventory = ConstructionInventory()
+        for _ in range(rng.randint(1, 40)):
+            op = rng.random()
+            before = inventory.edits
+            if op < 0.4 or not inventory.constructions:
+                form, category_id = rng.choice(forms), rng.randint(1, 4)
+                held = any(
+                    c.form == form and c.category_id == category_id
+                    for c in inventory.constructions
+                )
+                if held:
+                    with pytest.raises(InternalConsistencyError):
+                        inventory.add_construction(form, category_id, 0.5)
+                else:
+                    inventory.add_construction(form, category_id, rng.choice(scores))
+            elif op < 0.85:
+                used = rng.choice(inventory.constructions)
+                if rng.random() < 0.5:
+                    inventory.reward_and_inhibit(
+                        used, rng.choice((SPEAKER, HEARER)), 0.1, rng.choice((0.1, 0.3))
+                    )
+                else:
+                    inventory.punish(used, rng.choice((0.1, 0.2, 0.5)))
+            else:
+                # A stranger equal in form, category and score to a held
+                # construction is still not that construction.
+                twin = rng.choice(inventory.constructions)
+                outsider = ConstructionInventory().add_construction(
+                    twin.form, twin.category_id, twin.score
+                )
+                assert outsider == twin and outsider is not twin
+                held_scores = [c.score for c in inventory.constructions]
+                with pytest.raises(InternalConsistencyError):
+                    if rng.random() < 0.5:
+                        inventory.reward_and_inhibit(
+                            outsider, rng.choice((SPEAKER, HEARER)), 0.1, 0.5
+                        )
+                    else:
+                        inventory.punish(outsider, 1.0)
+                assert [c.score for c in inventory.constructions] == held_scores
+                assert outsider.score == twin.score
+                foreign += 1
+            prunes += inventory.edits - before > 0 and op >= 0.4
+            assert_index_matches(inventory)
+            constructions = inventory.constructions
+            for category_id in range(0, 6):
+                assert inventory.produce(category_id) is oracle_produce(
+                    constructions, category_id
+                )
+            for form in forms + ["zuzuzu"]:
+                assert inventory.comprehend(form) is oracle_comprehend(
+                    constructions, form
+                )
+    assert prunes > 300 and foreign > 300

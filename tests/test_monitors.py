@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import math
 import random
@@ -18,6 +19,8 @@ from colourgame.engine import (
 from colourgame.errors import ConfigurationError
 from colourgame.lexicon import SPEAKER
 from colourgame.monitors import (
+    AGGREGATE_HEADER,
+    SERIES_FIELDS,
     SERIES_HEADER,
     PopulationMonitor,
     SeriesPoint,
@@ -30,6 +33,7 @@ from colourgame.monitors import (
 from colourgame.world import Colour
 from helpers import (
     oracle_aggregate_csv,
+    oracle_aggregate_rows,
     oracle_series_csv,
     oracle_series_point,
     windowed_success,
@@ -369,15 +373,14 @@ def test_csv_lines_match_the_csv_module_oracle(tmp_path):
     series_path = export_run(series, [], tmp_path)[0]
     assert series_path.read_bytes() == oracle_series_csv(series).encode()
 
-    keys = [f"{f}_{stat}" for f in SERIES_HEADER[1:] for stat in ("mean", "std")]
     rows = [
-        {
-            "interaction": CSV_INTS[i % len(CSV_INTS)],
-            **{
-                key: CSV_FLOATS[(i + k) % len(CSV_FLOATS)]
-                for k, key in enumerate(keys)
-            },
-        }
+        (
+            CSV_INTS[i % len(CSV_INTS)],
+            *(
+                CSV_FLOATS[(i + k) % len(CSV_FLOATS)]
+                for k in range(len(AGGREGATE_HEADER) - 1)
+            ),
+        )
         for i in range(2 * len(CSV_FLOATS))
     ]
     # The same interactions with another run's values, for nonzero deviations.
@@ -387,6 +390,106 @@ def test_csv_lines_match_the_csv_module_oracle(tmp_path):
     assert aggregate_path.read_bytes() == oracle_aggregate_csv(rows).encode()
 
 
+# Forms json must escape (a quote, a backslash, control characters, non-ASCII
+# text, a surrogate pair) next to plain ones.
+SNAPSHOT_FORMS = (
+    "fusemo", 'sa"ki', "ba\\lu", "ta\tb\x01", "\x7f\n", "héllo", "日本語",
+    "\u2028", "😀", "",
+)
+# Channels and scores as ints and floats, with the spellings json has to
+# get right: a small and a large exponent, a negative zero, NaN and both
+# infinities.
+SNAPSHOT_NUMBERS = (
+    0, 7, 255, 10**20, 0.0, -0.0, 0.5, 1e-7, 1e16, 1 / 3, 246.00000000000003,
+    123.456, math.nan, math.inf, -math.inf,
+)
+
+
+def seeded_snapshots(rng: random.Random, count: int) -> list:
+    """`count` snapshots of 0-3 categories of 0-3 forms each, from the
+    values above."""
+    snapshots = []
+    for _ in range(count):
+        entries = tuple(
+            {
+                "category_id": category_id,
+                "prototype": [rng.choice(SNAPSHOT_NUMBERS) for _ in range(3)],
+                "forms": [
+                    {
+                        "form": rng.choice(SNAPSHOT_FORMS),
+                        "score": rng.choice(SNAPSHOT_NUMBERS),
+                    }
+                    for _ in range(rng.randint(0, 3))
+                ],
+            }
+            for category_id in range(1, rng.randint(0, 3) + 1)
+        )
+        at, agent_id = rng.randint(0, 10**6), rng.randint(0, 49)
+        snapshots.append(monitors.LexiconSnapshot(at, agent_id, entries))
+    return snapshots
+
+
+def json_dump_text(snapshots) -> str:
+    """snapshots.json as json.dump(indent=2, sort_keys=True) writes it."""
+    buffer = io.StringIO()
+    json.dump(
+        [
+            {
+                "interaction_number": s.interaction_number,
+                "agent_id": s.agent_id,
+                "entries": s.entries,
+            }
+            for s in snapshots
+        ],
+        buffer,
+        indent=2,
+        sort_keys=True,
+    )
+    buffer.write("\n")
+    return buffer.getvalue()
+
+
+def test_snapshot_writer_matches_json_dump_byte_for_byte(tmp_path):
+    rng = random.Random(314)
+    empty_agent = monitors.LexiconSnapshot(3, 1, ())
+    formless = monitors.LexiconSnapshot(
+        4, 2, ({"category_id": 1, "prototype": [1, 2.5, -0.0], "forms": []},)
+    )
+    # Every special score and form at least once, on int and float channels.
+    scored = monitors.LexiconSnapshot(
+        5,
+        0,
+        (
+            {
+                "category_id": 2,
+                "prototype": [0, 246.00000000000003, math.nan],
+                "forms": [
+                    {"form": form, "score": score}
+                    for form, score in zip(
+                        SNAPSHOT_FORMS,
+                        (1e-7, 1e16, -0.0, math.nan, math.inf, -math.inf, 0.5, 1),
+                    )
+                ],
+            },
+        ),
+    )
+    cases = [[], [empty_agent], [formless], [empty_agent, formless], [scored]]
+    cases += [seeded_snapshots(rng, rng.randint(1, 6)) for _ in range(200)]
+    played = run_experiment(ExperimentParams(num_interactions=120), 5)
+    cases.append(played.snapshots)
+    for snapshots in cases:
+        buffer = io.StringIO()
+        monitors.write_snapshots_json(snapshots, buffer)
+        assert buffer.getvalue() == json_dump_text(snapshots)
+    # Every value above was written at least once.
+    text = "".join(map(json_dump_text, cases))
+    for value in SNAPSHOT_NUMBERS:
+        assert json.dumps(value) in text
+    # export_run writes the same bytes to the file.
+    json_path = export_run([], played.snapshots, tmp_path)[1]
+    assert json_path.read_bytes() == json_dump_text(played.snapshots).encode()
+
+
 def test_export_run_unwritable_directory(tmp_path):
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("occupied")
@@ -394,9 +497,14 @@ def test_export_run_unwritable_directory(tmp_path):
         export_run(synthetic_series(3), [], blocker / "out")
 
 
+def row_dicts(rows) -> list[dict]:
+    """Tuple rows as dicts keyed by aggregate.csv's header."""
+    return [dict(zip(AGGREGATE_HEADER, row, strict=True)) for row in rows]
+
+
 def test_aggregate_runs_degenerate_and_two_run_cases():
     series = synthetic_series(5)
-    identical = aggregate_runs([series] * 10)
+    identical = row_dicts(aggregate_runs([series] * 10))
     assert all(row["success_window_avg_std"] == 0.0 for row in identical)
     assert identical[0]["mean_ontology_size_mean"] == 6.0
 
@@ -413,13 +521,13 @@ def test_aggregate_runs_degenerate_and_two_run_cases():
         )
     ]
     run_a[0] = run_b[0]._replace(success_window_avg=0.4)
-    rows = aggregate_runs([run_a, run_b])
+    rows = row_dicts(aggregate_runs([run_a, run_b]))
     assert rows[0]["success_window_avg_mean"] == pytest.approx(0.5)
     # sample standard deviation, as documented
     assert rows[0]["success_window_avg_std"] == statistics.stdev([0.4, 0.6])
     assert rows[0]["success_window_avg_std"] == pytest.approx(0.141421356)
 
-    single = aggregate_runs([run_b])
+    single = row_dicts(aggregate_runs([run_b]))
     assert single[0]["success_window_avg_mean"] == 0.6
     assert single[0]["success_window_avg_std"] == 0.0
 
@@ -486,6 +594,66 @@ def test_stdev_matches_statistics_stdev():
     assert mismatches == [], f"{len(mismatches)} mismatches, first {mismatches[:3]}"
 
 
+def varied_runs(rng: random.Random, runs: int, length: int) -> list:
+    """`runs` series on one interaction grid whose fields often repeat their
+    previous value, as a converged run's do, and take values that are == but
+    spelt differently: 0.0 and -0.0, ints and the equal floats."""
+    zeros_and_ints = (0.0, -0.0, 0, 1, 1.0, 6, 6.0)
+    series = [[] for _ in range(runs)]
+    for i in range(length):
+        for points in series:
+            if points and rng.random() < 0.6:
+                values = list(points[-1][1:])
+            else:
+                values = [rng.uniform(0, 8) for _ in SERIES_FIELDS]
+            for k in range(len(values)):
+                if rng.random() < 0.25:
+                    values[k] = rng.choice(zeros_and_ints)
+            points.append(SeriesPoint(i * 3 + 1, *values))
+    return series
+
+
+def test_aggregate_runs_matches_the_dict_oracle():
+    rng = random.Random(77)
+    cases = [
+        varied_runs(rng, rng.randint(1, 5), rng.randint(0, 60)) for _ in range(150)
+    ]
+    # Columns equal to the previous row's in every field, and columns that
+    # are == to it only across zero sign and int/float spelling.
+    same = [SeriesPoint(1, 0.25, 6.0, 6.5, 7, 1.25, 1.0)] * 3
+    cases.append([same, same])
+    cases.append(
+        [
+            [
+                SeriesPoint(1, 0.0, 6, 1.5, 7, 0, 1),
+                SeriesPoint(2, -0.0, 6.0, 1.5, 7.0, -0.0, 1.0),
+            ],
+            [
+                SeriesPoint(1, -0.0, 6.0, 2.5, 7, 0.0, 1),
+                SeriesPoint(2, 0, 6, 2.5, 7, 0, 1.0),
+            ],
+        ]
+    )
+    # One run: -0.0 and ints pass through as fsum([v]) / 1 spells them.
+    cases.append([[SeriesPoint(1, -0.0, 6, 0.0, 7, -0.0, 2**60 + 1)]])
+    repeated = 0
+    for series_per_run in cases:
+        rows = aggregate_runs(series_per_run)
+        expected = oracle_aggregate_rows(series_per_run)
+        assert [repr(row) for row in rows] == [
+            repr(tuple(row[key] for key in AGGREGATE_HEADER)) for row in expected
+        ]
+        assert all(type(row) is tuple for row in rows)
+        if len(series_per_run) > 1:
+            columns = [list(zip(*points))[1:] for points in zip(*series_per_run)]
+            repeated += sum(
+                a == b
+                for previous, current in zip(columns, columns[1:])
+                for a, b in zip(previous, current)
+            )
+    assert repeated > 1000
+
+
 def test_aggregate_runs_rejects_mismatched_runs():
     with pytest.raises(ConfigurationError):
         aggregate_runs([])
@@ -495,6 +663,14 @@ def test_aggregate_runs_rejects_mismatched_runs():
     shifted[0] = shifted[0]._replace(interaction=99)
     with pytest.raises(ConfigurationError):
         aggregate_runs([synthetic_series(5), shifted])
+    # The same messages as the dict oracle's.
+    for bad in ([], [synthetic_series(5), synthetic_series(6)],
+                [synthetic_series(5), shifted]):
+        with pytest.raises(ConfigurationError) as got:
+            aggregate_runs(bad)
+        with pytest.raises(ConfigurationError) as want:
+            oracle_aggregate_rows(bad)
+        assert str(got.value) == str(want.value)
 
 
 def test_export_aggregate_file_shape(tmp_path):
