@@ -7,6 +7,12 @@ default, type check and flag derive from that one list. The fully resolved
 config is echoed to `<out_dir>/config.json`, and that file alone is enough to
 reproduce a batch bit for bit. Batch runs use seeds seed, seed+1, ... so runs
 are independent but reproducible.
+
+A batch checks everything it can before it writes a file: the config's
+types and ranges, and each run's random palette. When `parallel`, the
+number of runs and the usable CPUs all exceed 1, the runs fork into a
+process pool. The pool's modules (`concurrent.futures`, `multiprocessing`)
+are imported only then, so a serial batch never loads them.
 """
 from __future__ import annotations
 
@@ -14,8 +20,8 @@ import argparse
 import copy
 import json
 import os
+import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,7 +29,7 @@ from types import SimpleNamespace
 from .engine import SNAPSHOT_ALL, ExperimentParams, run_experiment
 from .errors import ColourGameError, ConfigurationError
 from .monitors import SeriesPoint, aggregate_runs, export_aggregate, export_run
-from .world import Colour
+from .world import Colour, random_palette
 
 OUT_DIR_ENV_VAR = "NAMING_GAME_OUT_DIR"
 
@@ -188,13 +194,23 @@ def _run_summary(run_index: int, seed: int, series: list[SeriesPoint]) -> str:
 
 def run_command(config: ExperimentConfig) -> int:
     """Execute the configured batch and write all output files."""
+    params = _game_params(config)
+    if params.random_palette:
+        # Each run draws its palette from the start of its own seed's stream,
+        # as run_experiment will; a palette that cannot be placed must fail
+        # before anything is written.
+        for i in range(config.runs):
+            random_palette(
+                random.Random(config.seed + i),
+                params.palette_size,
+                params.min_separation,
+            )
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "config.json").open("w") as fh:
         json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    params = _game_params(config)
     jobs = [
         (params, config.seed + i, str(out_dir / f"run-{i}"))
         for i in range(config.runs)
@@ -203,6 +219,8 @@ def run_command(config: ExperimentConfig) -> int:
     # than there are runs or CPUs to run them on.
     workers = min(config.parallel, config.runs, _usable_cpus())
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             series_per_run = list(pool.map(_execute_run, *zip(*jobs)))
     else:

@@ -20,6 +20,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import monitors
 from .conceptual import Ontology
@@ -155,9 +156,9 @@ class Agent:
         )
 
 
-@dataclass(frozen=True)
-class InteractionRecord:
-    """Outcome row for one game; the input to every monitor."""
+class InteractionRecord(NamedTuple):
+    """Outcome row for one game; the input to every monitor. A named tuple:
+    it is built once per game and never changed."""
 
     interaction_number: int
     speaker_id: int

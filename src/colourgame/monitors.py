@@ -52,10 +52,14 @@ would: strings through json's own ASCII escaper, numbers as json spells them
 (NaN and the infinities included), and `[]` for an empty list.
 
 Multi-run aggregation writes `aggregate.csv` with the per-interaction mean
-and sample standard deviation of every series field. A single run passes
-through as itself with zero deviation, each value as `fsum([v]) / 1` spells
-it, which is `v + 0.0`. Across several runs, a field's column that is `==`
-to its column in the previous row reuses that row's mean and deviation
+and sample standard deviation of every series field. `aggregate_runs` makes
+every check at the call (no runs, runs of different lengths, interaction
+numbers that differ at some row), so a bad batch raises before a row exists.
+It then produces the rows lazily, and `export_aggregate` writes each row as
+it arrives, so no batch ever holds its whole aggregate table. A single run
+passes through as itself with zero deviation, each value as `fsum([v]) / 1`
+spells it, which is `v + 0.0`. Across several runs, a field's column that is
+`==` to its column in the previous row reuses that row's mean and deviation
 rather than summing again: `==` values are equal reals, and both the mean
 (`math.fsum` gives 0.0 for any mix of signed zeros) and `_stdev` depend on
 the reals alone. In the default 20-run ensemble at seeds 0-19, 62% of
@@ -80,7 +84,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ConfigurationError
 
@@ -466,11 +470,13 @@ _AGGREGATE_LINE = "%d" + ",%.6f" * (len(AGGREGATE_HEADER) - 1) + "\n"
 
 def aggregate_runs(
     series_per_run: Sequence[Sequence[SeriesPoint]],
-) -> list[tuple]:
+) -> Iterator[tuple]:
     """Per-interaction mean and sample standard deviation across runs.
 
     Each row is a tuple in `AGGREGATE_HEADER`'s order. All runs must share
-    the same interaction grid. A single run aggregates to itself with zero
+    the same interaction grid, and that is checked at the call, before any
+    row is produced; the rows themselves are produced lazily, one per step of
+    the returned iterator. A single run aggregates to itself with zero
     deviation.
     """
     if not series_per_run:
@@ -480,25 +486,33 @@ def aggregate_runs(
         raise ConfigurationError(
             f"runs disagree on series length: {sorted(lengths)}"
         )
-    n = len(series_per_run)
-    if n == 1:
+    if len(series_per_run) == 1:
         # fsum([v]) / 1 is float(v), but 0.0 for -0.0: v + 0.0 exactly.
-        return [
+        return (
             (i, a + 0.0, 0.0, b + 0.0, 0.0, c + 0.0, 0.0, d + 0.0, 0.0,
              e + 0.0, 0.0, f + 0.0, 0.0)
             for i, a, b, c, d, e, f in series_per_run[0]
-        ]
-    rows: list[tuple] = []
-    last_columns: list = [None] * len(SERIES_FIELDS)
-    last_stats: list = [None] * len(SERIES_FIELDS)
+        )
     for i, points in enumerate(zip(*series_per_run)):
-        # One tuple of values per run, transposed to one column per field.
-        interactions, *columns = zip(*points)
-        if interactions.count(interactions[0]) != n:
+        interactions = {point[0] for point in points}
+        if len(interactions) != 1:
             raise ConfigurationError(
                 f"runs disagree on interaction numbering at row {i}: "
-                f"{sorted(set(interactions))}"
+                f"{sorted(interactions)}"
             )
+    return _aggregate_rows(series_per_run)
+
+
+def _aggregate_rows(
+    series_per_run: Sequence[Sequence[SeriesPoint]],
+) -> Iterator[tuple]:
+    """`aggregate_runs`' rows for two or more checked runs, one at a time."""
+    n = len(series_per_run)
+    last_columns: list = [None] * len(SERIES_FIELDS)
+    last_stats: list = [None] * len(SERIES_FIELDS)
+    for points in zip(*series_per_run):
+        # One tuple of values per run, transposed to one column per field.
+        interactions, *columns = zip(*points)
         # A column == to the previous row's keeps its mean and deviation
         # (see the module docstring).
         stats = [
@@ -508,13 +522,13 @@ def aggregate_runs(
         row = [interactions[0]]
         for pair in stats:
             row += pair
-        rows.append(tuple(row))
+        yield tuple(row)
         last_columns, last_stats = columns, stats
-    return rows
 
 
 def export_aggregate(rows: Iterable[tuple], out_dir: str | Path) -> Path:
-    """Write the aggregated series as aggregate.csv in `out_dir`."""
+    """Write the aggregated series as aggregate.csv in `out_dir`, each row
+    as it arrives from `rows`."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / AGGREGATE_CSV

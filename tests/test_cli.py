@@ -1,5 +1,9 @@
+import concurrent.futures
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +184,24 @@ def test_crowded_fixed_palette_exits_2_before_writing(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_unplaceable_random_palette_exits_2_before_writing(tmp_path, capsys):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(
+        json.dumps(
+            {"random_palette": True, "palette_size": 60, "num_interactions": 5}
+        )
+    )
+    out_dir = tmp_path / "out"
+    code = main(["run", "--config", str(config_file), "--out-dir", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("configuration error: could not place 60 colours")
+    assert not out_dir.exists()
+
+
 def test_missing_config_file_exits_2_and_output_io_error_exits_1(
     tmp_path, capsys
 ):
@@ -333,7 +355,7 @@ def test_parallel_asks_for_no_more_workers_than_runs(tmp_path, capsys, monkeypat
             cli.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False
         )
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     seq = tmp_path / "seq"
     assert main(small_args(seq, runs=5)) == 0
     seq_printed = capsys.readouterr().out
@@ -370,6 +392,33 @@ def test_parallel_asks_for_no_more_workers_than_runs(tmp_path, capsys, monkeypat
         assert main(small_args(par, runs=5, parallel=8)) == 0
         assert requested == ([] if workers is None else [workers])
         assert_same_output(par)
+
+
+def test_serial_batch_imports_no_process_pool(tmp_path):
+    # A fresh interpreter, so that no other test's imports count: neither a
+    # default batch nor one whose --parallel exceeds its single run forks.
+    batches = [
+        small_args(tmp_path / "default", runs=2),
+        small_args(tmp_path / "one-run", runs=1, parallel=4),
+    ]
+    script = (
+        "import sys\n"
+        "from colourgame.cli import main\n"
+        f"for argv in {batches!r}:\n"
+        "    assert main(argv) == 0\n"
+        "print(sorted(name for name in sys.modules\n"
+        "             if name.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    src_dir = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src_dir}
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "default" / "aggregate.csv").is_file()
+    assert (tmp_path / "one-run" / "aggregate.csv").is_file()
 
 
 def test_zero_interaction_run_produces_header_only_files(tmp_path, capsys):

@@ -2,7 +2,6 @@ import random
 import re
 from collections import Counter
 from copy import deepcopy
-from dataclasses import asdict
 
 import pytest
 
@@ -313,12 +312,10 @@ def test_run_experiment_replay_is_deterministic():
     params = ExperimentParams(num_interactions=200)
     first = run_experiment(params, seed=5)
     second = run_experiment(params, seed=5)
-    assert [asdict(r) for r in first.records] == [asdict(r) for r in second.records]
+    assert first.records == second.records
     assert first.series == second.series
     different = run_experiment(params, seed=6)
-    assert [asdict(r) for r in first.records] != [
-        asdict(r) for r in different.records
-    ]
+    assert first.records != different.records
 
 
 def test_run_experiment_converges_with_defaults():

@@ -82,6 +82,16 @@ BATCH = {"runs": 2, "num_interactions": 300, "seed": 0}
 # case plays 16 degenerate aborts and 151 wrong-referent games of its 600.
 # The one-run case takes the aggregate branch where a single run aggregates
 # to itself, with a series row every seventh game over twenty agents.
+# At zero noise every agent sees the palette colours themselves, so distances
+# tie exactly: in 14 of the zero-noise case's 2,173 conceptualise calls an
+# other object lies exactly as far from the closest prototype as the topic
+# (which `<=` rejects), and 4 of its 1,887 interpret calls end in a tie. At
+# noise 3 neither ever happens. Over 21 agents, `rng.sample(population, 2)`
+# takes its set branch rather than its pool branch; the pop-30 case plays
+# 1,500 games there with a row every tenth. With a full initial score, heavy
+# inhibition and a harsh punishment, a construction dies after two failures
+# or four inhibitions: the harsh case prunes 114 constructions in its 600
+# games, against 26 at the default scores.
 CASES = {
     "fixed_palette": {"random_palette": False},
     "random_palette": {"random_palette": True},
@@ -92,6 +102,14 @@ CASES = {
         "series_interval": 7,
         "snapshot_agent": 3,
     },
+    "zero_noise": {"noise_std": 0, "num_interactions": 1000},
+    "pop30": {
+        "runs": 1,
+        "population_size": 30,
+        "num_interactions": 1500,
+        "series_interval": 10,
+    },
+    "harsh_scores": {"inh": 0.3, "dec": 0.5, "initial_score": 1.0},
 }
 
 # SHA-256 of every file a batch writes, and of what it prints; config.json
@@ -137,6 +155,36 @@ GOLDEN_DIGESTS = {
         "run-0/snapshots.html": "1523d108d4462ab4bd2e76bbfcadcc90c9dd10b76dbf2cc9e21088909bbd98fd",
         "run-0/snapshots.json": "27d789a29b3b09a2c1208813fad9ba227795cde2ff9b17ceb0c5d0dd4b51b8a9",
         "stdout": "fc0112e2403fa2ad2374346c6403e812dfb8ad36f881f031a893fd5fcf2599a3",
+    },
+    "zero_noise": {
+        "aggregate.csv": "c698723dc6935aef074554185b4c3dba8a5bd35a2a79c2ce96700aa45dae6924",
+        "config.json": "b589c0e110b716d61dea8b305ae1406bf51077f0e56e2b2f164f07771cddc3b5",
+        "run-0/series.csv": "913b0136286dc1c72ff5daaa4c27e857faee4183ef32040bf2bd5358b42fff84",
+        "run-0/snapshots.html": "f586e37cb7b4a2e635bccd728b2f1a5d2d74b93dda5353264c0ff894cfc2a7b5",
+        "run-0/snapshots.json": "822b52ea92d2799f8532e652ce6d3cfba52f88659edfb32d08ebcf7c9625fafe",
+        "run-1/series.csv": "859b8fd7ee7e148dc36dc32a4419e19e0c4b58ada78a33ae1cce4cea761dd504",
+        "run-1/snapshots.html": "5bf72c943b57c58b39fedf2886801563595aaf2352bfb88d52f59a3fcd6f046c",
+        "run-1/snapshots.json": "437146b1800ac5547bc01e439b4cb3b8f366c6dc753f9ff1869b5804c01d8efe",
+        "stdout": "271e3e97b7e4e95108c48baec004867e9b58d81d97ea7b609a022351ada05318",
+    },
+    "pop30": {
+        "aggregate.csv": "b3416a2259903f72de48515206a401d7d10ad28e23141b83bc079b983184dabd",
+        "config.json": "ff1fc083a396d86ebe644219d54d19c125459fe0edb6f81422f077f89296ba30",
+        "run-0/series.csv": "221458303e0dd112ffd2561f90cbf9989d28cba96d0ff2a9be39696fdbf453fc",
+        "run-0/snapshots.html": "4b78f4103b99b27f2bfe128275233660dd4c4ccbaa7d74b18cffb5d6937485c2",
+        "run-0/snapshots.json": "7d2409ec056218036b22275703eb86734b99863bd66883ebc34475785efc0f7b",
+        "stdout": "969a014eea53839df182e2bc47e2094e01e50e8e1899c3a6ccb995016c51e468",
+    },
+    "harsh_scores": {
+        "aggregate.csv": "9eb452f2da8781acff410224dc7cf96fcd6a4fbbd474d40f48f8d9e006a8e835",
+        "config.json": "4863b500c614c18c2d29a0bce1ac43ad3ab91734375b3d760747e8d40268684a",
+        "run-0/series.csv": "e594952a29c74c1cd2dc6a110bd31cadcec27f5eada7415680c8a9e14be4b2a6",
+        "run-0/snapshots.html": "574f19e0087109f7e5ca1978daae0c189e0ced51460be0b3d1732efb42357ab8",
+        "run-0/snapshots.json": "54c8832345ce46c669422c27f44a75a4c632499aebd7d077f8da0b373a5a14f0",
+        "run-1/series.csv": "baa2620744507eac43a8e89d9e928e026c5d45dcf1cc189b6be21ed5de2491e8",
+        "run-1/snapshots.html": "7aaf326ca95db131ca791822408177bf2e36246b05f768a964cd12c0bb57214d",
+        "run-1/snapshots.json": "0be27a85948848d8fc93f011acabca619f222adb77616d8e403e8f447c8e37d5",
+        "stdout": "01c4ff927d5723724775bc388bac05c9029a25ef45d82712fb4a65295f94ad49",
     },
 }
 

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -176,8 +175,7 @@ def test_recount_follows_inventory_edits_between_rows():
     records = []
 
     def play(speaker_id, hearer_id, at):
-        record = dataclasses.replace(
-            records_with([True])[0],
+        record = records_with([True])[0]._replace(
             interaction_number=at,
             speaker_id=speaker_id,
             hearer_id=hearer_id,
@@ -385,7 +383,8 @@ def test_csv_lines_match_the_csv_module_oracle(tmp_path):
     ]
     # The same interactions with another run's values, for nonzero deviations.
     other = [SeriesPoint(a[0], *b[1:]) for a, b in zip(series, reversed(series))]
-    rows += aggregate_runs([series]) + aggregate_runs([series, other])
+    rows += list(aggregate_runs([series]))
+    rows += list(aggregate_runs([series, other]))
     aggregate_path = export_aggregate(rows, tmp_path)
     assert aggregate_path.read_bytes() == oracle_aggregate_csv(rows).encode()
 
@@ -638,7 +637,7 @@ def test_aggregate_runs_matches_the_dict_oracle():
     cases.append([[SeriesPoint(1, -0.0, 6, 0.0, 7, -0.0, 2**60 + 1)]])
     repeated = 0
     for series_per_run in cases:
-        rows = aggregate_runs(series_per_run)
+        rows = list(aggregate_runs(series_per_run))
         expected = oracle_aggregate_rows(series_per_run)
         assert [repr(row) for row in rows] == [
             repr(tuple(row[key] for key in AGGREGATE_HEADER)) for row in expected
@@ -673,8 +672,26 @@ def test_aggregate_runs_rejects_mismatched_runs():
         assert str(got.value) == str(want.value)
 
 
+def test_aggregate_runs_checks_every_row_before_producing_one():
+    # The runs agree on every interaction number but the last: the call
+    # itself raises, with the oracle's message, before any row exists.
+    late = synthetic_series(40)
+    late[-1] = late[-1]._replace(interaction=late[-1].interaction + 1)
+    with pytest.raises(ConfigurationError, match="at row 39") as got:
+        aggregate_runs([synthetic_series(40), late, synthetic_series(40)])
+    with pytest.raises(ConfigurationError) as want:
+        oracle_aggregate_rows([synthetic_series(40), late, synthetic_series(40)])
+    assert str(got.value) == str(want.value)
+    # Runs that agree are only checked at the call; each row is built as
+    # the iterator is advanced.
+    rows = aggregate_runs([synthetic_series(40), synthetic_series(40)])
+    assert not isinstance(rows, (list, tuple))
+    assert next(rows)[0] == synthetic_series(40)[0].interaction
+    assert len(list(rows)) == 39
+
+
 def test_export_aggregate_file_shape(tmp_path):
-    rows = aggregate_runs([synthetic_series(4), synthetic_series(4)])
+    rows = list(aggregate_runs([synthetic_series(4), synthetic_series(4)]))
     path = export_aggregate(rows, tmp_path)
     lines = path.read_text().splitlines()
     assert len(lines) == 5
