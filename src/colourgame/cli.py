@@ -12,17 +12,18 @@ A batch checks everything it can before it writes a file: the config's
 types and ranges, and each run's random palette. When `parallel`, the
 number of runs and the usable CPUs all exceed 1, the runs fork into a
 process pool. The pool's modules (`concurrent.futures`, `multiprocessing`)
-are imported only then, so a serial batch never loads them.
+are imported only then, so a serial batch never loads them. Nor does a batch
+started through `parse_config` and `run_command` load `argparse`, which only
+the flag parser imports, or `dataclasses` and `html`, which the package does
+not use.
 """
 from __future__ import annotations
 
-import argparse
 import copy
 import json
 import os
 import random
 import sys
-from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -41,9 +42,9 @@ OUT_DIR_ENV_VAR = "NAMING_GAME_OUT_DIR"
 GAME_DEFAULTS: dict = json.loads(
     json.dumps(
         {
-            f.name: f.default
-            for f in fields(ExperimentParams)
-            if f.name != "backend_kind"
+            key: default
+            for key, default in ExperimentParams._field_defaults.items()
+            if key != "backend_kind"
         }
     )
 )
@@ -244,6 +245,8 @@ def _parse_snapshot_points(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
+        import argparse
+
         raise argparse.ArgumentTypeError(
             f"expected a comma-separated list of integers, got {text!r}"
         ) from None
@@ -255,6 +258,8 @@ def _parse_snapshot_agent(text: str) -> int | str:
     try:
         return int(text)
     except ValueError:
+        import argparse
+
         raise argparse.ArgumentTypeError(
             f"expected 'all' or an agent index, got {text!r}"
         ) from None
@@ -292,6 +297,8 @@ _FLAGS: dict[str, dict] = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="colourgame",
         description="Multi-agent simulator of the grounded colour naming game",

@@ -14,19 +14,28 @@ creation order: a category's id is its position in the ontology plus one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import dist
 
 from .errors import InternalConsistencyError
 from .world import Colour
 
 
-@dataclass
 class ColourCategory:
     """A prototype point with an id unique within its owning agent."""
 
-    category_id: int
-    prototype: Colour
+    __slots__ = ("category_id", "prototype")
+
+    def __init__(self, category_id: int, prototype: Colour) -> None:
+        self.category_id = category_id
+        self.prototype = prototype
+
+    def __eq__(self, other: object) -> bool:
+        # Field by field; defining __eq__ leaves the class unhashable.
+        if other.__class__ is not ColourCategory:
+            return NotImplemented
+        return (self.category_id, self.prototype) == (
+            other.category_id, other.prototype
+        )
 
 
 class Ontology:

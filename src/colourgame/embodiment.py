@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from .errors import ConfigurationError, ProtocolError
@@ -26,11 +25,13 @@ from .world import Colour, World, perceive
 SIMULATED = "simulated"
 
 
-@dataclass
 class UtteranceChannel:
     """Carries at most one pending utterance from a speak to the matching hear."""
 
-    pending: str | None = None
+    __slots__ = ("pending",)
+
+    def __init__(self) -> None:
+        self.pending: str | None = None
 
     def put(self, utterance: str) -> None:
         if not isinstance(utterance, str) or not utterance:

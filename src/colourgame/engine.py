@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import monitors
@@ -62,9 +61,9 @@ FAILURE_DEGENERATE = "degenerate"
 SNAPSHOT_ALL = "all"
 
 
-@dataclass
-class ExperimentParams:
-    """Everything that determines a run, apart from the seed."""
+class ExperimentParams(NamedTuple):
+    """Everything that determines a run, apart from the seed. A named tuple:
+    `params._replace(noise_std=0.0)` gives a copy with one field changed."""
 
     population_size: int = 5
     palette: tuple[Colour, ...] = DEFAULT_PALETTE
@@ -171,14 +170,13 @@ class InteractionRecord(NamedTuple):
     failure_reason: str
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     """Everything a single experiment run produces."""
 
     records: list[InteractionRecord]
     population: list[Agent]
     series: list[monitors.SeriesPoint]
-    snapshots: list[monitors.LexiconSnapshot] = field(default_factory=list)
+    snapshots: list[monitors.LexiconSnapshot]
 
 
 def make_population(size: int) -> list[Agent]:

@@ -17,7 +17,6 @@ inventory.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import InternalConsistencyError
 
@@ -37,13 +36,23 @@ def _rounded(score: float) -> float:
     return round(score, _SCORE_DECIMALS)
 
 
-@dataclass
 class Construction:
     """A word form mapped to a category id, weighted by an entrenchment score."""
 
-    form: str
-    category_id: int
-    score: float
+    __slots__ = ("form", "category_id", "score")
+
+    def __init__(self, form: str, category_id: int, score: float) -> None:
+        self.form = form
+        self.category_id = category_id
+        self.score = score
+
+    def __eq__(self, other: object) -> bool:
+        # Field by field; defining __eq__ leaves the class unhashable.
+        if other.__class__ is not Construction:
+            return NotImplemented
+        return (self.form, self.category_id, self.score) == (
+            other.form, other.category_id, other.score
+        )
 
 
 def invent_word_form(rng: random.Random, taken: frozenset[str] | set[str] = frozenset()) -> str:

@@ -76,13 +76,11 @@ and turned into a float by one correctly rounded division.
 """
 from __future__ import annotations
 
-import html
 import json
 import math
 import operator
 import sys
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
@@ -120,8 +118,7 @@ class SeriesPoint(NamedTuple):
     mean_meanings_per_form: float
 
 
-@dataclass(frozen=True)
-class LexiconSnapshot:
+class LexiconSnapshot(NamedTuple):
     """Deep copy of one agent's categories and their scored forms."""
 
     interaction_number: int
@@ -387,6 +384,12 @@ def write_snapshots_json(snapshots: Sequence[LexiconSnapshot], fh) -> None:
     fh.write("\n]\n")
 
 
+# Each character `html.escape(s, quote=True)` replaces, and what with.
+_HTML_ESCAPES = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "'": "&#x27;"}
+)
+
+
 def render_snapshots_html(snapshots: Sequence[LexiconSnapshot]) -> str:
     """Static page: one swatch per category, labelled with forms and scores."""
     parts = [
@@ -408,7 +411,7 @@ def render_snapshots_html(snapshots: Sequence[LexiconSnapshot]) -> str:
         for entry in snapshot.entries:
             r, g, b = (round(v) for v in entry["prototype"])
             forms = "<br>".join(
-                f"{html.escape(f['form'])} ({f['score']:.2f})"
+                f"{f['form'].translate(_HTML_ESCAPES)} ({f['score']:.2f})"
                 for f in entry["forms"]
             )
             parts.append(

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from math import cos as _cos, log as _log, sin as _sin, sqrt as _sqrt
 from operator import itemgetter
 
@@ -97,27 +96,35 @@ DEFAULT_MIN_SEPARATION = 100.0
 _TWOPI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
 class World:
     """Immutable set of objects plus the per-game scene size.
 
     `true_colours` maps each object id to the object's true colour; a dict
     holds each id once, so ids are unique within a world. The fields cannot
-    be rebound, so the scene-size check made at construction holds for the
-    world's whole life.
+    be rebound or deleted, so the scene-size check made at construction holds
+    for the world's whole life.
     """
 
-    true_colours: dict[str, Colour]
-    objects_per_scene: int
-    object_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("true_colours", "objects_per_scene", "object_ids")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "object_ids", tuple(self.true_colours))
-        if not 1 <= self.objects_per_scene <= len(self.object_ids):
+    def __init__(
+        self, true_colours: dict[str, Colour], objects_per_scene: int
+    ) -> None:
+        object_ids = tuple(true_colours)
+        if not 1 <= objects_per_scene <= len(object_ids):
             raise ConfigurationError(
-                f"objects_per_scene={self.objects_per_scene} outside "
-                f"[1, {len(self.object_ids)}]"
+                f"objects_per_scene={objects_per_scene} outside "
+                f"[1, {len(object_ids)}]"
             )
+        object.__setattr__(self, "true_colours", true_colours)
+        object.__setattr__(self, "objects_per_scene", objects_per_scene)
+        object.__setattr__(self, "object_ids", object_ids)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def make_world(

@@ -394,20 +394,35 @@ def test_parallel_asks_for_no_more_workers_than_runs(tmp_path, capsys, monkeypat
         assert_same_output(par)
 
 
+# Top-level modules a serial batch has no use for: the process pool's, and
+# the ones dataclasses, the flag parser and html escaping would pull in.
+UNUSED_BY_A_BATCH = (
+    "argparse", "concurrent", "dataclasses", "html", "inspect", "multiprocessing",
+)
+
+
 def test_serial_batch_imports_no_process_pool(tmp_path):
-    # A fresh interpreter, so that no other test's imports count: neither a
+    # A fresh interpreter, so that no other test's imports count. A batch run
+    # as the benchmark runs it, through parse_config and run_command, loads
+    # none of UNUSED_BY_A_BATCH. Then the flag parser is loaded, but neither a
     # default batch nor one whose --parallel exceeds its single run forks.
     batches = [
         small_args(tmp_path / "default", runs=2),
         small_args(tmp_path / "one-run", runs=1, parallel=4),
     ]
+    overrides = {"out_dir": str(tmp_path / "api"), "runs": 2,
+                 "num_interactions": 40}
     script = (
         "import sys\n"
-        "from colourgame.cli import main\n"
+        "from colourgame import cli\n"
+        "def loaded(tops):\n"
+        "    print('loaded:', sorted(name for name in sys.modules\n"
+        "                            if name.split('.')[0] in tops))\n"
+        f"assert cli.run_command(cli.parse_config(None, {overrides!r})) == 0\n"
+        f"loaded({UNUSED_BY_A_BATCH!r})\n"
         f"for argv in {batches!r}:\n"
-        "    assert main(argv) == 0\n"
-        "print(sorted(name for name in sys.modules\n"
-        "             if name.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+        "    assert cli.main(argv) == 0\n"
+        "loaded(('concurrent', 'multiprocessing'))\n"
     )
     src_dir = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src_dir}
@@ -416,9 +431,30 @@ def test_serial_batch_imports_no_process_pool(tmp_path):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
-    assert (tmp_path / "default" / "aggregate.csv").is_file()
-    assert (tmp_path / "one-run" / "aggregate.csv").is_file()
+    reports = [
+        line for line in proc.stdout.splitlines() if line.startswith("loaded:")
+    ]
+    assert reports == ["loaded: []", "loaded: []"]
+    for batch in ("api", "default", "one-run"):
+        assert (tmp_path / batch / "aggregate.csv").is_file()
+
+
+@pytest.mark.parametrize(
+    ("flag", "value", "message"),
+    [
+        ("--snapshot-at", "1,x",
+         "expected a comma-separated list of integers, got '1,x'"),
+        ("--snapshot-agent", "foo", "expected 'all' or an agent index, got 'foo'"),
+    ],
+)
+def test_bad_snapshot_flag_exits_2_with_its_message(
+    tmp_path, capsys, flag, value, message
+):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--out-dir", str(tmp_path / "out"), flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_zero_interaction_run_produces_header_only_files(tmp_path, capsys):

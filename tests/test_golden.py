@@ -91,7 +91,10 @@ BATCH = {"runs": 2, "num_interactions": 300, "seed": 0}
 # 1,500 games there with a row every tenth. With a full initial score, heavy
 # inhibition and a harsh punishment, a construction dies after two failures
 # or four inhibitions: the harsh case prunes 114 constructions in its 600
-# games, against 26 at the default scores.
+# games, against 26 at the default scores. With one object per scene the
+# closest category always discriminates and every heard word points at the
+# only object, so each agent keeps a single category and both runs end on one
+# word.
 CASES = {
     "fixed_palette": {"random_palette": False},
     "random_palette": {"random_palette": True},
@@ -110,6 +113,7 @@ CASES = {
         "series_interval": 10,
     },
     "harsh_scores": {"inh": 0.3, "dec": 0.5, "initial_score": 1.0},
+    "one_object": {"objects_per_scene": 1},
 }
 
 # SHA-256 of every file a batch writes, and of what it prints; config.json
@@ -185,6 +189,17 @@ GOLDEN_DIGESTS = {
         "run-1/snapshots.html": "7aaf326ca95db131ca791822408177bf2e36246b05f768a964cd12c0bb57214d",
         "run-1/snapshots.json": "0be27a85948848d8fc93f011acabca619f222adb77616d8e403e8f447c8e37d5",
         "stdout": "01c4ff927d5723724775bc388bac05c9029a25ef45d82712fb4a65295f94ad49",
+    },
+    "one_object": {
+        "aggregate.csv": "6f0df8e21c12ba0334170d89815c69237ef7ee083fe99acb2457a3316c27773f",
+        "config.json": "9091c421b6e083a7dc1507b9e6f364fde248bb4224dd50f4ecd44758a297f948",
+        "run-0/series.csv": "fa1182d208359f8ee127e35c3fb56f2e3e398679f086052f0cbb00ed4345d04a",
+        "run-0/snapshots.html": "f23e6ad9971037abbe94728cb2bb18c878f5791f5079843a39c9366139eeb15d",
+        "run-0/snapshots.json": "d60bc192b93d38f2cb4e91cef0c625271cfd4435c19462049d4289f9eb958f84",
+        "run-1/series.csv": "756eb5d29436544bbc582212cb0d7189d0cf4c53d78929dc8e2befb00d08f21e",
+        "run-1/snapshots.html": "af4b38a0f5fb3fd8ad8d4d761e3bee17241716fcd76cfdb97f10aa18a16a97d7",
+        "run-1/snapshots.json": "be93e132c5fd87e970ff43f6eff7fd5bbc7fb1c0bb43cbca97a4b41f7a5b1673",
+        "stdout": "35e76f236b7408a77eb5f8d223510d92d8823c5e3bb58591e471ac28386d1859",
     },
 }
 

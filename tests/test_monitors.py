@@ -1,4 +1,5 @@
 import csv
+import html
 import io
 import json
 import math
@@ -487,6 +488,30 @@ def test_snapshot_writer_matches_json_dump_byte_for_byte(tmp_path):
     # export_run writes the same bytes to the file.
     json_path = export_run([], played.snapshots, tmp_path)[1]
     assert json_path.read_bytes() == json_dump_text(played.snapshots).encode()
+
+
+def test_snapshot_html_escapes_forms_as_html_escape_does():
+    # Each form is rendered in place of a placeholder that needs no escaping,
+    # so the page must equal the placeholder page with every placeholder
+    # replaced by html.escape(form, quote=True).
+    forms = SNAPSHOT_FORMS + ("&<>\"'", "&amp;", "'<b>'")
+    placeholders = [f"zq{i}zq" for i in range(len(forms))]
+
+    def page(labels) -> str:
+        entry = {
+            "category_id": 1,
+            "prototype": [1, 2, 3],
+            "forms": [{"form": label, "score": 0.5} for label in labels],
+        }
+        return monitors.render_snapshots_html(
+            [monitors.LexiconSnapshot(10, 0, (entry,))]
+        )
+
+    expected = page(placeholders)
+    for placeholder, form in zip(placeholders, forms):
+        assert expected.count(placeholder) == 1
+        expected = expected.replace(placeholder, html.escape(form, quote=True))
+    assert page(forms) == expected
 
 
 def test_export_run_unwritable_directory(tmp_path):

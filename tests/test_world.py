@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import pickle
 import random
@@ -95,8 +94,14 @@ def test_world_fields_cannot_be_rebound(field, value):
     # A rebound scene size would skip the range check made at construction,
     # and sample_scene would fail with a bare ValueError.
     world = make_world(DEFAULT_PALETTE, objects_per_scene=3)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    before = getattr(world, field)
+    with pytest.raises(AttributeError):
         setattr(world, field, value)
+    with pytest.raises(AttributeError):
+        delattr(world, field)
+    assert getattr(world, field) is before
+    assert world.objects_per_scene == 3
+    assert world.object_ids == tuple(world.true_colours)
     assert len(sample_scene(world, random.Random(0))) == 3
 
 
