@@ -40,6 +40,7 @@ from .lexicon import (
     SPEAKER,
     Construction,
     ConstructionInventory,
+    _rounded,
     invent_word_form,
 )
 from .world import (
@@ -59,6 +60,10 @@ FAILURE_WRONG_REFERENT = "wrong_referent"
 FAILURE_DEGENERATE = "degenerate"
 
 SNAPSHOT_ALL = "all"
+
+# Builds a named tuple from a tuple of all its fields without the Python
+# frame of the class's generated __new__; one record is built per game.
+_new_tuple = tuple.__new__
 
 
 class ExperimentParams(NamedTuple):
@@ -102,9 +107,13 @@ class ExperimentParams(NamedTuple):
             )
         if self.num_interactions < 0:
             raise ConfigurationError("num_interactions must be >= 0")
-        if not 0.0 < self.initial_score <= 1.0:
+        # Scores are stored rounded, and one that rounds to 0 is pruned.
+        if not (
+            0.0 < self.initial_score <= 1.0 and _rounded(self.initial_score) > 0.0
+        ):
             raise ConfigurationError(
-                f"initial_score must be in (0, 1], got {self.initial_score}"
+                f"initial_score must be in (0, 1] and not round to 0, "
+                f"got {self.initial_score}"
             )
         # NaN compares False with everything, so `< 0` alone would pass it.
         for name in ("noise_std", "min_separation", "inc", "inh", "dec"):
@@ -235,10 +244,10 @@ def run_interaction(
     if category_id is None:
         # Even a fresh category cannot separate the topic from an exact
         # twin observation; abort with no learning updates.
-        return InteractionRecord(
+        return _new_tuple(InteractionRecord, (
             interaction_number, speaker.agent_id, hearer.agent_id, scene,
             topic_id, None, None, False, FAILURE_DEGENERATE,
-        )
+        ))
 
     construction = speaker.inventory.produce(category_id)
     if construction is None:
@@ -272,10 +281,10 @@ def run_interaction(
     else:
         hearer_referent_id = point(speaker_body, topic_id)
 
-    record = InteractionRecord(
+    record = _new_tuple(InteractionRecord, (
         interaction_number, speaker.agent_id, hearer.agent_id, scene,
         topic_id, construction.form, pointed_id, success, failure_reason,
-    )
+    ))
     align(speaker, SPEAKER, record, params, construction, topic_id, speaker_model)
     align(
         hearer, HEARER, record, params,

@@ -13,6 +13,14 @@ is ever empty. `add_construction` and `_prune`, the only methods that add or
 remove a construction, keep the list and both indexes in step. So every
 lookup reads the one bucket it needs and costs its matches, not the whole
 inventory.
+
+Every score a method stores is rounded to 12 decimals by `_rounded`, which
+memoises `round` in a module-level dict. A run at the default increments
+sees a few dozen distinct scores, so nearly every call is one dict lookup.
+Only positive floats are memoised. A score at or below zero is pruned at
+once anyway, and a dict key cannot tell -0.0 from 0.0, nor 1.0 from the int
+1, which `round` keeps as they are. The dict is cleared whenever it reaches
+`_ROUNDED_MAX` entries, so its memory is bounded however long a run is.
 """
 from __future__ import annotations
 
@@ -31,8 +39,20 @@ SYLLABLES_PER_WORD = 3
 # exact 0.0 so the removal threshold is not defeated by float dust.
 _SCORE_DECIMALS = 12
 
+# score -> round(score, _SCORE_DECIMALS), for positive floats only.
+_ROUNDED: dict[float, float] = {}
+_ROUNDED_MAX = 4096
+
 
 def _rounded(score: float) -> float:
+    if score.__class__ is float and score > 0.0:
+        try:
+            return _ROUNDED[score]
+        except KeyError:
+            if len(_ROUNDED) >= _ROUNDED_MAX:
+                _ROUNDED.clear()
+            rounded = _ROUNDED[score] = round(score, _SCORE_DECIMALS)
+            return rounded
     return round(score, _SCORE_DECIMALS)
 
 
@@ -91,10 +111,16 @@ class ConstructionInventory:
     def add_construction(
         self, form: str, category_id: int, initial_score: float
     ) -> Construction:
-        """Store a new construction; the (form, category) pair must be fresh."""
-        if not 0.0 < initial_score <= 1.0:
+        """Store a new construction; the (form, category) pair must be fresh.
+
+        The score is stored rounded, and must lie in (0, 1] both before and
+        after rounding.
+        """
+        score = _rounded(initial_score)
+        if not (0.0 < initial_score <= 1.0 and score > 0.0):
             raise ValueError(
-                f"initial score must be in (0, 1], got {initial_score!r}"
+                f"initial score must be in (0, 1] and not round to 0, "
+                f"got {initial_score!r}"
             )
         for existing in self.by_form.get(form, ()):
             if existing.category_id == category_id:
@@ -102,7 +128,7 @@ class ConstructionInventory:
                     f"construction ({form!r}, {category_id}) already present"
                 )
         construction = Construction(
-            form=form, category_id=category_id, score=_rounded(initial_score)
+            form=form, category_id=category_id, score=score
         )
         self.constructions.append(construction)
         self.by_form.setdefault(form, []).append(construction)
@@ -169,7 +195,11 @@ class ConstructionInventory:
         """Decrease the used construction's score, removing it at zero."""
         if dec < 0:
             raise ValueError("dec must be >= 0")
-        if not any(c is used for c in self.by_form.get(used.form, ())):
+        # By identity: `in` would accept a field-equal foreign construction.
+        for c in self.by_form.get(used.form, ()):
+            if c is used:
+                break
+        else:
             raise _not_in_inventory(used)
         used.score = _rounded(used.score - dec)
         if used.score <= 0.0:

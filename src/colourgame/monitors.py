@@ -126,6 +126,10 @@ class LexiconSnapshot(NamedTuple):
     entries: tuple[dict, ...]
 
 
+# Builds a named tuple from a tuple of all its fields without the Python
+# frame of the class's generated __new__; one series point is built per row.
+_new_tuple = tuple.__new__
+
 # Fixed point for the form/meaning ratio totals: a ratio n/k with 1 <= k <= n
 # is at least 1, so it is a whole number of 2**-52 units.
 _RATIO_UNIT = 1 << (sys.float_info.mant_dig - 1)
@@ -201,7 +205,7 @@ class PopulationMonitor:
         holders = self.holders
         for agent_id in self._stale:
             agent = self._agents[agent_id]
-            ontology_size = len(agent.ontology)
+            ontology_size = len(agent.ontology.categories)
             edits = agent.inventory.edits
             old = counted.get(agent_id, _UNCOUNTED)
             if old[0] == ontology_size and old[1] == edits:
@@ -243,7 +247,7 @@ def compute_series_point(monitor: PopulationMonitor, at: int) -> SeriesPoint:
         meanings_per_form = monitor.meanings_per_form_units / _RATIO_UNIT / ratio_agents
     else:
         forms_per_meaning = meanings_per_form = 0.0
-    return SeriesPoint(
+    return _new_tuple(SeriesPoint, (
         at,
         monitor.windowed_success(),
         monitor.ontology_total / agents if agents else 0.0,
@@ -251,7 +255,7 @@ def compute_series_point(monitor: PopulationMonitor, at: int) -> SeriesPoint:
         len(monitor.holders),
         forms_per_meaning,
         meanings_per_form,
-    )
+    ))
 
 
 def take_snapshot(agent: "Agent", at: int) -> LexiconSnapshot:

@@ -202,6 +202,24 @@ def test_unplaceable_random_palette_exits_2_before_writing(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_initial_score_that_rounds_to_zero_exits_2_before_writing(
+    tmp_path, capsys
+):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(
+        json.dumps({"initial_score": 1e-13, "num_interactions": 20})
+    )
+    out_dir = tmp_path / "out"
+    code = main(["run", "--config", str(config_file), "--out-dir", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("configuration error: initial_score")
+    assert not out_dir.exists()
+
+
 def test_missing_config_file_exits_2_and_output_io_error_exits_1(
     tmp_path, capsys
 ):

@@ -23,6 +23,7 @@ from colourgame.engine import (
 from colourgame.embodiment import make_body
 from colourgame.errors import ConfigurationError, InternalConsistencyError
 from colourgame.lexicon import HEARER, SPEAKER
+from colourgame.monitors import SeriesPoint
 from colourgame.world import (
     DEFAULT_PALETTE,
     Colour,
@@ -258,6 +259,27 @@ def test_record_consistency_over_many_games():
     assert FAILURE_NONE in reasons and FAILURE_UNKNOWN_WORD in reasons
 
 
+def test_records_and_series_points_are_whole_instances_of_their_class():
+    # The engine and the monitor build both without calling the class, so
+    # nothing else checks their type and arity. At noise 200 with every
+    # object in every scene, some games abort as degenerate.
+    params = ExperimentParams(
+        num_interactions=300, noise_std=200.0, objects_per_scene=6
+    )
+    result = run_experiment(params, seed=0)
+    reasons = {record.failure_reason for record in result.records}
+    assert FAILURE_DEGENERATE in reasons and FAILURE_NONE in reasons
+    for cls, items in (
+        (InteractionRecord, result.records),
+        (SeriesPoint, result.series),
+    ):
+        assert len(items) == params.num_interactions
+        for item in items:
+            assert type(item) is cls
+            assert len(item) == len(cls._fields)
+            assert cls(*item) == item
+
+
 def test_games_only_mutate_the_two_participants():
     params = ExperimentParams()
     world = make_world(params.palette, params.objects_per_scene)
@@ -355,6 +377,8 @@ def test_params_validation_rejects_out_of_range_values():
         ExperimentParams(num_interactions=-1),
         ExperimentParams(noise_std=-0.1),
         ExperimentParams(initial_score=0.0),
+        # Positive, but stored rounded to 12 decimals as 0.0.
+        ExperimentParams(initial_score=1e-13),
         ExperimentParams(inc=-0.1),
         ExperimentParams(shift_rate=1.5),
         ExperimentParams(window=0),

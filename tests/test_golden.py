@@ -94,7 +94,9 @@ BATCH = {"runs": 2, "num_interactions": 300, "seed": 0}
 # games, against 26 at the default scores. With one object per scene the
 # closest category always discriminates and every heard word points at the
 # only object, so each agent keeps a single category and both runs end on one
-# word.
+# word. Steps of seven decimals leave scores whose 12-decimal rounding moves
+# them: the fine-scores case rounds 187 distinct scores, and 321 of its 1,750
+# score updates store a value other than the one computed.
 CASES = {
     "fixed_palette": {"random_palette": False},
     "random_palette": {"random_palette": True},
@@ -114,6 +116,7 @@ CASES = {
     },
     "harsh_scores": {"inh": 0.3, "dec": 0.5, "initial_score": 1.0},
     "one_object": {"objects_per_scene": 1},
+    "fine_scores": {"inc": 0.1234567, "inh": 0.0345678, "dec": 0.2345678},
 }
 
 # SHA-256 of every file a batch writes, and of what it prints; config.json
@@ -200,6 +203,17 @@ GOLDEN_DIGESTS = {
         "run-1/snapshots.html": "af4b38a0f5fb3fd8ad8d4d761e3bee17241716fcd76cfdb97f10aa18a16a97d7",
         "run-1/snapshots.json": "be93e132c5fd87e970ff43f6eff7fd5bbc7fb1c0bb43cbca97a4b41f7a5b1673",
         "stdout": "35e76f236b7408a77eb5f8d223510d92d8823c5e3bb58591e471ac28386d1859",
+    },
+    "fine_scores": {
+        "aggregate.csv": "fe21ef784928692072a0a37d46fb87517cc0c55aa20ea6126ac1082571d00bf7",
+        "config.json": "fc8dc3e50e92f0a6e311ce84582ea46e068f8dda87cac8d99dfb00b9dcd79fcb",
+        "run-0/series.csv": "76648a5a4c4f7d864773cc1c9c4cc08c6ecf7edd25f46db9cdb7735af97258a5",
+        "run-0/snapshots.html": "75303ea605435f8ee2e4d21da6e74036c89366fab2019e4738d3a0694d9b8ca5",
+        "run-0/snapshots.json": "715116ba9c4accab5fa51dab079178e7005c969e3cce3c05433b984fc4d75e65",
+        "run-1/series.csv": "f9d39f337d5cdd04413c9bd7d54569311abc0e369a74724b3e680a092de6b10e",
+        "run-1/snapshots.html": "d9f20eda48d6805c6146a977fdc4089421a6eb1e6b3a316db3310b125c3971c8",
+        "run-1/snapshots.json": "a1b093b1e1664fe27c71045d33743d56480aefd308bba8c5fa2d3e543a089774",
+        "stdout": "e5ea5617fbfcbed1ece2476f72184f89135f656f5d64863a4dc081778f2a9221",
     },
 }
 

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from colourgame import lexicon
 from colourgame.errors import InternalConsistencyError
 from colourgame.lexicon import (
     CONSONANTS,
@@ -49,6 +50,10 @@ def test_add_construction_rejects_duplicates_and_bad_scores():
         inventory.add_construction("ponuro", 2, 0.0)
     with pytest.raises(ValueError):
         inventory.add_construction("ponuro", 2, 1.2)
+    # Positive, but rounded to 12 decimals it would be stored as 0.0.
+    with pytest.raises(ValueError):
+        inventory.add_construction("ponuro", 2, 1e-13)
+    assert len(inventory) == 1 and inventory.edits == 1
     inventory.add_construction("ponuro", 2, 1.0)  # upper bound inclusive
 
 
@@ -171,6 +176,17 @@ def test_punish_arithmetic_and_removal():
     weak = inventory.add_construction("ponuro", 2, 0.1)
     inventory.punish(weak, 0.1)
     assert inventory.comprehend("ponuro") is None
+
+
+def test_punish_rejects_a_field_equal_foreign_construction():
+    inventory = ConstructionInventory()
+    used = inventory.add_construction("fusemo", 1, 0.5)
+    foreign = ConstructionInventory().add_construction("fusemo", 1, 0.5)
+    assert foreign == used and foreign is not used
+    with pytest.raises(InternalConsistencyError):
+        inventory.punish(foreign, 0.1)
+    assert inventory.constructions == [used]
+    assert used.score == 0.5 and foreign.score == 0.5
 
 
 @pytest.mark.parametrize("score,dec", [(0.5, 0.1), (0.5, 0.2), (1.0, 0.3)])
@@ -348,3 +364,74 @@ def test_index_follows_every_add_reward_punish_and_prune():
                     constructions, form
                 )
     assert prunes > 300 and foreign > 300
+
+
+def _rounded_inputs_of_random_updates(seed: int, wanted: int) -> list[float]:
+    """Every score handed to `_rounded` by random add, reward/inhibit and
+    punish sequences under random increments."""
+    seen: list[float] = []
+    real = lexicon._rounded
+
+    def recording(score):
+        seen.append(score)
+        return real(score)
+
+    rng = random.Random(seed)
+    lexicon._rounded = recording
+    try:
+        while len(seen) < wanted:
+            inc, inh, dec = (
+                round(rng.uniform(0, 0.3), rng.randint(1, 9)) for _ in range(3)
+            )
+            inventory = ConstructionInventory()
+            for _ in range(rng.randint(1, 6)):
+                inventory.add_construction(
+                    invent_word_form(rng, inventory.forms()),
+                    rng.randint(1, 3),
+                    round(rng.uniform(0.06, 1.0), rng.randint(1, 9)),
+                )
+            for _ in range(rng.randint(1, 30)):
+                if not inventory.constructions:
+                    break
+                used = rng.choice(inventory.constructions)
+                if rng.random() < 0.6:
+                    inventory.reward_and_inhibit(
+                        used, rng.choice((SPEAKER, HEARER)), inc, inh
+                    )
+                else:
+                    inventory.punish(used, dec)
+    finally:
+        lexicon._rounded = real
+    return seen
+
+
+def test_memoised_rounding_equals_round_bit_for_bit():
+    # 12-decimal ties k.5e-12 and the floats either side of them, where an
+    # inexact memo would round the other way.
+    ties = [(k + 0.5) / 10**12 for k in range(0, 10**12, 7_777_777_777)]
+    near_ties = [
+        math.nextafter(x, direction) for x in ties for direction in (0.0, 1.0)
+    ]
+    signed_zeros_and_negatives = [0.0, -0.0, -1e-13, -4e-13, -5e-324, -0.05]
+    scores = _rounded_inputs_of_random_updates(seed=13, wanted=10_000)
+    assert len(scores) >= 10_000
+    inputs = signed_zeros_and_negatives + ties + near_ties + scores
+    lexicon._ROUNDED.clear()
+    # Twice over: the first pass fills the memo, the second reads it.
+    for _ in range(2):
+        for x in inputs:
+            assert lexicon._rounded(x).hex() == round(x, 12).hex(), x
+    # A memoised 1.0 must not turn the int 1, which round keeps, into a float.
+    assert lexicon._rounded(1.0) == 1.0
+    assert type(lexicon._rounded(1)) is int
+
+
+def test_rounding_memo_stays_within_its_bound():
+    lexicon._ROUNDED.clear()
+    bound = lexicon._ROUNDED_MAX
+    rng = random.Random(5)
+    for _ in range(3 * bound + 1):
+        x = rng.random() + 1e-9
+        assert lexicon._rounded(x) == round(x, 12)
+        assert len(lexicon._ROUNDED) <= bound
+    assert lexicon._ROUNDED
