@@ -49,6 +49,8 @@ from .world import (
     Colour,
     World,
     check_separation,
+    draw_index,
+    draw_sample,
     make_world,
     random_palette,
     sample_scene,
@@ -200,7 +202,7 @@ def select_pair(
         raise ConfigurationError(
             f"need at least 2 agents to play, got {len(population)}"
         )
-    speaker, hearer = rng.sample(population, 2)
+    speaker, hearer = draw_sample(rng, population, 2)
     return speaker, hearer
 
 
@@ -208,7 +210,7 @@ def choose_topic(scene: tuple[str, ...], rng: random.Random) -> str:
     """Pick the id of the object the speaker will talk about, uniformly."""
     if not scene:
         raise InternalConsistencyError("cannot choose a topic in an empty scene")
-    return rng.choice(scene)
+    return scene[draw_index(rng, len(scene))]
 
 
 def run_interaction(

@@ -12,12 +12,22 @@ the config palette, the default palette and every `random_palette` draw.
 Inside the engine, `perceive` and `Colour.shifted_towards` build colours
 through `Colour.clipped`, whose clamps already keep every channel in range,
 so the per-game path pays no second check.
+
+Every random draw of a game is one of CPython's own algorithms, unrolled
+into the generator's primitive calls: `perceive` is `random.gauss`,
+`draw_sample` is `random.sample` and `draw_index` is the index
+`random.choice` draws. Each makes the same `random()` or `getrandbits()`
+calls in the same order as the library method and leaves the generator in
+the same state, so a fixed config and seed give the same bytes as the
+library would. The three algorithms are the same in CPython 3.10 to 3.13,
+and `tests/test_world.py` pins each against the running interpreter's.
 """
 from __future__ import annotations
 
 import math
 import random
-from math import cos as _cos, log as _log, sin as _sin, sqrt as _sqrt
+from collections.abc import Sequence
+from math import ceil as _ceil, cos as _cos, log as _log, sin as _sin, sqrt as _sqrt
 from operator import itemgetter
 
 from .errors import ConfigurationError
@@ -185,7 +195,61 @@ def random_palette(
 def sample_scene(world: World, rng: random.Random) -> tuple[str, ...]:
     """Draw the ids of `objects_per_scene` distinct objects uniformly without
     replacement."""
-    return tuple(rng.sample(world.object_ids, world.objects_per_scene))
+    return tuple(draw_sample(rng, world.object_ids, world.objects_per_scene))
+
+
+def draw_sample(rng: random.Random, population: Sequence, k: int) -> list:
+    """Return `rng.sample(population, k)` for a sequence, drawn without its
+    Python frames.
+
+    This is CPython's `random.sample` with `_randbelow` unrolled into its
+    `getrandbits` calls: a list pool (swap the pick with the last live
+    entry) when `population` is no larger than the set `sample` would
+    need, else rejection against a set of the indices already drawn. The
+    same bits are drawn in the same order, so the result and the
+    generator's state afterwards are exactly those of `rng.sample`.
+    """
+    n = len(population)
+    # Without it, k > n would loop forever on getrandbits(0).
+    if not 0 <= k <= n:
+        raise ValueError(f"sample size {k} outside [0, {n}]")
+    getrandbits = rng.getrandbits
+    setsize = 21  # sample's size of a small set minus that of an empty list
+    if k > 5:
+        setsize += 4 ** _ceil(_log(k * 3, 4))
+    result = []
+    if n <= setsize:
+        pool = list(population)
+        for m in range(n, n - k, -1):  # m: entries still in the pool
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            result.append(pool[j])
+            pool[j] = pool[m - 1]
+        return result
+    bits = n.bit_length()
+    selected = set()
+    for _ in range(k):
+        j = getrandbits(bits)
+        # sample redraws out-of-range bits and repeats alike, one
+        # getrandbits call each, so one loop makes its draws.
+        while j >= n or j in selected:
+            j = getrandbits(bits)
+        selected.add(j)
+        result.append(population[j])
+    return result
+
+
+def draw_index(rng: random.Random, n: int) -> int:
+    """Return the index `rng.choice` draws for a sequence of length n >= 1,
+    with the same `getrandbits` calls."""
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
+    j = getrandbits(bits)
+    while j >= n:
+        j = getrandbits(bits)
+    return j
 
 
 def perceive(

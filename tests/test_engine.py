@@ -29,6 +29,7 @@ from colourgame.world import (
     Colour,
     make_world,
     perceive,
+    random_palette,
     sample_scene,
 )
 
@@ -108,6 +109,36 @@ def test_choose_topic_draws_what_a_choice_over_observations_draws():
         topic_id = choose_topic(scene, rng)
         assert (topic_id, model[topic_id]) == old_rng.choice(observations)
         assert rng.getstate() == old_rng.getstate()
+
+
+def test_select_pair_draws_what_a_sample_of_two_draws():
+    # sample keeps a list pool up to 21 agents and a set of the indices drawn
+    # above that; both must pick the same pair and leave the same state.
+    for size in (2, 5, 21, 22, 50, 200):
+        population = make_population(size)
+        rng, old_rng = random.Random(size), random.Random(size)
+        for _ in range(200):
+            assert list(select_pair(population, rng)) == old_rng.sample(
+                population, 2
+            )
+            assert rng.getstate() == old_rng.getstate()
+
+
+@pytest.mark.parametrize(
+    "palette",
+    [DEFAULT_PALETTE, random_palette(random.Random(12), 12)],
+    ids=["default", "random12"],
+)
+def test_sample_scene_draws_what_a_sample_of_the_ids_draws(palette):
+    # Every scene of 1-6 objects from 6 or 12 ids, each draw in sample's pool.
+    for k in range(1, 7):
+        world = make_world(palette, k)
+        rng, old_rng = random.Random(31 * k), random.Random(31 * k)
+        for _ in range(200):
+            assert list(sample_scene(world, rng)) == old_rng.sample(
+                world.object_ids, k
+            )
+            assert rng.getstate() == old_rng.getstate()
 
 
 def test_choose_topic_empty_model_is_an_error():

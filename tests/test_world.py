@@ -10,6 +10,8 @@ from colourgame.errors import ConfigurationError
 from colourgame.world import (
     DEFAULT_PALETTE,
     Colour,
+    draw_index,
+    draw_sample,
     make_world,
     perceive,
     random_palette,
@@ -249,7 +251,7 @@ def test_perceive_draws_exactly_what_gauss_draws(noise_std):
     def next_scene(r):
         scene = tuple(r.sample(world.object_ids, r.randint(1, 6)))
         if r.random() < 0.1:
-            r.gauss()
+            r.gauss(0.0, 1.0)  # 3.10 has no default mu and sigma
         return scene
 
     rng, oracle_rng = random.Random(77), random.Random(77)
@@ -268,6 +270,42 @@ def test_perceive_draws_exactly_what_gauss_draws(noise_std):
         assert rng.getstate() == oracle_rng.getstate()
         assert rng.choice(world.object_ids) == oracle_rng.choice(world.object_ids)
     assert 50 < carried < 250
+
+
+def test_draw_sample_and_draw_index_draw_what_sample_and_choice_draw():
+    # Twin generators: one draws through the helpers, its oracle through
+    # rng.sample and rng.choice; both must return the same values and be in
+    # the same state after every call. sample keeps a list pool for n <= 21,
+    # and for n <= 21 + 4 ** ceil(log(3k, 4)) once k > 5, else a set of the
+    # indices drawn: n 1-60 with k 0-8 reach the pool, the enlarged pool
+    # (n 22-60 at k 6-8) and the set; n 100 and 1000 reach the set at every
+    # k. Perception and stray gauss calls in between move the Gaussian spare
+    # that getstate includes, as in a run.
+    world = make_world(DEFAULT_PALETTE, 1)
+    rng, oracle_rng = random.Random(1234), random.Random(1234)
+    interleave = random.Random(5)
+    for n in (*range(1, 61), 100, 1000):
+        population = [f"x{i}" for i in range(n)]
+        for k in range(min(n, 8) + 1):
+            for _ in range(12):
+                drawn = draw_sample(rng, population, k)
+                assert drawn == oracle_rng.sample(population, k)
+                assert rng.getstate() == oracle_rng.getstate()
+                picked = population[draw_index(rng, n)]
+                assert picked == oracle_rng.choice(population)
+                assert rng.getstate() == oracle_rng.getstate()
+                if interleave.random() < 0.2:
+                    scene = world.object_ids[: interleave.randint(1, 6)]
+                    perceive(world, scene, 5.0, rng)
+                    perceive(world, scene, 5.0, oracle_rng)
+                if interleave.random() < 0.1:
+                    assert rng.gauss(0.0, 1.0) == oracle_rng.gauss(0.0, 1.0)
+        for k in (-1, n + 1):
+            with pytest.raises(ValueError):
+                draw_sample(rng, population, k)
+            with pytest.raises(ValueError):
+                oracle_rng.sample(population, k)
+            assert rng.getstate() == oracle_rng.getstate()
 
 
 def test_world_model_lookup():
