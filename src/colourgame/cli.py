@@ -121,6 +121,10 @@ def parse_config(
             raise ConfigurationError(
                 f"config file {config_path} is not valid JSON: {exc}"
             ) from exc
+        except RecursionError as exc:
+            raise ConfigurationError(
+                f"config file {config_path} is not valid JSON: nested too deeply"
+            ) from exc
         except UnicodeDecodeError as exc:
             raise ConfigurationError(
                 f"config file {config_path} is not UTF-8 text: {exc.reason}"
@@ -167,6 +171,11 @@ def _validate_ranges(config: ExperimentConfig) -> None:
         raise ConfigurationError(f"seed must be >= 0, got {config.seed}")
     if config.parallel < 1:
         raise ConfigurationError(f"parallel must be >= 1, got {config.parallel}")
+    # The OS takes no path with a null byte; Path.mkdir would raise ValueError.
+    if "\0" in config.out_dir:
+        raise ConfigurationError(
+            f"out_dir must not hold a null byte, got {config.out_dir!r}"
+        )
     # Shared game parameters take their range checks from the engine.
     _game_params(config).validate()
 

@@ -14,7 +14,8 @@ through `Colour.clipped`, whose clamps already keep every channel in range,
 so the per-game path pays no second check.
 
 Every random draw of a game is one of CPython's own algorithms, unrolled
-into the generator's primitive calls: `perceive` is `random.gauss`,
+into the generator's primitive calls: `perceive` is `random.gauss`, three
+calls per scene object made in the loop that builds the object's colour,
 `draw_sample` is `random.sample` and `draw_index` is the index
 `random.choice` draws. Each makes the same `random()` or `getrandbits()`
 calls in the same order as the library method and leaves the generator in
@@ -260,37 +261,48 @@ def perceive(
     Returns the world model: each scene object's id mapped to its observed
     colour, in scene order.
 
-    The 3 * k channel noises of a k-object scene are drawn in one loop that
-    is CPython's `random.gauss`, unrolled: the same Box-Muller pairs from the
-    same `rng.random()` calls in the same order, and the spare second value
-    of a pair read from and written back to `rng.gauss_next`. So the
-    observed colours and the generator's state afterwards are exactly those
-    of 3 * k `rng.gauss(0.0, noise_std)` calls, as every output depends on.
-    The algorithm is the same in CPython 3.10 to 3.13;
+    Each object's three channel noises are drawn in the pass that builds its
+    colour, by CPython's `random.gauss` unrolled: Box-Muller pairs from
+    `rng.random()` calls, each pair's second value kept as a spare. The
+    spare is a local, read from `rng.gauss_next` on entry and written back
+    on exit, an empty scene included. An object with no spare pending draws
+    two pairs and keeps the last one's second value; an object with one
+    spends it and draws one pair. So a k-object scene makes the same
+    `rng.random()` calls in the same order as 3 * k
+    `rng.gauss(0.0, noise_std)` calls, and the observed colours and the
+    generator's state afterwards are exactly theirs, as every output
+    depends on. The algorithm is the same in CPython 3.10 to 3.13;
     `tests/test_world.py::test_perceive_draws_exactly_what_gauss_draws`
     pins it against `rng.gauss`.
     """
     # One chain rejects negative, NaN and infinite noise alike.
     if not 0.0 <= noise_std < math.inf:
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
-    count = 3 * len(scene)
     spare = rng.gauss_next
-    z = [] if spare is None else [spare]
     uniform = rng.random
-    while len(z) < count:
-        x2pi = uniform() * _TWOPI
-        g2rad = _sqrt(-2.0 * _log(1.0 - uniform()))
-        z.append(_cos(x2pi) * g2rad)
-        z.append(_sin(x2pi) * g2rad)
-    rng.gauss_next = z.pop() if len(z) > count else None
-    # gauss returns 0.0 + z * sigma; the channel adds z * sigma alone, which
-    # differs only in the sign of a zero sum, and the clamp maps both to 0.0.
     clipped, true_colours = Colour.clipped, world.true_colours
     model = {}
-    draws = iter(z)  # zip takes three in order for each object
-    for object_id, zr, zg, zb in zip(scene, draws, draws, draws):
+    for object_id in scene:
+        x2pi = uniform() * _TWOPI
+        g2rad = _sqrt(-2.0 * _log(1.0 - uniform()))
+        if spare is None:
+            zr = _cos(x2pi) * g2rad
+            zg = _sin(x2pi) * g2rad
+            x2pi = uniform() * _TWOPI
+            g2rad = _sqrt(-2.0 * _log(1.0 - uniform()))
+            zb = _cos(x2pi) * g2rad
+            spare = _sin(x2pi) * g2rad
+        else:
+            zr = spare
+            zg = _cos(x2pi) * g2rad
+            zb = _sin(x2pi) * g2rad
+            spare = None
         r, g, b = true_colours[object_id]
+        # gauss returns 0.0 + z * sigma; the channel adds z * sigma alone,
+        # which differs only in the sign of a zero sum, and the clamp maps
+        # both to 0.0.
         model[object_id] = clipped(
             r + zr * noise_std, g + zg * noise_std, b + zb * noise_std
         )
+    rng.gauss_next = spare
     return model

@@ -220,6 +220,42 @@ def test_initial_score_that_rounds_to_zero_exits_2_before_writing(
     assert not out_dir.exists()
 
 
+def test_out_dir_with_a_null_byte_exits_2_before_writing(
+    tmp_path, capsys, monkeypatch
+):
+    # Only a config file can carry a null byte: neither argv nor the
+    # environment can. Path.mkdir would raise a bare ValueError on it.
+    monkeypatch.chdir(tmp_path)
+    config_file = tmp_path / "config.json"
+    config_file.write_text(
+        json.dumps({"out_dir": "a\u0000b", "num_interactions": 5})
+    )
+    assert main(["run", "--config", str(config_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("configuration error: out_dir")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_deeply_nested_config_file_exits_2_before_writing(tmp_path, capsys):
+    # json.load raises RecursionError, not JSONDecodeError, on nesting this
+    # deep.
+    config_file = tmp_path / "config.json"
+    config_file.write_text("[" * 100_000 + "]" * 100_000)
+    out_dir = tmp_path / "out"
+    code = main(["run", "--config", str(config_file), "--out-dir", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("configuration error: config file")
+    assert "not valid JSON" in lines[0]
+    assert not out_dir.exists()
+
+
 def test_missing_config_file_exits_2_and_output_io_error_exits_1(
     tmp_path, capsys
 ):

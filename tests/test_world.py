@@ -272,6 +272,39 @@ def test_perceive_draws_exactly_what_gauss_draws(noise_std):
     assert 50 < carried < 250
 
 
+@pytest.mark.parametrize("noise_std", [0, 3, 200.0])
+@pytest.mark.parametrize("pending", [False, True], ids=["no-spare", "spare"])
+@pytest.mark.parametrize("size", range(7))
+def test_perceive_draws_what_gauss_draws_at_every_scene_size(
+    size, pending, noise_std
+):
+    # Every scene size the default palette allows, empty included, entered
+    # with and without a Gaussian spare pending: an object with no spare
+    # draws two Box-Muller pairs and keeps one value, an object with one
+    # spends it. The int 0 is the noise as the zero_noise golden config
+    # spells it.
+    world = make_world(DEFAULT_PALETTE, 1)
+    for seed in range(20):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        if pending:
+            assert rng.gauss(0.0, 1.0) == oracle_rng.gauss(0.0, 1.0)
+        spare = rng.gauss_next
+        assert (spare is not None) == pending
+        scene = tuple(random.Random(-seed).sample(world.object_ids, size))
+        model = perceive(world, scene, noise_std, rng)
+        expected = oracle_perceive(world, scene, noise_std, oracle_rng)
+        assert [
+            (object_id, [repr(v) for v in observed])
+            for object_id, observed in model.items()
+        ] == [(oid, [repr(v) for v in channels]) for oid, channels in expected]
+        assert rng.getstate() == oracle_rng.getstate()
+        if not scene:
+            assert model == {}
+            assert rng.gauss_next is spare
+        # Three draws an object: the parity of the scene size flips the spare.
+        assert (rng.gauss_next is not None) == (pending != (size % 2 == 1))
+
+
 def test_draw_sample_and_draw_index_draw_what_sample_and_choice_draw():
     # Twin generators: one draws through the helpers, its oracle through
     # rng.sample and rng.choice; both must return the same values and be in
