@@ -6,6 +6,10 @@ capability calls (embody, observe_world, speak, hear, point, nod) on it
 through this module's functions. New backends register a factory under a new
 kind and callers stay unchanged.
 
+The utterance passes between bodies as a value: the speaker's `speak`
+returns what went on air, and the hearer's `hear` takes that and returns
+what it heard. Nothing else is shared between two bodies.
+
 Only the "simulated" backend ships with the package. A live backend would
 drive a remote body over HTTP; the wire contract reserved for it is a POST to
 the endpoint `/speech/say` with body `{"speech": "<utterance>"}`, answered by
@@ -25,31 +29,6 @@ from .world import Colour, World, perceive
 SIMULATED = "simulated"
 
 
-class UtteranceChannel:
-    """Carries at most one pending utterance from a speak to the matching hear."""
-
-    __slots__ = ("pending",)
-
-    def __init__(self) -> None:
-        self.pending: str | None = None
-
-    def put(self, utterance: str) -> None:
-        if not isinstance(utterance, str) or not utterance:
-            raise ValueError(f"invalid word form: {utterance!r}")
-        if self.pending is not None:
-            raise ProtocolError(
-                f"channel already holds {self.pending!r}; hear it before "
-                "speaking again"
-            )
-        self.pending = utterance
-
-    def take(self) -> str:
-        if self.pending is None:
-            raise ProtocolError("nothing was spoken on this channel")
-        utterance, self.pending = self.pending, None
-        return utterance
-
-
 class Backend(Protocol):
     """The capability set every body backend implements."""
 
@@ -62,9 +41,9 @@ class Backend(Protocol):
         self, world: World, scene: tuple[str, ...], rng: random.Random
     ) -> dict[str, Colour]: ...
 
-    def speak(self, channel: UtteranceChannel, utterance: str) -> bool: ...
+    def speak(self, utterance: str) -> str: ...
 
-    def hear(self, channel: UtteranceChannel) -> str: ...
+    def hear(self, utterance: str) -> str: ...
 
     def point(self, object_id: str) -> str: ...
 
@@ -97,12 +76,13 @@ class SimulatedBackend:
         self._scene = scene
         return perceive(world, scene, self.noise_std, rng)
 
-    def speak(self, channel: UtteranceChannel, utterance: str) -> bool:
-        channel.put(utterance)
-        return True
+    def speak(self, utterance: str) -> str:
+        if not isinstance(utterance, str) or not utterance:
+            raise ValueError(f"invalid word form: {utterance!r}")
+        return utterance
 
-    def hear(self, channel: UtteranceChannel) -> str:
-        return channel.take()
+    def hear(self, utterance: str) -> str:
+        return utterance
 
     def point(self, object_id: str) -> str:
         if self._scene is None or object_id not in self._scene:
@@ -153,14 +133,14 @@ def observe_world(
     return body.observe_world(world, scene, rng)
 
 
-def speak(body: Backend, channel: UtteranceChannel, utterance: str) -> bool:
-    """Say the utterance onto the channel; fails if one is already pending."""
-    return body.speak(channel, utterance)
+def speak(body: Backend, utterance: str) -> str:
+    """Say the utterance; returns what went on air."""
+    return body.speak(utterance)
 
 
-def hear(body: Backend, channel: UtteranceChannel) -> str:
-    """Pick up the pending utterance, emptying the channel."""
-    return body.hear(channel)
+def hear(body: Backend, utterance: str) -> str:
+    """Listen to what went on air; returns what this body heard."""
+    return body.hear(utterance)
 
 
 def point(body: Backend, object_id: str) -> str:

@@ -3,16 +3,18 @@
 One game runs through a fixed script: two randomly drawn agents are embodied,
 both observe the scene through their own sensors, the speaker picks a topic
 and conceptualises it (inventing a category if needed), produces a word
-(inventing one if needed), and utters it; the hearer comprehends, interprets,
-and points at its hypothesis; the speaker nods on success or points at the
-true topic on failure; finally both agents align their lexicons and
-prototypes. Nothing is shared between agents except the scene, the utterance
-and the pointing gestures.
+(inventing one if needed), and utters it; the hearer hears what went on air,
+comprehends it, interprets it, and points at its hypothesis; the speaker nods
+on success or points at the true topic on failure; finally both agents align
+their lexicons and prototypes. Nothing is shared between agents except the
+scene, the utterance and the pointing gestures.
 
 A scene is the tuple of its object ids and a world model maps each of them
 to the observed colour (see `world`), so the topic, the hearer's hypothesis
 and every referent are object ids. Each agent reads a referent's colour from
-its own world model.
+its own world model. The pair and the topic are drawn in line:
+`ExperimentParams.validate` guarantees at least two agents, and a `World`
+at least one object per scene.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ from . import monitors
 from .conceptual import Ontology
 from .embodiment import (
     Backend,
-    UtteranceChannel,
     embody,
     hear,
     make_body,
@@ -36,6 +37,7 @@ from .embodiment import (
 )
 from .errors import ConfigurationError, InternalConsistencyError
 from .lexicon import (
+    _ROUNDED,
     HEARER,
     SPEAKER,
     Construction,
@@ -62,6 +64,10 @@ FAILURE_WRONG_REFERENT = "wrong_referent"
 FAILURE_DEGENERATE = "degenerate"
 
 SNAPSHOT_ALL = "all"
+
+# Stops a mistyped size before it allocates: 100 times the largest population
+# studied (1000). A fresh agent takes ~560 bytes, so ~56 MB at the bound.
+MAX_POPULATION = 100_000
 
 # Builds a named tuple from a tuple of all its fields without the Python
 # frame of the class's generated __new__; one record is built per game.
@@ -95,9 +101,10 @@ class ExperimentParams(NamedTuple):
 
     def validate(self) -> None:
         """Reject out-of-range values before any game is played."""
-        if self.population_size < 2:
+        if not 2 <= self.population_size <= MAX_POPULATION:
             raise ConfigurationError(
-                f"population_size must be >= 2, got {self.population_size}"
+                f"population_size must be in [2, {MAX_POPULATION}], "
+                f"got {self.population_size}"
             )
         palette_len = (
             self.palette_size if self.random_palette else len(self.palette)
@@ -194,25 +201,6 @@ def make_population(size: int) -> list[Agent]:
     return [Agent(agent_id=i) for i in range(size)]
 
 
-def select_pair(
-    population: list[Agent], rng: random.Random
-) -> tuple[Agent, Agent]:
-    """Draw a (speaker, hearer) pair uniformly over ordered pairs."""
-    if len(population) < 2:
-        raise ConfigurationError(
-            f"need at least 2 agents to play, got {len(population)}"
-        )
-    speaker, hearer = draw_sample(rng, population, 2)
-    return speaker, hearer
-
-
-def choose_topic(scene: tuple[str, ...], rng: random.Random) -> str:
-    """Pick the id of the object the speaker will talk about, uniformly."""
-    if not scene:
-        raise InternalConsistencyError("cannot choose a topic in an empty scene")
-    return scene[draw_index(rng, len(scene))]
-
-
 def run_interaction(
     population: list[Agent],
     world: World,
@@ -226,7 +214,8 @@ def run_interaction(
     All anomalies are encoded in the record's failure_reason; the only
     exceptions that escape are genuine bugs.
     """
-    speaker, hearer = select_pair(population, rng)
+    # (speaker, hearer), uniform over ordered pairs.
+    speaker, hearer = draw_sample(rng, population, 2)
     scene = sample_scene(world, rng)
     speaker_body, hearer_body = bodies
     embody(speaker_body, speaker.agent_id)
@@ -235,7 +224,7 @@ def run_interaction(
     speaker_model = observe_world(speaker_body, world, scene, rng)
     hearer_model = observe_world(hearer_body, world, scene, rng)
 
-    topic_id = choose_topic(scene, rng)
+    topic_id = scene[draw_index(rng, len(scene))]
 
     category_id = speaker.ontology.conceptualise(topic_id, speaker_model)
     if category_id is None:
@@ -258,9 +247,7 @@ def run_interaction(
             form, category_id, params.initial_score
         )
 
-    channel = UtteranceChannel()
-    speak(speaker_body, channel, construction.form)
-    heard = hear(hearer_body, channel)
+    heard = hear(hearer_body, speak(speaker_body, construction.form))
 
     pointed_id: str | None = None
     failure_reason = FAILURE_NONE
@@ -352,6 +339,8 @@ def align(
 def run_experiment(params: ExperimentParams, seed: int) -> RunResult:
     """Run one seeded experiment: build the world and population, play the
     configured number of games, and collect series points and snapshots."""
+    # A run's score memo starts empty, whatever ran before it in the process.
+    _ROUNDED.clear()
     params.validate()
     rng = random.Random(seed)
     palette = (

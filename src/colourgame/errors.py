@@ -10,8 +10,8 @@ class ConfigurationError(ColourGameError):
 
 
 class ProtocolError(ColourGameError):
-    """A capability was used out of order (double-speak, hear on an empty
-    channel, pointing at an object outside the current scene)."""
+    """A capability was used out of order (pointing at an object outside the
+    current scene)."""
 
 
 class InternalConsistencyError(ColourGameError):

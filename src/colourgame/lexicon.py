@@ -20,7 +20,9 @@ sees a few dozen distinct scores, so nearly every call is one dict lookup.
 Only positive floats are memoised. A score at or below zero is pruned at
 once anyway, and a dict key cannot tell -0.0 from 0.0, nor 1.0 from the int
 1, which `round` keeps as they are. The dict is cleared whenever it reaches
-`_ROUNDED_MAX` entries, so its memory is bounded however long a run is.
+`_ROUNDED_MAX` entries, so its memory is bounded however long a run is, and
+`engine.run_experiment` clears it when a run starts, so what a run costs does
+not depend on what ran before it in the same process.
 """
 from __future__ import annotations
 

@@ -89,17 +89,6 @@ from .errors import ConfigurationError
 if TYPE_CHECKING:  # imported only for annotations; engine imports this module
     from .engine import Agent, InteractionRecord
 
-SERIES_FIELDS = (
-    "success_window_avg",
-    "mean_ontology_size",
-    "mean_inventory_size",
-    "distinct_forms_population",
-    "mean_forms_per_meaning",
-    "mean_meanings_per_form",
-)
-
-SERIES_HEADER = ("interaction",) + SERIES_FIELDS
-
 SERIES_CSV = "series.csv"
 SNAPSHOTS_JSON = "snapshots.json"
 SNAPSHOTS_HTML = "snapshots.html"
@@ -116,6 +105,10 @@ class SeriesPoint(NamedTuple):
     distinct_forms_population: int
     mean_forms_per_meaning: float
     mean_meanings_per_form: float
+
+
+SERIES_HEADER = SeriesPoint._fields
+SERIES_FIELDS = SERIES_HEADER[1:]
 
 
 class LexiconSnapshot(NamedTuple):
@@ -165,7 +158,6 @@ class PopulationMonitor:
     def __init__(self, population: Sequence["Agent"], window: int) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        self.population = population
         self._recent: deque[bool] = deque(maxlen=window)
         self._successes = 0
         self._agents = {agent.agent_id: agent for agent in population}

@@ -245,6 +245,9 @@ def draw_sample(rng: random.Random, population: Sequence, k: int) -> list:
 def draw_index(rng: random.Random, n: int) -> int:
     """Return the index `rng.choice` draws for a sequence of length n >= 1,
     with the same `getrandbits` calls."""
+    # Without it, n = 0 would loop forever on getrandbits(0).
+    if n < 1:
+        raise ValueError(f"no index to draw from a sequence of length {n}")
     getrandbits = rng.getrandbits
     bits = n.bit_length()
     j = getrandbits(bits)

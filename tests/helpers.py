@@ -24,7 +24,6 @@ import csv
 import io
 import math
 import random
-import statistics
 
 from colourgame.conceptual import ColourCategory
 from colourgame.embodiment import SimulatedBackend, register_backend
@@ -139,8 +138,20 @@ def windowed_success(records, window: int, at: int) -> float:
     return sum(1 for r in recent if r.success) / len(recent)
 
 
+def fmean(values) -> float:
+    """`statistics.fmean`'s value for a non-empty list, without its
+    Python-level checks."""
+    return math.fsum(values) / len(values)
+
+
 def oracle_series_point(population, records, at: int, window: int) -> SeriesPoint:
-    """Every monitored value at `at`, from a full rescan of the population."""
+    """Every monitored value at `at`, from a full rescan of the population.
+
+    An agent's forms per meaning is the mean, over the categories its
+    constructions name, of how many constructions name each. Those counts
+    are whole numbers that sum to its construction count, so the mean is
+    that count over the number of distinct categories; likewise for
+    meanings per form over distinct forms."""
     ontology_sizes = [len(agent.ontology) for agent in population]
     inventory_sizes = [len(agent.inventory) for agent in population]
     all_forms = {
@@ -153,26 +164,18 @@ def oracle_series_point(population, records, at: int, window: int) -> SeriesPoin
         constructions = agent.inventory.constructions
         if not constructions:
             continue
-        by_category: dict[int, int] = {}
-        by_form: dict[str, int] = {}
-        for c in constructions:
-            by_category[c.category_id] = by_category.get(c.category_id, 0) + 1
-            by_form[c.form] = by_form.get(c.form, 0) + 1
-        forms_per_meaning.append(statistics.fmean(by_category.values()))
-        meanings_per_form.append(statistics.fmean(by_form.values()))
+        count = len(constructions)
+        forms_per_meaning.append(count / len({c.category_id for c in constructions}))
+        meanings_per_form.append(count / len({c.form for c in constructions}))
 
     return SeriesPoint(
         interaction=at,
         success_window_avg=windowed_success(records, window, at),
-        mean_ontology_size=statistics.fmean(ontology_sizes) if population else 0.0,
-        mean_inventory_size=statistics.fmean(inventory_sizes) if population else 0.0,
+        mean_ontology_size=fmean(ontology_sizes) if population else 0.0,
+        mean_inventory_size=fmean(inventory_sizes) if population else 0.0,
         distinct_forms_population=len(all_forms),
-        mean_forms_per_meaning=(
-            statistics.fmean(forms_per_meaning) if forms_per_meaning else 0.0
-        ),
-        mean_meanings_per_form=(
-            statistics.fmean(meanings_per_form) if meanings_per_form else 0.0
-        ),
+        mean_forms_per_meaning=fmean(forms_per_meaning) if forms_per_meaning else 0.0,
+        mean_meanings_per_form=fmean(meanings_per_form) if meanings_per_form else 0.0,
     )
 
 
@@ -269,13 +272,13 @@ class RecordingBackend:
         self._log("observe_world")
         return self.inner.observe_world(world, scene, rng)
 
-    def speak(self, channel, utterance):
+    def speak(self, utterance):
         self._log("speak")
-        return self.inner.speak(channel, utterance)
+        return self.inner.speak(utterance)
 
-    def hear(self, channel):
+    def hear(self, utterance):
         self._log("hear")
-        return self.inner.hear(channel)
+        return self.inner.hear(utterance)
 
     def point(self, object_id):
         self._log("point")

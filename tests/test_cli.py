@@ -15,6 +15,7 @@ from colourgame.cli import (
     parse_config,
     run_command,
 )
+from colourgame.engine import MAX_POPULATION
 from colourgame.errors import ConfigurationError
 
 
@@ -165,6 +166,26 @@ def test_window_above_sys_maxsize_exits_2_before_writing(tmp_path, capsys, sourc
     assert not out_dir.exists()
     # The largest window a deque can take is still accepted.
     assert parse_config(None, {"window": sys.maxsize}).window == sys.maxsize
+
+
+def test_huge_population_exits_2_before_writing(tmp_path, capsys):
+    # Without a bound, make_population would allocate until memory ran out.
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({"population_size": 10**20}))
+    out_dir = tmp_path / "out"
+    code = main(["run", "--config", str(config_file), "--out-dir", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("configuration error: population_size")
+    assert not out_dir.exists()
+    # The largest population the bound allows is still accepted.
+    config = parse_config(None, {"population_size": MAX_POPULATION})
+    assert config.population_size == MAX_POPULATION
+    with pytest.raises(ConfigurationError):
+        parse_config(None, {"population_size": MAX_POPULATION + 1})
 
 
 def test_crowded_fixed_palette_exits_2_before_writing(tmp_path, capsys):

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from colourgame.embodiment import (
-    UtteranceChannel,
     hear,
     make_body,
     nod,
@@ -52,35 +51,16 @@ def test_speak_then_hear_round_trips_exact_strings():
     a = make_body("simulated", "a", noise_std=0.0)
     b = make_body("simulated", "b", noise_std=0.0)
     for utterance in ("fusemo", "sobele"):
-        channel = UtteranceChannel()
-        assert speak(a, channel, utterance) is True
-        assert hear(b, channel) == utterance
-
-
-def test_double_speak_is_a_protocol_error():
-    a = make_body("simulated", "a", noise_std=0.0)
-    channel = UtteranceChannel()
-    speak(a, channel, "fusemo")
-    with pytest.raises(ProtocolError):
-        speak(a, channel, "ponuro")
-
-
-def test_hear_on_empty_channel_is_a_protocol_error():
-    a = make_body("simulated", "a", noise_std=0.0)
-    b = make_body("simulated", "b", noise_std=0.0)
-    channel = UtteranceChannel()
-    with pytest.raises(ProtocolError):
-        hear(b, channel)
-    speak(a, channel, "fusemo")
-    hear(b, channel)
-    with pytest.raises(ProtocolError):
-        hear(b, channel)  # channel was emptied by the first hear
+        on_air = speak(a, utterance)
+        assert on_air == utterance
+        assert hear(b, on_air) == utterance
 
 
 def test_empty_utterance_is_rejected():
     a = make_body("simulated", "a", noise_std=0.0)
-    with pytest.raises(ValueError):
-        speak(a, UtteranceChannel(), "")
+    for bad in ("", None, b"fusemo"):
+        with pytest.raises(ValueError):
+            speak(a, bad)
 
 
 def test_point_requires_object_in_current_scene(world_and_scene):
@@ -133,11 +113,9 @@ def test_custom_backend_registration_needs_no_caller_changes(world_and_scene):
     assert isinstance(a, RecordingBackend)
 
     rng = random.Random(0)
-    channel = UtteranceChannel()
     observe_world(a, world, scene, rng)
     observe_world(b, world, scene, rng)
-    speak(a, channel, "fusemo")
-    assert hear(b, channel) == "fusemo"
+    assert hear(b, speak(a, "fusemo")) == "fusemo"
     point(b, scene[0])
     nod(a)
     assert [call for call, _ in trace] == [

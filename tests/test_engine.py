@@ -14,19 +14,19 @@ from colourgame.engine import (
     ExperimentParams,
     InteractionRecord,
     align,
-    choose_topic,
     make_population,
     run_experiment,
     run_interaction,
-    select_pair,
 )
 from colourgame.embodiment import make_body
-from colourgame.errors import ConfigurationError, InternalConsistencyError
+from colourgame.errors import ConfigurationError
 from colourgame.lexicon import HEARER, SPEAKER
 from colourgame.monitors import SeriesPoint
 from colourgame.world import (
     DEFAULT_PALETTE,
     Colour,
+    draw_index,
+    draw_sample,
     make_world,
     perceive,
     random_palette,
@@ -47,13 +47,15 @@ def simulated_bodies(noise_std: float):
     )
 
 
+# A game draws its (speaker, hearer) pair as draw_sample(rng, population, 2)
+# and its topic as scene[draw_index(rng, len(scene))].
 def test_select_pair_uniform_over_ordered_pairs():
     population = make_population(5)
     rng = random.Random(6)
     counts = Counter()
     draws = 100_000
     for _ in range(draws):
-        speaker, hearer = select_pair(population, rng)
+        speaker, hearer = draw_sample(rng, population, 2)
         counts[(speaker.agent_id, hearer.agent_id)] += 1
     assert len(counts) == 20
     for pair_count in counts.values():
@@ -65,33 +67,35 @@ def test_select_pair_two_agents_alternate_roles():
     rng = random.Random(3)
     draws = 20_000
     first_speaks = sum(
-        select_pair(population, rng)[0].agent_id == 0 for _ in range(draws)
+        draw_sample(rng, population, 2)[0].agent_id == 0 for _ in range(draws)
     )
     assert abs(first_speaks / draws - 0.5) <= 0.02
 
 
 def test_select_pair_requires_two_agents():
     with pytest.raises(ConfigurationError):
-        select_pair(make_population(1), random.Random(0))
+        ExperimentParams(population_size=1).validate()
+    with pytest.raises(ValueError):
+        draw_sample(random.Random(0), make_population(1), 2)
 
 
 def test_choose_topic_uniform():
     world = make_world(DEFAULT_PALETTE, objects_per_scene=3)
     scene = sample_scene(world, random.Random(1))
     rng = random.Random(10)
-    counts = Counter(choose_topic(scene, rng) for _ in range(30_000))
+    counts = Counter(scene[draw_index(rng, len(scene))] for _ in range(30_000))
     for object_id in scene:
         assert abs(counts[object_id] / 30_000 - 1 / 3) <= 0.02
 
 
 def test_choose_topic_forced_and_replayable():
-    assert choose_topic(("only",), random.Random(0)) == "only"
+    assert draw_index(random.Random(0), 1) == 0
     world = make_world(DEFAULT_PALETTE, objects_per_scene=3)
     big = sample_scene(world, random.Random(2))
-    seq_a = [choose_topic(big, random.Random(5)) for _ in range(1)]
+    seq_a = [big[draw_index(random.Random(5), len(big))] for _ in range(1)]
     rng_a, rng_b = random.Random(8), random.Random(8)
     for _ in range(30):
-        assert choose_topic(big, rng_a) == choose_topic(big, rng_b)
+        assert big[draw_index(rng_a, len(big))] == big[draw_index(rng_b, len(big))]
     assert seq_a
 
 
@@ -106,7 +110,7 @@ def test_choose_topic_draws_what_a_choice_over_observations_draws():
         assert sample_scene(world, old_rng) == scene
         model = perceive(world, scene, 3.0, rng)
         observations = tuple(perceive(world, scene, 3.0, old_rng).items())
-        topic_id = choose_topic(scene, rng)
+        topic_id = scene[draw_index(rng, len(scene))]
         assert (topic_id, model[topic_id]) == old_rng.choice(observations)
         assert rng.getstate() == old_rng.getstate()
 
@@ -118,7 +122,7 @@ def test_select_pair_draws_what_a_sample_of_two_draws():
         population = make_population(size)
         rng, old_rng = random.Random(size), random.Random(size)
         for _ in range(200):
-            assert list(select_pair(population, rng)) == old_rng.sample(
+            assert draw_sample(rng, population, 2) == old_rng.sample(
                 population, 2
             )
             assert rng.getstate() == old_rng.getstate()
@@ -142,8 +146,13 @@ def test_sample_scene_draws_what_a_sample_of_the_ids_draws(palette):
 
 
 def test_choose_topic_empty_model_is_an_error():
-    with pytest.raises(InternalConsistencyError):
-        choose_topic((), random.Random(0))
+    # getrandbits(0) is always 0, so without its guard draw_index(rng, 0)
+    # would never return.
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        draw_index(rng, 0)
+    assert rng.getstate() == state
 
 
 def test_first_game_invention_and_adoption():

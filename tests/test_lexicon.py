@@ -5,6 +5,7 @@ import re
 import pytest
 
 from colourgame import lexicon
+from colourgame.engine import ExperimentParams, run_experiment
 from colourgame.errors import InternalConsistencyError
 from colourgame.lexicon import (
     CONSONANTS,
@@ -435,3 +436,15 @@ def test_rounding_memo_stays_within_its_bound():
         assert lexicon._rounded(x) == round(x, 12)
         assert len(lexicon._ROUNDED) <= bound
     assert lexicon._ROUNDED
+
+
+def test_rounding_memo_is_run_scoped():
+    # What a run leaves in the memo, entries and their order, does not depend
+    # on a run played before it in the same process.
+    params = ExperimentParams(num_interactions=300)
+    lexicon._ROUNDED.clear()
+    run_experiment(params, 1)
+    alone = list(lexicon._ROUNDED.items())
+    run_experiment(params, 0)
+    run_experiment(params, 1)
+    assert list(lexicon._ROUNDED.items()) == alone

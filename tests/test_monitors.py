@@ -232,10 +232,12 @@ def test_incremental_series_equals_full_rescan(
     checked = []
 
     class CheckedMonitor(PopulationMonitor):
-        """Keeps the observed records for the oracle's re-summed window."""
+        """Keeps the population and the observed records for the oracle's
+        full rescan and re-summed window."""
 
         def __init__(self, population, window):
             super().__init__(population, window)
+            self.population = population
             self.records = []
 
         def observe(self, record):
