@@ -34,6 +34,10 @@ from .world import Colour, random_palette
 
 OUT_DIR_ENV_VAR = "NAMING_GAME_OUT_DIR"
 
+# Stops a mistyped run count before the batch lists its runs: 500 times the
+# paper's 20-run acceptance ensemble.
+MAX_RUNS = 10_000
+
 
 # Every field of ExperimentParams is a game key but the body backend, which
 # code picks through the backend registry rather than a config file. The
@@ -165,8 +169,10 @@ def _validate_ranges(config: ExperimentConfig) -> None:
             raise ConfigurationError(
                 f"palette channel outside [0, 255] in {triplet}"
             )
-    if config.runs < 1:
-        raise ConfigurationError(f"runs must be >= 1, got {config.runs}")
+    if not 1 <= config.runs <= MAX_RUNS:
+        raise ConfigurationError(
+            f"runs must be in [1, {MAX_RUNS}], got {config.runs}"
+        )
     if config.seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {config.seed}")
     if config.parallel < 1:

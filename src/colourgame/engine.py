@@ -9,6 +9,9 @@ on success or points at the true topic on failure; finally both agents align
 their lexicons and prototypes. Nothing is shared between agents except the
 scene, the utterance and the pointing gestures.
 
+Speaker and adopting hearer find a category by one rule, `_categorise`, and
+`align` takes the game's outcome, not its record, which is built last.
+
 A scene is the tuple of its object ids and a world model maps each of them
 to the observed colour (see `world`), so the topic, the hearer's hypothesis
 and every referent are object ids. Each agent reads a referent's colour from
@@ -35,7 +38,7 @@ from .embodiment import (
     point,
     speak,
 )
-from .errors import ConfigurationError, InternalConsistencyError
+from .errors import ConfigurationError
 from .lexicon import (
     _ROUNDED,
     HEARER,
@@ -226,12 +229,7 @@ def run_interaction(
 
     topic_id = scene[draw_index(rng, len(scene))]
 
-    category_id = speaker.ontology.conceptualise(topic_id, speaker_model)
-    if category_id is None:
-        # No discriminating category: invent one anchored at the observed
-        # value, then try once more.
-        speaker.ontology.invent_category(speaker_model[topic_id])
-        category_id = speaker.ontology.conceptualise(topic_id, speaker_model)
+    category_id = _categorise(speaker.ontology, topic_id, speaker_model)
     if category_id is None:
         # Even a fresh category cannot separate the topic from an exact
         # twin observation; abort with no learning updates.
@@ -250,7 +248,6 @@ def run_interaction(
     heard = hear(hearer_body, speak(speaker_body, construction.form))
 
     pointed_id: str | None = None
-    failure_reason = FAILURE_NONE
     heard_construction = hearer.inventory.comprehend(heard)
     if heard_construction is None:
         failure_reason = FAILURE_UNKNOWN_WORD
@@ -260,80 +257,73 @@ def run_interaction(
         )
         if hypothesis_id is not None:
             pointed_id = point(hearer_body, hypothesis_id)
-        if pointed_id != topic_id:
-            failure_reason = FAILURE_WRONG_REFERENT
+        failure_reason = (
+            FAILURE_NONE if pointed_id == topic_id else FAILURE_WRONG_REFERENT
+        )
 
-    success = pointed_id is not None and pointed_id == topic_id
+    success = pointed_id == topic_id
     if success:
         nod(speaker_body)
         hearer_referent_id = pointed_id
     else:
         hearer_referent_id = point(speaker_body, topic_id)
 
-    record = _new_tuple(InteractionRecord, (
+    align(speaker, SPEAKER, success, params, construction, topic_id, speaker_model)
+    align(
+        hearer, HEARER, success, params,
+        heard_construction, hearer_referent_id, hearer_model, heard,
+    )
+    return _new_tuple(InteractionRecord, (
         interaction_number, speaker.agent_id, hearer.agent_id, scene,
         topic_id, construction.form, pointed_id, success, failure_reason,
     ))
-    align(speaker, SPEAKER, record, params, construction, topic_id, speaker_model)
-    align(
-        hearer, HEARER, record, params,
-        heard_construction, hearer_referent_id, hearer_model, heard,
-    )
-    return record
+
+
+def _categorise(
+    ontology: Ontology, object_id: str, model: dict[str, Colour]
+) -> int | None:
+    """Conceptualise `object_id`; if no category discriminates it, invent one
+    at its observed colour and try once more. None means an exact twin."""
+    category_id = ontology.conceptualise(object_id, model)
+    if category_id is None:
+        ontology.invent_category(model[object_id])
+        category_id = ontology.conceptualise(object_id, model)
+    return category_id
 
 
 def align(
     agent: Agent,
     role: str,
-    record: InteractionRecord,
+    success: bool,
     params: ExperimentParams,
-    used: Construction | None = None,
-    referent_id: str | None = None,
-    model: dict[str, Colour] | None = None,
+    used: Construction | None,
+    referent_id: str,
+    model: dict[str, Colour],
     heard: str | None = None,
 ) -> None:
-    """Post-game learning updates for one agent.
+    """Post-game learning for one agent of a game that was not degenerate.
 
-    `used` is the construction the agent spoke or understood, if any;
-    `referent_id` is the object the game was about (the topic, the hearer's
-    hypothesis, or what the speaker pointed at on failure) and `model` the
-    agent's own world model, from which its observed colour is read. A hearer
-    also gets the form it `heard`.
-
-    Success rewards the used construction, inhibits its competitors, and
-    shifts the used category's prototype towards the referent. Failure
-    punishes the used construction if there was one; a hearer that did not
-    know the word instead adopts it for whatever category discriminates the
-    referent in its own world model, inventing the category if none fits.
-    Degenerate games update nothing.
+    `used` is the construction the agent spoke or understood, if any, and
+    `referent_id` the object the game was about, whose colour is read from
+    the agent's own world `model`. Success rewards `used`, inhibits its
+    competitors for `role`, and shifts its category towards the referent.
+    Failure punishes `used`. Without one, which only a hearer that did not
+    know the word reaches, the agent adopts the form it `heard` for the
+    category `_categorise` finds for the referent; an exact twin adopts none.
     """
-    if record.failure_reason == FAILURE_DEGENERATE:
-        return
-    if record.success:
-        if used is None:
-            raise InternalConsistencyError(
-                "successful game without a used construction"
-            )
+    if success:
         agent.inventory.reward_and_inhibit(used, role, params.inc, params.inh)
-        if referent_id is None or model is None:
-            raise InternalConsistencyError("successful game without a referent")
         agent.ontology.shift_prototype(
             used.category_id, model[referent_id], params.shift_rate
         )
-        return
-    if used is not None:
+    elif used is not None:
         agent.inventory.punish(used, params.dec)
-    if role != HEARER or record.failure_reason != FAILURE_UNKNOWN_WORD:
-        return
-    if referent_id is None or model is None or heard is None:
-        raise InternalConsistencyError("adoption without feedback pointing")
-    category_id = agent.ontology.conceptualise(referent_id, model)
-    if category_id is None:
-        agent.ontology.invent_category(model[referent_id])
-        category_id = agent.ontology.conceptualise(referent_id, model)
-    # An exact twin observation cannot be discriminated: adopt nothing.
-    if category_id is not None:
-        agent.inventory.add_construction(heard, category_id, params.initial_score)
+    else:
+        category_id = _categorise(agent.ontology, referent_id, model)
+        if category_id is not None:
+            agent.inventory.add_construction(
+                heard, category_id, params.initial_score
+            )
 
 
 def run_experiment(params: ExperimentParams, seed: int) -> RunResult:

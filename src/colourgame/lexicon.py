@@ -115,10 +115,11 @@ class ConstructionInventory:
     ) -> Construction:
         """Store a new construction; the (form, category) pair must be fresh.
 
-        The score is stored rounded, and must lie in (0, 1] both before and
-        after rounding.
+        The score is stored as a rounded float, so an int given for it is
+        written like every later score. It must lie in (0, 1] both before
+        and after rounding.
         """
-        score = _rounded(initial_score)
+        score = _rounded(float(initial_score))
         if not (0.0 < initial_score <= 1.0 and score > 0.0):
             raise ValueError(
                 f"initial score must be in (0, 1] and not round to 0, "

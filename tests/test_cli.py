@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from colourgame import cli
 from colourgame.cli import (
     DEFAULT_CONFIG,
+    MAX_RUNS,
     OUT_DIR_ENV_VAR,
     main,
     parse_config,
@@ -188,6 +190,26 @@ def test_huge_population_exits_2_before_writing(tmp_path, capsys):
         parse_config(None, {"population_size": MAX_POPULATION + 1})
 
 
+def test_huge_runs_exits_2_before_writing(tmp_path, capsys):
+    # Without a bound, run_command would write config.json and then list one
+    # job per run until memory ran out.
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({"runs": 10**20, "num_interactions": 1}))
+    out_dir = tmp_path / "out"
+    code = main(["run", "--config", str(config_file), "--out-dir", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("configuration error: runs")
+    assert not out_dir.exists()
+    # The largest batch the bound allows is accepted, not run.
+    assert parse_config(None, {"runs": MAX_RUNS}).runs == MAX_RUNS
+    with pytest.raises(ConfigurationError):
+        parse_config(None, {"runs": MAX_RUNS + 1})
+
+
 def test_crowded_fixed_palette_exits_2_before_writing(tmp_path, capsys):
     config_file = tmp_path / "config.json"
     config_file.write_text(
@@ -239,6 +261,25 @@ def test_initial_score_that_rounds_to_zero_exits_2_before_writing(
     assert len(lines) == 1
     assert lines[0].startswith("configuration error: initial_score")
     assert not out_dir.exists()
+
+
+def test_int_initial_score_is_written_as_a_float(tmp_path, capsys):
+    # Every score in snapshots.json is spelled as a float, the initial one
+    # of a construction that no update has touched yet included; with no
+    # inhibition, such constructions survive to the snapshots.
+    config_file = tmp_path / "config.json"
+    config_file.write_text(
+        json.dumps({"initial_score": 1, "inh": 0, "num_interactions": 300})
+    )
+    out_dir = tmp_path / "out"
+    code = main(["run", "--config", str(config_file), "--out-dir", str(out_dir)])
+    assert code == 0
+    text = (out_dir / "run-0" / "snapshots.json").read_text()
+    scores = re.findall(r'"score": ([^,\n]+)', text)
+    assert "1.0" in scores
+    assert all("." in score or "e" in score for score in scores)
+    # The echoed config keeps the value as given.
+    assert json.loads((out_dir / "config.json").read_text())["initial_score"] == 1
 
 
 def test_out_dir_with_a_null_byte_exits_2_before_writing(

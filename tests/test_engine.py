@@ -9,7 +9,6 @@ from colourgame.engine import (
     FAILURE_DEGENERATE,
     FAILURE_NONE,
     FAILURE_UNKNOWN_WORD,
-    FAILURE_WRONG_REFERENT,
     Agent,
     ExperimentParams,
     InteractionRecord,
@@ -188,22 +187,6 @@ def test_first_game_invention_and_adoption():
     assert hearer.ontology.categories[0].prototype.distance(true_topic) < 25.0
 
 
-def _record(**overrides) -> InteractionRecord:
-    base = dict(
-        interaction_number=1,
-        speaker_id=0,
-        hearer_id=1,
-        scene_object_ids=("obj-0", "obj-1", "obj-2"),
-        topic_id="obj-0",
-        utterance="fusemo",
-        pointed_id="obj-0",
-        success=True,
-        failure_reason=FAILURE_NONE,
-    )
-    base.update(overrides)
-    return InteractionRecord(**base)
-
-
 def test_align_success_rewards_inhibits_and_shifts():
     params = ExperimentParams(inc=0.1, inh=0.1, dec=0.1, shift_rate=0.05)
     agent = Agent(0)
@@ -212,7 +195,7 @@ def test_align_success_rewards_inhibits_and_shifts():
     rival = agent.inventory.add_construction("ponuro", category.category_id, 0.4)
     model = {"obj-0": Colour(20, 0, 0), "obj-1": Colour(200, 0, 0)}
 
-    align(agent, SPEAKER, _record(), params, used, "obj-0", model)
+    align(agent, SPEAKER, True, params, used, "obj-0", model)
 
     assert used.score == pytest.approx(0.6)
     assert rival.score == pytest.approx(0.3)
@@ -226,7 +209,7 @@ def test_align_hearer_success_shifts_towards_pointed_percept():
     used = agent.inventory.add_construction("fusemo", category.category_id, 0.5)
     model = {"obj-1": Colour(0, 0, 200), "obj-0": Colour(0, 200, 0)}
 
-    align(agent, HEARER, _record(), params, used, "obj-0", model)
+    align(agent, HEARER, True, params, used, "obj-0", model)
 
     assert used.score == pytest.approx(0.6)
     assert agent.ontology.get(category.category_id).prototype == Colour(0, 150, 0)
@@ -237,11 +220,10 @@ def test_align_failure_punishes_to_removal():
     agent = Agent(1)
     category = agent.ontology.invent_category(Colour(0, 0, 0))
     used = agent.inventory.add_construction("fusemo", category.category_id, 0.1)
+    model = {"obj-0": Colour(0, 0, 0), "obj-2": Colour(200, 0, 0)}
 
-    record = _record(
-        success=False, pointed_id="obj-2", failure_reason=FAILURE_WRONG_REFERENT
-    )
-    align(agent, HEARER, record, params, used)
+    # The speaker pointed at obj-0 after the hearer pointed at obj-2.
+    align(agent, HEARER, False, params, used, "obj-0", model, "fusemo")
 
     assert len(agent.inventory) == 0
 
@@ -252,10 +234,7 @@ def test_align_unknown_word_adoption_reuses_or_invents():
     model = {"obj-0": Colour(5, 243, 2), "obj-1": Colour(250, 5, 5)}
     pointed = "obj-0"
 
-    record = _record(
-        success=False, pointed_id=None, failure_reason=FAILURE_UNKNOWN_WORD
-    )
-    align(agent, HEARER, record, params, None, pointed, model, "fusemo")
+    align(agent, HEARER, False, params, None, pointed, model, "fusemo")
 
     assert len(agent.ontology) == 1
     assert agent.ontology.categories[0].prototype == Colour(5, 243, 2)
@@ -263,24 +242,36 @@ def test_align_unknown_word_adoption_reuses_or_invents():
     assert adopted.form == "fusemo" and adopted.score == 0.5
 
     # hearing another unknown word for the same object reuses the category
-    align(agent, HEARER, record, params, None, pointed, model, "sobele")
+    align(agent, HEARER, False, params, None, pointed, model, "sobele")
     assert len(agent.ontology) == 1
     assert {c.form for c in agent.inventory.constructions} == {"fusemo", "sobele"}
 
 
 def test_align_degenerate_game_updates_nothing():
-    params = ExperimentParams()
-    agent = Agent(0)
-    category = agent.ontology.invent_category(Colour(1, 1, 1))
-    used = agent.inventory.add_construction("fusemo", category.category_id, 0.5)
-    record = _record(
-        success=False,
-        utterance=None,
-        pointed_id=None,
-        failure_reason=FAILURE_DEGENERATE,
+    # As in test_degenerate_abort_on_identical_percepts, but the speaker
+    # already holds a scored construction that a learning update would move.
+    params = ExperimentParams(
+        population_size=2,
+        palette=(Colour(1, 1, 1), Colour(1, 1, 1)),
+        objects_per_scene=2,
+        noise_std=0.0,
+        min_separation=0.0,
     )
-    align(agent, SPEAKER, record, params, used)
-    assert used.score == 0.5 and len(agent.inventory) == 1
+    world = make_world(params.palette, 2, min_separation=0.0)
+    population = make_population(2)
+    for agent in population:
+        category = agent.ontology.invent_category(Colour(1, 1, 1))
+        agent.inventory.add_construction("fusemo", category.category_id, 0.5)
+    before = [deepcopy(a.inventory.constructions) for a in population]
+    rng = random.Random(0)
+    record = run_interaction(
+        population, world, simulated_bodies(0.0), params, rng, 1
+    )
+    assert record.failure_reason == FAILURE_DEGENERATE
+    speaker = population[record.speaker_id]
+    [used] = speaker.inventory.constructions
+    assert used.score == 0.5 and len(speaker.inventory) == 1
+    assert [a.inventory.constructions for a in population] == before
 
 
 def test_record_consistency_over_many_games():

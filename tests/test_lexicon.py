@@ -42,6 +42,12 @@ def test_add_construction_stores_default_score():
     assert len(inventory) == 1
 
 
+def test_add_construction_stores_an_int_score_as_a_float():
+    inventory = ConstructionInventory()
+    construction = inventory.add_construction("fusemo", 1, 1)
+    assert type(construction.score) is float and construction.score == 1.0
+
+
 def test_add_construction_rejects_duplicates_and_bad_scores():
     inventory = ConstructionInventory()
     inventory.add_construction("fusemo", 1, 0.5)
