@@ -6,7 +6,7 @@ constructions, converges on a shared colour vocabulary through a long series
 of pairwise games.
 """
 
-from .conceptual import ColourCategory, Ontology
+from .conceptual import Ontology
 from .engine import (
     Agent,
     ExperimentParams,
@@ -29,7 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Agent",
     "Colour",
-    "ColourCategory",
     "ColourGameError",
     "ConfigurationError",
     "Construction",

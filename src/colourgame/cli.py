@@ -56,14 +56,6 @@ BATCH_DEFAULTS: dict = {"runs": 1, "seed": 0, "out_dir": "out", "parallel": 1}
 DEFAULT_CONFIG: dict = {**GAME_DEFAULTS, **BATCH_DEFAULTS}
 
 
-class ExperimentConfig(SimpleNamespace):
-    """The resolved configuration for a batch of runs: one attribute per key
-    of DEFAULT_CONFIG."""
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
-
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -86,29 +78,32 @@ def _check_type(key: str, value: object) -> None:
     if key not in DEFAULT_CONFIG:
         raise ConfigurationError(f"unknown configuration key {key!r}")
     if key == "palette":
+        kind = "a list of [r, g, b] integer triplets in [0, 255]"
         ok = isinstance(value, list) and all(
-            isinstance(t, list) and len(t) == 3 and all(_is_int(ch) for ch in t)
+            isinstance(t, list)
+            and len(t) == 3
+            and all(_is_int(ch) and 0 <= ch <= 255 for ch in t)
             for t in value
         )
-        if not ok:
-            raise ConfigurationError(
-                "palette must be a list of [r, g, b] integer triplets"
-            )
     elif key == "snapshot_agent":
-        if value != SNAPSHOT_ALL and not _is_int(value):
-            raise ConfigurationError(
-                f"snapshot_agent must be 'all' or an agent index, got {value!r}"
-            )
+        kind = "'all' or an agent index"
+        ok = value == SNAPSHOT_ALL or _is_int(value)
     else:
         kind, accepts = _TYPES[type(DEFAULT_CONFIG[key])]
-        if not accepts(value):
-            raise ConfigurationError(f"{key} must be {kind}, got {value!r}")
+        ok = accepts(value)
+    if not ok:
+        # A config value nests and grows without limit; reprlib quotes it in
+        # bounded size, so the error stays one short line.
+        import reprlib
+
+        raise ConfigurationError(f"{key} must be {kind}, got {reprlib.repr(value)}")
 
 
 def parse_config(
     config_path: str | None = None, overrides: dict | None = None
-) -> ExperimentConfig:
-    """Resolve defaults, config file and flag overrides into one config."""
+) -> SimpleNamespace:
+    """Resolve defaults, config file and flag overrides into one config:
+    a namespace with one attribute per key of DEFAULT_CONFIG."""
     # A deep copy: the palette and snapshot_points lists of a resolved config
     # must not be the defaults' own.
     resolved = copy.deepcopy(DEFAULT_CONFIG)
@@ -149,12 +144,12 @@ def parse_config(
         _check_type(key, value)
         resolved[key] = value
 
-    config = ExperimentConfig(**resolved)
+    config = SimpleNamespace(**resolved)
     _validate_ranges(config)
     return config
 
 
-def _game_params(config: ExperimentConfig) -> ExperimentParams:
+def _game_params(config: SimpleNamespace) -> ExperimentParams:
     """The config's game keys as the engine takes them: colours and tuples
     where the config file has lists."""
     values = {key: getattr(config, key) for key in GAME_DEFAULTS}
@@ -163,12 +158,7 @@ def _game_params(config: ExperimentConfig) -> ExperimentParams:
     return ExperimentParams(**values)
 
 
-def _validate_ranges(config: ExperimentConfig) -> None:
-    for triplet in config.palette:
-        if any(not 0 <= ch <= 255 for ch in triplet):
-            raise ConfigurationError(
-                f"palette channel outside [0, 255] in {triplet}"
-            )
+def _validate_ranges(config: SimpleNamespace) -> None:
     if not 1 <= config.runs <= MAX_RUNS:
         raise ConfigurationError(
             f"runs must be in [1, {MAX_RUNS}], got {config.runs}"
@@ -208,7 +198,7 @@ def _run_summary(run_index: int, seed: int, series: list[SeriesPoint]) -> str:
     )
 
 
-def run_command(config: ExperimentConfig) -> int:
+def run_command(config: SimpleNamespace) -> int:
     """Execute the configured batch and write all output files."""
     params = _game_params(config)
     if params.random_palette:
@@ -224,7 +214,7 @@ def run_command(config: ExperimentConfig) -> int:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "config.json").open("w") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(vars(config), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
     jobs = [

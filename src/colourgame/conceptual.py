@@ -1,16 +1,16 @@
 """Agent-internal colour categories: conceptualisation and interpretation.
 
-Each agent holds a private ontology of prototype points. A world model is the
-agent's own observation of a scene: a dict from each scene object's id to its
-observed colour. Conceptualisation finds the category that uniquely
-discriminates a topic id within the agent's world model and returns its id;
-interpretation filters a world model by closeness to a category's prototype
-to retrieve a referent's id. This experiment never composes meanings, so a
-meaning is just a category id. Both directions use plain Euclidean distance
-(`math.dist` on the colour tuples) on the raw channel values.
-
-Categories are never deleted, so an agent's category ids are 1, 2, ... in
-creation order: a category's id is its position in the ontology plus one.
+Each agent holds a private ontology: the list of its categories' prototype
+points. Categories are never deleted, so an agent's category ids are 1, 2,
+... in creation order, and category k's prototype is `prototypes[k - 1]`. A
+world model is the agent's own observation of a scene: a dict from each
+scene object's id to its observed colour. Conceptualisation finds the
+category that uniquely discriminates a topic id within the agent's world
+model and returns its id; interpretation filters a world model by closeness
+to a category's prototype to retrieve a referent's id. This experiment never
+composes meanings, so a meaning is just a category id. Both directions use
+plain Euclidean distance (`math.dist` on the colour tuples) on the raw
+channel values.
 """
 from __future__ import annotations
 
@@ -20,67 +20,46 @@ from .errors import InternalConsistencyError
 from .world import Colour
 
 
-class ColourCategory:
-    """A prototype point with an id unique within its owning agent."""
-
-    __slots__ = ("category_id", "prototype")
-
-    def __init__(self, category_id: int, prototype: Colour) -> None:
-        self.category_id = category_id
-        self.prototype = prototype
-
-    def __eq__(self, other: object) -> bool:
-        # Field by field; defining __eq__ leaves the class unhashable.
-        if other.__class__ is not ColourCategory:
-            return NotImplemented
-        return (self.category_id, self.prototype) == (
-            other.category_id, other.prototype
-        )
-
-
 class Ontology:
-    """An agent's private, append-only set of colour categories.
+    """An agent's private, append-only list of category prototypes.
 
-    Categories are never deleted; only their prototypes move. `get` finds a
-    category at its id minus one in `categories`.
+    Categories are never deleted; only their prototypes move. Category k's
+    prototype is `prototypes[k - 1]`.
     """
 
     def __init__(self) -> None:
-        self.categories: list[ColourCategory] = []
+        self.prototypes: list[Colour] = []
 
     def __len__(self) -> int:
-        return len(self.categories)
+        return len(self.prototypes)
 
-    def get(self, category_id: int) -> ColourCategory:
-        if 0 < category_id <= len(self.categories):
-            return self.categories[category_id - 1]
+    def get(self, category_id: int) -> Colour:
+        """The prototype of category `category_id`."""
+        if 0 < category_id <= len(self.prototypes):
+            return self.prototypes[category_id - 1]
         raise InternalConsistencyError(f"unknown category id {category_id}")
 
-    def closest_category(
-        self, observation: Colour
-    ) -> tuple[ColourCategory, float] | None:
-        """The category nearest to `observation`, with its distance.
+    def closest_category(self, observation: Colour) -> tuple[int, float] | None:
+        """The id of the category nearest to `observation`, with its distance.
 
         Returns None on an empty ontology. Exact distance ties go to the
         smallest category id, which is the earliest-created category.
         """
-        best: ColourCategory | None = None
+        best: int | None = None
         best_distance = 0.0
-        for category in self.categories:
-            d = dist(category.prototype, observation)
+        for category_id, prototype in enumerate(self.prototypes, 1):
+            d = dist(prototype, observation)
             if best is None or d < best_distance:
-                best, best_distance = category, d
+                best, best_distance = category_id, d
         if best is None:
             return None
         return best, best_distance
 
-    def invent_category(self, observed: Colour) -> ColourCategory:
-        """Create a category whose first prototype is the observed value."""
-        category = ColourCategory(
-            category_id=len(self.categories) + 1, prototype=observed
-        )
-        self.categories.append(category)
-        return category
+    def invent_category(self, observed: Colour) -> int:
+        """Create a category whose first prototype is the observed value, and
+        return its id."""
+        self.prototypes.append(observed)
+        return len(self.prototypes)
 
     def conceptualise(self, topic_id: str, model: dict[str, Colour]) -> int | None:
         """Id of a category that uniquely discriminates `topic_id` in `model`.
@@ -99,12 +78,12 @@ class Ontology:
         found = self.closest_category(topic)
         if found is None:
             return None
-        category, topic_distance = found
-        prototype = category.prototype
+        category_id, topic_distance = found
+        prototype = self.prototypes[category_id - 1]
         for object_id, observed in model.items():
             if object_id != topic_id and dist(prototype, observed) <= topic_distance:
                 return None
-        return category.category_id
+        return category_id
 
     def interpret(self, category_id: int, model: dict[str, Colour]) -> str | None:
         """Id of the object in `model` closest to the category's prototype.
@@ -112,7 +91,7 @@ class Ontology:
         A tie for the minimum means the category fails to single out a
         referent, so the result is None.
         """
-        prototype = self.get(category_id).prototype
+        prototype = self.get(category_id)
         best: str | None = None
         best_distance = 0.0
         tied = False
@@ -130,6 +109,6 @@ class Ontology:
         self, category_id: int, observation: Colour, rate: float
     ) -> Colour:
         """Move a prototype a fraction `rate` of the way to `observation`."""
-        category = self.get(category_id)
-        category.prototype = category.prototype.shifted_towards(observation, rate)
-        return category.prototype
+        shifted = self.get(category_id).shifted_towards(observation, rate)
+        self.prototypes[category_id - 1] = shifted
+        return shifted

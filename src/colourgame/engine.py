@@ -240,7 +240,7 @@ def run_interaction(
 
     construction = speaker.inventory.produce(category_id)
     if construction is None:
-        form = invent_word_form(rng, speaker.inventory.forms())
+        form = invent_word_form(rng, speaker.inventory.by_form)
         construction = speaker.inventory.add_construction(
             form, category_id, params.initial_score
         )

@@ -27,6 +27,7 @@ not depend on what ran before it in the same process.
 from __future__ import annotations
 
 import random
+from collections.abc import Container
 
 from .errors import InternalConsistencyError
 
@@ -77,11 +78,12 @@ class Construction:
         )
 
 
-def invent_word_form(rng: random.Random, taken: frozenset[str] | set[str] = frozenset()) -> str:
+def invent_word_form(rng: random.Random, taken: Container[str] = frozenset()) -> str:
     """Generate a fresh consonant-vowel word of three syllables.
 
-    Regenerates until the form is not among `taken` (the inventing agent's
-    existing forms), so one agent never coins the same word twice.
+    Regenerates until the form is not `in` `taken` (the inventing agent's
+    existing forms, such as its inventory's `by_form`), so one agent never
+    coins the same word twice.
     """
     while True:
         form = "".join(
@@ -106,9 +108,6 @@ class ConstructionInventory:
 
     def __len__(self) -> int:
         return len(self.constructions)
-
-    def forms(self) -> set[str]:
-        return set(self.by_form)
 
     def add_construction(
         self, form: str, category_id: int, initial_score: float

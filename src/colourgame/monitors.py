@@ -197,7 +197,7 @@ class PopulationMonitor:
         holders = self.holders
         for agent_id in self._stale:
             agent = self._agents[agent_id]
-            ontology_size = len(agent.ontology.categories)
+            ontology_size = len(agent.ontology.prototypes)
             edits = agent.inventory.edits
             old = counted.get(agent_id, _UNCOUNTED)
             if old[0] == ontology_size and old[1] == edits:
@@ -258,20 +258,16 @@ def take_snapshot(agent: "Agent", at: int) -> LexiconSnapshot:
     by_category = agent.inventory.by_category
     entries = []
     # Categories are listed in id order, which is their creation order.
-    for category in agent.ontology.categories:
+    for category_id, prototype in enumerate(agent.ontology.prototypes, 1):
         forms = [
             {"form": c.form, "score": c.score}
-            for c in by_category.get(category.category_id, ())
+            for c in by_category.get(category_id, ())
         ]
         forms.sort(key=lambda f: (-f["score"], f["form"]))
         entries.append(
             {
-                "category_id": category.category_id,
-                "prototype": [
-                    category.prototype.r,
-                    category.prototype.g,
-                    category.prototype.b,
-                ],
+                "category_id": category_id,
+                "prototype": list(prototype),
                 "forms": forms,
             }
         )

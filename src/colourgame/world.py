@@ -7,11 +7,13 @@ scene through its own noisy sensors into a private world model: a dict from
 each scene object's id to its observed colour, in scene order. So no two
 agents ever record exactly the same channel values for the same object.
 
-A colour is checked where it enters from outside: `Colour(...)`, which builds
-the config palette, the default palette and every `random_palette` draw.
-Inside the engine, `perceive` and `Colour.shifted_towards` build colours
-through `Colour.clipped`, whose clamps already keep every channel in range,
-so the per-game path pays no second check.
+A colour is a plain (r, g, b) tuple to every caller: its channels are read
+by unpacking and its distances taken with `math.dist`. It is checked where
+it enters from outside: `Colour(...)`, which builds the config palette, the
+default palette and every `random_palette` draw. Inside the engine,
+`perceive` and `Colour.shifted_towards` build colours through
+`Colour.clipped`, whose clamps already keep every channel in range, so the
+per-game path pays no second check.
 
 Every random draw of a game is one of CPython's own algorithms, unrolled
 into the generator's primitive calls: `perceive` is `random.gauss`, three
@@ -29,7 +31,6 @@ import math
 import random
 from collections.abc import Sequence
 from math import ceil as _ceil, cos as _cos, log as _log, sin as _sin, sqrt as _sqrt
-from operator import itemgetter
 
 from .errors import ConfigurationError
 
@@ -56,10 +57,6 @@ class Colour(tuple):
         # tuple argument; without this the `--parallel` path cannot pickle it.
         return tuple(self)
 
-    r = property(itemgetter(0), doc="Red channel.")
-    g = property(itemgetter(1), doc="Green channel.")
-    b = property(itemgetter(2), doc="Blue channel.")
-
     @staticmethod
     def clipped(r: float, g: float, b: float) -> Colour:
         """Build a colour, clamping each channel into [0, 255].
@@ -75,10 +72,6 @@ class Colour(tuple):
                 b if 0.0 < b < 255.0 else (255.0 if b >= 255.0 else 0.0),
             ),
         )
-
-    def distance(self, other: Colour) -> float:
-        """Euclidean distance to another colour."""
-        return math.dist(self, other)
 
     def shifted_towards(self, target: Colour, rate: float) -> Colour:
         """Move each channel a fraction `rate` of the way towards `target`."""
@@ -161,7 +154,7 @@ def check_separation(
     that scenes stay discriminable well above the perception noise level."""
     for i, first in enumerate(palette):
         for j in range(i + 1, len(palette)):
-            d = first.distance(palette[j])
+            d = math.dist(first, palette[j])
             if d < min_separation:
                 raise ConfigurationError(
                     f"palette colours {i} and {j} are {d:.2f} apart, below the "
@@ -183,7 +176,7 @@ def random_palette(
         candidate = Colour(
             rng.uniform(0, 255), rng.uniform(0, 255), rng.uniform(0, 255)
         )
-        if all(candidate.distance(c) >= min_separation for c in accepted):
+        if all(math.dist(candidate, c) >= min_separation for c in accepted):
             accepted.append(candidate)
             if len(accepted) == size:
                 return tuple(accepted)

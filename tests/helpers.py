@@ -25,7 +25,6 @@ import io
 import math
 import random
 
-from colourgame.conceptual import ColourCategory
 from colourgame.embodiment import SimulatedBackend, register_backend
 from colourgame.errors import ConfigurationError
 from colourgame.monitors import (
@@ -40,44 +39,43 @@ from colourgame.world import Colour, World
 
 def squared_distance(a: Colour, b: Colour) -> float:
     total = 0.0
-    for x, y in ((a.r, b.r), (a.g, b.g), (a.b, b.b)):
+    for x, y in zip(a, b):
         total += (x - y) * (x - y)
     return total
 
 
-def oracle_closest(
-    categories: list[ColourCategory], observation: Colour
-) -> ColourCategory | None:
-    if not categories:
+def oracle_closest(prototypes: list[Colour], observation: Colour) -> int | None:
+    """Id of the prototype nearest to `observation`, ties to the smallest id;
+    category k's prototype is `prototypes[k - 1]`."""
+    if not prototypes:
         return None
     ranked = sorted(
-        categories,
-        key=lambda c: (squared_distance(c.prototype, observation), c.category_id),
+        range(1, len(prototypes) + 1),
+        key=lambda k: (squared_distance(prototypes[k - 1], observation), k),
     )
     return ranked[0]
 
 
 def oracle_conceptualise(
-    categories: list[ColourCategory], topic_id: str, model: dict[str, Colour]
+    prototypes: list[Colour], topic_id: str, model: dict[str, Colour]
 ) -> int | None:
-    best = oracle_closest(categories, model[topic_id])
+    best = oracle_closest(prototypes, model[topic_id])
     if best is None:
         return None
-    topic_d = squared_distance(best.prototype, model[topic_id])
+    prototype = prototypes[best - 1]
+    topic_d = squared_distance(prototype, model[topic_id])
     for object_id, observed in model.items():
         if object_id == topic_id:
             continue
-        if squared_distance(best.prototype, observed) <= topic_d:
+        if squared_distance(prototype, observed) <= topic_d:
             return None
-    return best.category_id
+    return best
 
 
 def oracle_interpret(
-    categories: list[ColourCategory], category_id: int, model: dict[str, Colour]
+    prototypes: list[Colour], category_id: int, model: dict[str, Colour]
 ) -> str | None:
-    prototype = next(
-        c.prototype for c in categories if c.category_id == category_id
-    )
+    prototype = prototypes[category_id - 1]
     distances = [
         (squared_distance(prototype, observed), object_id)
         for object_id, observed in model.items()
@@ -101,7 +99,7 @@ def oracle_perceive(
         true = world.true_colours[object_id]
         channels = tuple(
             min(255.0, max(0.0, v + rng.gauss(0.0, noise_std)))
-            for v in (true.r, true.g, true.b)
+            for v in true
         )
         observed.append((object_id, channels))
     return observed

@@ -137,13 +137,13 @@ def test_criterion_5_oracle_equivalence():
         }
         topic_id = rng.choice(tuple(model))
         found_id = ontology.conceptualise(topic_id, model)
-        expected = oracle_conceptualise(ontology.categories, topic_id, model)
+        expected = oracle_conceptualise(ontology.prototypes, topic_id, model)
         if found_id != expected:
             mismatches += 1
-        if ontology.categories:
-            category_id = rng.choice(ontology.categories).category_id
+        if ontology.prototypes:
+            category_id = rng.randint(1, len(ontology.prototypes))
             found = ontology.interpret(category_id, model)
-            reference = oracle_interpret(ontology.categories, category_id, model)
+            reference = oracle_interpret(ontology.prototypes, category_id, model)
             if found != reference:
                 mismatches += 1
     report(
@@ -162,7 +162,7 @@ def test_criterion_6_score_dynamics_properties():
         inventory = ConstructionInventory()
         for _ in range(rng.randint(1, 5)):
             inventory.add_construction(
-                invent_word_form(rng, inventory.forms()),
+                invent_word_form(rng, set(inventory.by_form)),
                 rng.randint(1, 4),
                 round(rng.uniform(0.05, 1.0), 2),
             )

@@ -9,7 +9,11 @@ def test_every_public_name_resolves():
     namespace: dict = {}
     exec("from colourgame import *", namespace)
     assert set(colourgame.__all__) <= set(namespace)
-    # A scene is a tuple of ids and a world model a dict: no classes for them.
-    for gone in ("Percept", "Scene", "WorldModel"):
+    # A scene is a tuple of ids, a world model a dict and a category its
+    # prototype colour: no classes for them.
+    for gone in ("ColourCategory", "Percept", "Scene", "WorldModel"):
         assert gone not in colourgame.__all__
         assert not hasattr(colourgame, gone)
+    # A colour is read as the tuple it is: no channel or distance accessors.
+    for gone in ("r", "g", "b", "distance"):
+        assert not hasattr(colourgame.Colour, gone), gone

@@ -48,7 +48,7 @@ def test_print_default_config_emits_the_documented_defaults(capsys):
 
 def test_parse_config_defaults_match_builtins():
     config = parse_config(None, {})
-    assert config.to_dict() == DEFAULT_CONFIG
+    assert vars(config) == DEFAULT_CONFIG
 
 
 def test_mutating_a_resolved_config_leaves_the_defaults_alone(capsys):
@@ -58,7 +58,7 @@ def test_mutating_a_resolved_config_leaves_the_defaults_alone(capsys):
     config.snapshot_points.append(999)
     config.palette.append([1, 2, 3])
     config.palette[0][0] = 7
-    assert parse_config(None, {}).to_dict() == json.loads(printed)
+    assert vars(parse_config(None, {})) == json.loads(printed)
     assert main(["print-default-config"]) == 0
     assert capsys.readouterr().out == printed
 
@@ -315,6 +315,34 @@ def test_deeply_nested_config_file_exits_2_before_writing(tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("configuration error: config file")
     assert "not valid JSON" in lines[0]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # The repr of a value this deep runs to ~1.8 kB of brackets.
+        '{"snapshot_points": ' + "[" * 900 + "]" * 900 + "}",
+        '{"snapshot_agent": "' + "x" * 5000 + '"}',
+        '{"palette": [[0, 0, 0], [300, 0, 0]]}',
+        '{"palette": [[0, -1, 255]]}',
+    ],
+    ids=["deep_list", "long_string", "channel_above", "channel_below"],
+)
+def test_bad_value_exits_2_with_one_short_line_before_writing(
+    tmp_path, capsys, text
+):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(text)
+    out_dir = tmp_path / "out"
+    code = main(["run", "--config", str(config_file), "--out-dir", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("configuration error: ")
+    assert len(lines[0].encode()) < 200
     assert not out_dir.exists()
 
 

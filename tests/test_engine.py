@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from collections import Counter
@@ -184,42 +185,42 @@ def test_first_game_invention_and_adoption():
     assert adopted.score == pytest.approx(params.initial_score)
     # the adopted prototype reflects the hearer's own noisy percept
     true_topic = world.true_colours[record.topic_id]
-    assert hearer.ontology.categories[0].prototype.distance(true_topic) < 25.0
+    assert math.dist(hearer.ontology.prototypes[0], true_topic) < 25.0
 
 
 def test_align_success_rewards_inhibits_and_shifts():
     params = ExperimentParams(inc=0.1, inh=0.1, dec=0.1, shift_rate=0.05)
     agent = Agent(0)
-    category = agent.ontology.invent_category(Colour(10, 0, 0))
-    used = agent.inventory.add_construction("fusemo", category.category_id, 0.5)
-    rival = agent.inventory.add_construction("ponuro", category.category_id, 0.4)
+    category_id = agent.ontology.invent_category(Colour(10, 0, 0))
+    used = agent.inventory.add_construction("fusemo", category_id, 0.5)
+    rival = agent.inventory.add_construction("ponuro", category_id, 0.4)
     model = {"obj-0": Colour(20, 0, 0), "obj-1": Colour(200, 0, 0)}
 
     align(agent, SPEAKER, True, params, used, "obj-0", model)
 
     assert used.score == pytest.approx(0.6)
     assert rival.score == pytest.approx(0.3)
-    assert agent.ontology.get(category.category_id).prototype == Colour(10.5, 0, 0)
+    assert agent.ontology.get(category_id) == Colour(10.5, 0, 0)
 
 
 def test_align_hearer_success_shifts_towards_pointed_percept():
     params = ExperimentParams(inc=0.1, inh=0.1, dec=0.1, shift_rate=0.5)
     agent = Agent(1)
-    category = agent.ontology.invent_category(Colour(0, 100, 0))
-    used = agent.inventory.add_construction("fusemo", category.category_id, 0.5)
+    category_id = agent.ontology.invent_category(Colour(0, 100, 0))
+    used = agent.inventory.add_construction("fusemo", category_id, 0.5)
     model = {"obj-1": Colour(0, 0, 200), "obj-0": Colour(0, 200, 0)}
 
     align(agent, HEARER, True, params, used, "obj-0", model)
 
     assert used.score == pytest.approx(0.6)
-    assert agent.ontology.get(category.category_id).prototype == Colour(0, 150, 0)
+    assert agent.ontology.get(category_id) == Colour(0, 150, 0)
 
 
 def test_align_failure_punishes_to_removal():
     params = ExperimentParams(inc=0.1, inh=0.1, dec=0.1)
     agent = Agent(1)
-    category = agent.ontology.invent_category(Colour(0, 0, 0))
-    used = agent.inventory.add_construction("fusemo", category.category_id, 0.1)
+    category_id = agent.ontology.invent_category(Colour(0, 0, 0))
+    used = agent.inventory.add_construction("fusemo", category_id, 0.1)
     model = {"obj-0": Colour(0, 0, 0), "obj-2": Colour(200, 0, 0)}
 
     # The speaker pointed at obj-0 after the hearer pointed at obj-2.
@@ -237,7 +238,7 @@ def test_align_unknown_word_adoption_reuses_or_invents():
     align(agent, HEARER, False, params, None, pointed, model, "fusemo")
 
     assert len(agent.ontology) == 1
-    assert agent.ontology.categories[0].prototype == Colour(5, 243, 2)
+    assert agent.ontology.prototypes == [Colour(5, 243, 2)]
     [adopted] = agent.inventory.constructions
     assert adopted.form == "fusemo" and adopted.score == 0.5
 
@@ -260,8 +261,8 @@ def test_align_degenerate_game_updates_nothing():
     world = make_world(params.palette, 2, min_separation=0.0)
     population = make_population(2)
     for agent in population:
-        category = agent.ontology.invent_category(Colour(1, 1, 1))
-        agent.inventory.add_construction("fusemo", category.category_id, 0.5)
+        category_id = agent.ontology.invent_category(Colour(1, 1, 1))
+        agent.inventory.add_construction("fusemo", category_id, 0.5)
     before = [deepcopy(a.inventory.constructions) for a in population]
     rng = random.Random(0)
     record = run_interaction(
@@ -319,7 +320,7 @@ def test_games_only_mutate_the_two_participants():
     rng = random.Random(13)
     for n in range(1, 60):
         before = {
-            a.agent_id: deepcopy((a.ontology.categories, a.inventory.constructions))
+            a.agent_id: deepcopy((a.ontology.prototypes, a.inventory.constructions))
             for a in population
         }
         record = run_interaction(population, world, bodies, params, rng, n)
@@ -327,7 +328,7 @@ def test_games_only_mutate_the_two_participants():
             if agent.agent_id in (record.speaker_id, record.hearer_id):
                 continue
             assert before[agent.agent_id] == (
-                agent.ontology.categories,
+                agent.ontology.prototypes,
                 agent.inventory.constructions,
             )
 

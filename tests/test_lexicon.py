@@ -213,7 +213,7 @@ def test_scores_stay_in_unit_interval_under_random_updates():
         inventory = ConstructionInventory()
         for i in range(rng.randint(1, 6)):
             inventory.add_construction(
-                invent_word_form(rng, inventory.forms()),
+                invent_word_form(rng, set(inventory.by_form)),
                 rng.randint(1, 3),
                 round(rng.uniform(0.05, 1.0), 2),
             )
@@ -239,11 +239,11 @@ def test_produce_returns_the_freshly_added_strongest_form():
         inventory = ConstructionInventory()
         for _ in range(rng.randint(0, 5)):
             inventory.add_construction(
-                invent_word_form(rng, inventory.forms()),
+                invent_word_form(rng, set(inventory.by_form)),
                 rng.randint(1, 3),
                 round(rng.uniform(0.05, 0.8), 2),
             )
-        top_form = invent_word_form(rng, inventory.forms())
+        top_form = invent_word_form(rng, set(inventory.by_form))
         inventory.add_construction(top_form, 2, 0.9)
         produced = inventory.produce(2)
         assert produced is not None and produced.form == top_form
@@ -308,7 +308,7 @@ def assert_index_matches(inventory: ConstructionInventory) -> None:
             k: list(map(id, v)) for k, v in expected.items()
         }
         assert all(buckets.values())
-    assert inventory.forms() == {c.form for c in constructions}
+    assert set(inventory.by_form) == {c.form for c in constructions}
 
 
 def test_index_follows_every_add_reward_punish_and_prune():
@@ -393,7 +393,7 @@ def _rounded_inputs_of_random_updates(seed: int, wanted: int) -> list[float]:
             inventory = ConstructionInventory()
             for _ in range(rng.randint(1, 6)):
                 inventory.add_construction(
-                    invent_word_form(rng, inventory.forms()),
+                    invent_word_form(rng, set(inventory.by_form)),
                     rng.randint(1, 3),
                     round(rng.uniform(0.06, 1.0), rng.randint(1, 9)),
                 )

@@ -104,15 +104,13 @@ def test_windowed_success_never_drops_when_success_evicts_failure():
 
 def agent_with(agent_id: int, pairs: list[tuple[str, int]]) -> Agent:
     agent = Agent(agent_id)
-    categories = {}
+    category_ids = {}
     for form, meaning in pairs:
-        if meaning not in categories:
-            categories[meaning] = agent.ontology.invent_category(
+        if meaning not in category_ids:
+            category_ids[meaning] = agent.ontology.invent_category(
                 Colour(min(255, meaning * 40), 0, 0)
             )
-        agent.inventory.add_construction(
-            form, categories[meaning].category_id, 0.5
-        )
+        agent.inventory.add_construction(form, category_ids[meaning], 0.5)
     return agent
 
 
@@ -161,7 +159,7 @@ def test_distinct_forms_dominates_per_agent_counts():
         agent_with(1, [("bakala", 1), ("gikolu", 2)]),
     ]
     point = compute_series_point(PopulationMonitor(population, 50), at=0)
-    per_agent_max = max(len(a.inventory.forms()) for a in population)
+    per_agent_max = max(len(a.inventory.by_form) for a in population)
     assert point.distinct_forms_population >= per_agent_max
     assert point.distinct_forms_population == 3
 
@@ -197,7 +195,7 @@ def test_recount_follows_inventory_edits_between_rows():
     bakala = swapper.constructions[0]
     swapper.add_construction("zulewa", bakala.category_id, 0.5)
     swapper.punish(bakala, 1.0)
-    assert len(swapper) == 2 and swapper.forms() == {"defile", "zulewa"}
+    assert len(swapper) == 2 and set(swapper.by_form) == {"defile", "zulewa"}
     scorer.reward_and_inhibit(scorer.constructions[0], SPEAKER, 0.1, 0.2)
     scorer.punish(scorer.constructions[1], 0.1)
     assert len(scorer) == 2
@@ -274,7 +272,7 @@ def test_incremental_series_equals_full_rescan(
 
 def test_take_snapshot_shape_and_copy_semantics():
     agent = agent_with(3, [("fusemo", 1)])
-    agent.ontology.categories[0].prototype = Colour(7, 246, 9)
+    agent.ontology.prototypes[0] = Colour(7, 246, 9)
     snapshot = take_snapshot(agent, at=10)
     assert snapshot.interaction_number == 10
     assert snapshot.agent_id == 3
@@ -287,7 +285,7 @@ def test_take_snapshot_shape_and_copy_semantics():
     )
     # later mutation must not leak into the stored snapshot
     agent.inventory.constructions[0].score = 0.9
-    agent.ontology.categories[0].prototype = Colour(0, 0, 0)
+    agent.ontology.prototypes[0] = Colour(0, 0, 0)
     assert snapshot.entries[0]["forms"][0]["score"] == 0.5
     assert snapshot.entries[0]["prototype"] == [7.0, 246.0, 9.0]
 
@@ -313,7 +311,7 @@ def synthetic_series(n: int) -> list[SeriesPoint]:
 
 def test_export_run_writes_csv_json_and_html(tmp_path):
     agent = agent_with(3, [("fusemo", 1)])
-    agent.ontology.categories[0].prototype = Colour(7, 246, 9)
+    agent.ontology.prototypes[0] = Colour(7, 246, 9)
     snapshots = [take_snapshot(agent, at=10)]
     series = synthetic_series(1000)
 
