@@ -28,7 +28,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .engine import SNAPSHOT_ALL, ExperimentParams, run_experiment
-from .errors import ColourGameError, ConfigurationError
+from .errors import ColourGameError, ConfigurationError, quoted
 from .monitors import SeriesPoint, aggregate_runs, export_aggregate, export_run
 from .world import Colour, random_palette
 
@@ -92,11 +92,7 @@ def _check_type(key: str, value: object) -> None:
         kind, accepts = _TYPES[type(DEFAULT_CONFIG[key])]
         ok = accepts(value)
     if not ok:
-        # A config value nests and grows without limit; reprlib quotes it in
-        # bounded size, so the error stays one short line.
-        import reprlib
-
-        raise ConfigurationError(f"{key} must be {kind}, got {reprlib.repr(value)}")
+        raise ConfigurationError(f"{key} must be {kind}, got {quoted(value)}")
 
 
 def parse_config(
@@ -127,6 +123,11 @@ def parse_config(
         except UnicodeDecodeError as exc:
             raise ConfigurationError(
                 f"config file {config_path} is not UTF-8 text: {exc.reason}"
+            ) from exc
+        except ValueError as exc:
+            # int() refuses a literal past sys.get_int_max_str_digits().
+            raise ConfigurationError(
+                f"config file {config_path} holds an integer too long to read"
             ) from exc
         except OSError as exc:
             raise ConfigurationError(
@@ -161,16 +162,16 @@ def _game_params(config: SimpleNamespace) -> ExperimentParams:
 def _validate_ranges(config: SimpleNamespace) -> None:
     if not 1 <= config.runs <= MAX_RUNS:
         raise ConfigurationError(
-            f"runs must be in [1, {MAX_RUNS}], got {config.runs}"
+            f"runs must be in [1, {MAX_RUNS}], got {quoted(config.runs)}"
         )
-    if config.seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {config.seed}")
-    if config.parallel < 1:
-        raise ConfigurationError(f"parallel must be >= 1, got {config.parallel}")
+    for key, low in (("seed", 0), ("parallel", 1)):
+        value = getattr(config, key)
+        if value < low:
+            raise ConfigurationError(f"{key} must be >= {low}, got {quoted(value)}")
     # The OS takes no path with a null byte; Path.mkdir would raise ValueError.
     if "\0" in config.out_dir:
         raise ConfigurationError(
-            f"out_dir must not hold a null byte, got {config.out_dir!r}"
+            f"out_dir must not hold a null byte, got {quoted(config.out_dir)}"
         )
     # Shared game parameters take their range checks from the engine.
     _game_params(config).validate()

@@ -9,15 +9,16 @@ category that uniquely discriminates a topic id within the agent's world
 model and returns its id; interpretation filters a world model by closeness
 to a category's prototype to retrieve a referent's id. This experiment never
 composes meanings, so a meaning is just a category id. Both directions use
-plain Euclidean distance (`math.dist` on the colour tuples) on the raw
-channel values.
+plain Euclidean distance (`math.dist`) on the raw channel values of exact
+tuples, for the speed `world` explains: a category is invented at a percept,
+and every shift builds its prototype with `world.clipped`.
 """
 from __future__ import annotations
 
 from math import dist
 
 from .errors import InternalConsistencyError
-from .world import Colour
+from .world import RGB, clipped
 
 
 class Ontology:
@@ -28,18 +29,18 @@ class Ontology:
     """
 
     def __init__(self) -> None:
-        self.prototypes: list[Colour] = []
+        self.prototypes: list[RGB] = []
 
     def __len__(self) -> int:
         return len(self.prototypes)
 
-    def get(self, category_id: int) -> Colour:
+    def get(self, category_id: int) -> RGB:
         """The prototype of category `category_id`."""
         if 0 < category_id <= len(self.prototypes):
             return self.prototypes[category_id - 1]
         raise InternalConsistencyError(f"unknown category id {category_id}")
 
-    def closest_category(self, observation: Colour) -> tuple[int, float] | None:
+    def closest_category(self, observation: RGB) -> tuple[int, float] | None:
         """The id of the category nearest to `observation`, with its distance.
 
         Returns None on an empty ontology. Exact distance ties go to the
@@ -55,13 +56,13 @@ class Ontology:
             return None
         return best, best_distance
 
-    def invent_category(self, observed: Colour) -> int:
+    def invent_category(self, observed: RGB) -> int:
         """Create a category whose first prototype is the observed value, and
         return its id."""
         self.prototypes.append(observed)
         return len(self.prototypes)
 
-    def conceptualise(self, topic_id: str, model: dict[str, Colour]) -> int | None:
+    def conceptualise(self, topic_id: str, model: dict[str, RGB]) -> int | None:
         """Id of a category that uniquely discriminates `topic_id` in `model`.
 
         The candidate is always the category closest to the topic's observed
@@ -85,7 +86,7 @@ class Ontology:
                 return None
         return category_id
 
-    def interpret(self, category_id: int, model: dict[str, Colour]) -> str | None:
+    def interpret(self, category_id: int, model: dict[str, RGB]) -> str | None:
         """Id of the object in `model` closest to the category's prototype.
 
         A tie for the minimum means the category fails to single out a
@@ -105,10 +106,13 @@ class Ontology:
             return None
         return best
 
-    def shift_prototype(
-        self, category_id: int, observation: Colour, rate: float
-    ) -> Colour:
+    def shift_prototype(self, category_id: int, observation: RGB, rate: float) -> RGB:
         """Move a prototype a fraction `rate` of the way to `observation`."""
-        shifted = self.get(category_id).shifted_towards(observation, rate)
-        self.prototypes[category_id - 1] = shifted
+        r, g, b = self.get(category_id)
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"shift rate {rate!r} outside [0, 1]")
+        tr, tg, tb = observation
+        shifted = self.prototypes[category_id - 1] = clipped(
+            r + rate * (tr - r), g + rate * (tg - g), b + rate * (tb - b)
+        )
         return shifted

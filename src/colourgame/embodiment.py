@@ -24,7 +24,7 @@ import random
 from typing import Callable, Protocol
 
 from .errors import ConfigurationError, ProtocolError
-from .world import Colour, World, perceive
+from .world import RGB, World, perceive
 
 SIMULATED = "simulated"
 
@@ -39,7 +39,7 @@ class Backend(Protocol):
 
     def observe_world(
         self, world: World, scene: tuple[str, ...], rng: random.Random
-    ) -> dict[str, Colour]: ...
+    ) -> dict[str, RGB]: ...
 
     def speak(self, utterance: str) -> str: ...
 
@@ -70,7 +70,7 @@ class SimulatedBackend:
 
     def observe_world(
         self, world: World, scene: tuple[str, ...], rng: random.Random
-    ) -> dict[str, Colour]:
+    ) -> dict[str, RGB]:
         # Each call consumes fresh noise, so two bodies observing the same
         # scene build different models whenever noise_std > 0.
         self._scene = scene
@@ -126,7 +126,7 @@ def embody(body: Backend, agent_id: object) -> bool:
 
 def observe_world(
     body: Backend, world: World, scene: tuple[str, ...], rng: random.Random
-) -> dict[str, Colour]:
+) -> dict[str, RGB]:
     """Scan the scene's objects through this body's sensors into a private
     world model: each object's id mapped to its observed colour, in scene
     order."""

@@ -21,7 +21,6 @@ at least one object per scene.
 """
 from __future__ import annotations
 
-import math
 import random
 import sys
 from typing import NamedTuple
@@ -38,7 +37,7 @@ from .embodiment import (
     point,
     speak,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, quoted
 from .lexicon import (
     _ROUNDED,
     HEARER,
@@ -51,6 +50,7 @@ from .lexicon import (
 from .world import (
     DEFAULT_MIN_SEPARATION,
     DEFAULT_PALETTE,
+    RGB,
     Colour,
     World,
     check_separation,
@@ -107,15 +107,15 @@ class ExperimentParams(NamedTuple):
         if not 2 <= self.population_size <= MAX_POPULATION:
             raise ConfigurationError(
                 f"population_size must be in [2, {MAX_POPULATION}], "
-                f"got {self.population_size}"
+                f"got {quoted(self.population_size)}"
             )
         palette_len = (
             self.palette_size if self.random_palette else len(self.palette)
         )
         if not 1 <= self.objects_per_scene <= palette_len:
             raise ConfigurationError(
-                f"objects_per_scene={self.objects_per_scene} outside "
-                f"[1, {palette_len}]"
+                f"objects_per_scene={quoted(self.objects_per_scene)} outside "
+                f"[1, {quoted(palette_len)}]"
             )
         if self.num_interactions < 0:
             raise ConfigurationError("num_interactions must be >= 0")
@@ -125,27 +125,28 @@ class ExperimentParams(NamedTuple):
         ):
             raise ConfigurationError(
                 f"initial_score must be in (0, 1] and not round to 0, "
-                f"got {self.initial_score}"
+                f"got {quoted(self.initial_score)}"
             )
-        # NaN compares False with everything, so `< 0` alone would pass it.
+        # One chain rejects negatives, NaN, infinities and ints too large to
+        # be a float, which compare exactly with the largest float.
         for name in ("noise_std", "min_separation", "inc", "inh", "dec"):
             value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
+            if not 0.0 <= value <= sys.float_info.max:
                 raise ConfigurationError(
-                    f"{name} must be finite and >= 0, got {value}"
+                    f"{name} must be finite and >= 0, got {quoted(value)}"
                 )
         if not self.random_palette:
             check_separation(self.palette, self.min_separation)
         if not 0.0 <= self.shift_rate <= 1.0:
             raise ConfigurationError(
-                f"shift_rate must be in [0, 1], got {self.shift_rate}"
+                f"shift_rate must be in [0, 1], got {quoted(self.shift_rate)}"
             )
         if self.window < 1:
             raise ConfigurationError("window must be >= 1")
         # The success window is a deque, whose length is a C ssize_t.
         if self.window > sys.maxsize:
             raise ConfigurationError(
-                f"window must be <= {sys.maxsize}, got {self.window}"
+                f"window must be <= {sys.maxsize}, got {quoted(self.window)}"
             )
         if self.series_interval < 1:
             raise ConfigurationError("series_interval must be >= 1")
@@ -156,8 +157,8 @@ class ExperimentParams(NamedTuple):
                 0 <= self.snapshot_agent < self.population_size
             ):
                 raise ConfigurationError(
-                    f"snapshot_agent must be 'all' or an index in "
-                    f"[0, {self.population_size - 1}], got {self.snapshot_agent!r}"
+                    f"snapshot_agent must be 'all' or an index in [0, "
+                    f"{self.population_size - 1}], got {quoted(self.snapshot_agent)}"
                 )
 
 
@@ -280,7 +281,7 @@ def run_interaction(
 
 
 def _categorise(
-    ontology: Ontology, object_id: str, model: dict[str, Colour]
+    ontology: Ontology, object_id: str, model: dict[str, RGB]
 ) -> int | None:
     """Conceptualise `object_id`; if no category discriminates it, invent one
     at its observed colour and try once more. None means an exact twin."""
@@ -298,7 +299,7 @@ def align(
     params: ExperimentParams,
     used: Construction | None,
     referent_id: str,
-    model: dict[str, Colour],
+    model: dict[str, RGB],
     heard: str | None = None,
 ) -> None:
     """Post-game learning for one agent of a game that was not degenerate.

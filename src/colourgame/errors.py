@@ -17,3 +17,9 @@ class ProtocolError(ColourGameError):
 class InternalConsistencyError(ColourGameError):
     """An agent-internal structure was addressed with a stale or unknown
     identifier; indicates a bug in the calling code, not bad user input."""
+
+
+def quoted(value: object) -> str:
+    """The repr of a bad value, cut to a bounded size for a one-line error."""
+    import reprlib  # on the error path only
+    return reprlib.repr(value)

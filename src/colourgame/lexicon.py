@@ -181,15 +181,18 @@ class ConstructionInventory:
             bucket = self.by_category.get(used.category_id, ())
         else:
             bucket = self.by_form.get(used.form, ())
-        competitors = [other for other in bucket if other is not used]
-        if len(competitors) == len(bucket):
+        for other in bucket:
+            if other is used:
+                break
+        else:
             raise _not_in_inventory(used)
         used.score = _rounded(min(1.0, used.score + inc))
         # Only an inhibited competitor can reach zero, since inc >= 0.
         zeroed = False
-        for other in competitors:
-            other.score = _rounded(other.score - inh)
-            zeroed = zeroed or other.score <= 0.0
+        for other in bucket:
+            if other is not used:
+                other.score = _rounded(other.score - inh)
+                zeroed = zeroed or other.score <= 0.0
         if zeroed:
             self._prune()
 

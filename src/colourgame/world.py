@@ -7,13 +7,13 @@ scene through its own noisy sensors into a private world model: a dict from
 each scene object's id to its observed colour, in scene order. So no two
 agents ever record exactly the same channel values for the same object.
 
-A colour is a plain (r, g, b) tuple to every caller: its channels are read
-by unpacking and its distances taken with `math.dist`. It is checked where
-it enters from outside: `Colour(...)`, which builds the config palette, the
-default palette and every `random_palette` draw. Inside the engine,
-`perceive` and `Colour.shifted_towards` build colours through
-`Colour.clipped`, whose clamps already keep every channel in range, so the
-per-game path pays no second check.
+A colour is an (r, g, b) tuple to every caller: its channels are read by
+unpacking and its distances taken with `math.dist`. `Colour(...)` checks the
+ones that enter from outside: the config and default palettes and every
+`random_palette` draw. A game builds and reads only exact tuples (`RGB`), as
+CPython's fast paths for building, unpacking and `math.dist` miss a tuple
+subclass: `make_world` stores `tuple(colour)`, and `perceive` and
+`Ontology.shift_prototype` build theirs with `clipped`, in range by its clamps.
 
 Every random draw of a game is one of CPython's own algorithms, unrolled
 into the generator's primitive calls: `perceive` is `random.gauss`, three
@@ -32,16 +32,18 @@ import random
 from collections.abc import Sequence
 from math import ceil as _ceil, cos as _cos, log as _log, sin as _sin, sqrt as _sqrt
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, quoted
+
+RGB = tuple[float, float, float]  # every colour a game builds or reads
 
 
 class Colour(tuple):
-    """A point in a 3-channel colour space, channels in [0, 255].
+    """A checked point in a 3-channel colour space, channels in [0, 255].
 
     A colour is a tuple (r, g, b), so it goes to `math.dist`, `json` and
-    `pickle` as it is. `Colour(r, g, b)` checks every channel; the engine's
-    own colours come from `clipped`, whose channels are in range by
-    construction, and skip the check.
+    `pickle` as it is. `Colour(r, g, b)` checks every channel; it builds the
+    colours that enter from outside, while the engine's own are plain
+    tuples from `clipped`, in range by construction.
     """
 
     __slots__ = ()
@@ -57,31 +59,18 @@ class Colour(tuple):
         # tuple argument; without this the `--parallel` path cannot pickle it.
         return tuple(self)
 
-    @staticmethod
-    def clipped(r: float, g: float, b: float) -> Colour:
-        """Build a colour, clamping each channel into [0, 255].
 
-        Each clamp returns exactly what min(255.0, max(0.0, v)) does, NaN
-        (to 0.0) and -0.0 (to 0.0) included.
-        """
-        return tuple.__new__(
-            Colour,
-            (
-                r if 0.0 < r < 255.0 else (255.0 if r >= 255.0 else 0.0),
-                g if 0.0 < g < 255.0 else (255.0 if g >= 255.0 else 0.0),
-                b if 0.0 < b < 255.0 else (255.0 if b >= 255.0 else 0.0),
-            ),
-        )
+def clipped(r: float, g: float, b: float) -> RGB:
+    """The (r, g, b) tuple with each channel clamped into [0, 255].
 
-    def shifted_towards(self, target: Colour, rate: float) -> Colour:
-        """Move each channel a fraction `rate` of the way towards `target`."""
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"shift rate {rate!r} outside [0, 1]")
-        r, g, b = self
-        tr, tg, tb = target
-        return Colour.clipped(
-            r + rate * (tr - r), g + rate * (tg - g), b + rate * (tb - b)
-        )
+    Each clamp returns exactly what min(255.0, max(0.0, v)) does, NaN
+    (to 0.0) and -0.0 (to 0.0) included.
+    """
+    return (
+        r if 0.0 < r < 255.0 else (255.0 if r >= 255.0 else 0.0),
+        g if 0.0 < g < 255.0 else (255.0 if g >= 255.0 else 0.0),
+        b if 0.0 < b < 255.0 else (255.0 if b >= 255.0 else 0.0),
+    )
 
 
 # Six saturated, well-separated colours (pairwise distance >= 255).
@@ -111,9 +100,7 @@ class World:
 
     __slots__ = ("true_colours", "objects_per_scene", "object_ids")
 
-    def __init__(
-        self, true_colours: dict[str, Colour], objects_per_scene: int
-    ) -> None:
+    def __init__(self, true_colours: dict[str, RGB], objects_per_scene: int) -> None:
         object_ids = tuple(true_colours)
         if not 1 <= objects_per_scene <= len(object_ids):
             raise ConfigurationError(
@@ -132,7 +119,7 @@ class World:
 
 
 def make_world(
-    palette: tuple[Colour, ...] | list[Colour],
+    palette: Sequence[RGB],
     objects_per_scene: int,
     min_separation: float = DEFAULT_MIN_SEPARATION,
 ) -> World:
@@ -143,13 +130,11 @@ def make_world(
     if not palette:
         raise ConfigurationError("palette must not be empty")
     check_separation(palette, min_separation)
-    true_colours = {f"obj-{i}": colour for i, colour in enumerate(palette)}
+    true_colours = {f"obj-{i}": tuple(colour) for i, colour in enumerate(palette)}
     return World(true_colours=true_colours, objects_per_scene=objects_per_scene)
 
 
-def check_separation(
-    palette: tuple[Colour, ...] | list[Colour], min_separation: float
-) -> None:
+def check_separation(palette: Sequence[RGB], min_separation: float) -> None:
     """Reject palettes whose colours are closer than `min_separation`, so
     that scenes stay discriminable well above the perception noise level."""
     for i, first in enumerate(palette):
@@ -158,7 +143,7 @@ def check_separation(
             if d < min_separation:
                 raise ConfigurationError(
                     f"palette colours {i} and {j} are {d:.2f} apart, below the "
-                    f"required separation {min_separation}"
+                    f"required separation {quoted(min_separation)}"
                 )
 
 
@@ -170,7 +155,7 @@ def random_palette(
 ) -> tuple[Colour, ...]:
     """Rejection-sample `size` colours that respect `min_separation`."""
     if size < 1:
-        raise ConfigurationError(f"palette size must be >= 1, got {size}")
+        raise ConfigurationError(f"palette size must be >= 1, got {quoted(size)}")
     accepted: list[Colour] = []
     for _ in range(max_tries):
         candidate = Colour(
@@ -181,8 +166,8 @@ def random_palette(
             if len(accepted) == size:
                 return tuple(accepted)
     raise ConfigurationError(
-        f"could not place {size} colours at separation {min_separation} "
-        f"within {max_tries} draws"
+        f"could not place {quoted(size)} colours at separation "
+        f"{quoted(min_separation)} within {max_tries} draws"
     )
 
 
@@ -251,11 +236,11 @@ def draw_index(rng: random.Random, n: int) -> int:
 
 def perceive(
     world: World, scene: tuple[str, ...], noise_std: float, rng: random.Random
-) -> dict[str, Colour]:
+) -> dict[str, RGB]:
     """Observe every scene object with i.i.d. Gaussian channel noise, clipped.
 
     Returns the world model: each scene object's id mapped to its observed
-    colour, in scene order.
+    colour, an exact tuple, in scene order.
 
     Each object's three channel noises are drawn in the pass that builds its
     colour, by CPython's `random.gauss` unrolled: Box-Muller pairs from
@@ -276,7 +261,7 @@ def perceive(
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     spare = rng.gauss_next
     uniform = rng.random
-    clipped, true_colours = Colour.clipped, world.true_colours
+    true_colours = world.true_colours
     model = {}
     for object_id in scene:
         x2pi = uniform() * _TWOPI

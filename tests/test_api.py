@@ -14,6 +14,7 @@ def test_every_public_name_resolves():
     for gone in ("ColourCategory", "Percept", "Scene", "WorldModel"):
         assert gone not in colourgame.__all__
         assert not hasattr(colourgame, gone)
-    # A colour is read as the tuple it is: no channel or distance accessors.
-    for gone in ("r", "g", "b", "distance"):
+    # A colour is read as the tuple it is: no channel or distance accessors,
+    # and the engine builds its own colours as plain tuples.
+    for gone in ("r", "g", "b", "distance", "clipped", "shifted_towards"):
         assert not hasattr(colourgame.Colour, gone), gone

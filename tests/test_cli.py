@@ -318,17 +318,32 @@ def test_deeply_nested_config_file_exits_2_before_writing(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        # The repr of a value this deep runs to ~1.8 kB of brackets.
-        '{"snapshot_points": ' + "[" * 900 + "]" * 900 + "}",
-        '{"snapshot_agent": "' + "x" * 5000 + '"}',
-        '{"palette": [[0, 0, 0], [300, 0, 0]]}',
-        '{"palette": [[0, -1, 255]]}',
-    ],
-    ids=["deep_list", "long_string", "channel_above", "channel_below"],
-)
+# 401 digits: an int past the largest float.
+BEYOND_FLOAT = 10**400
+
+BAD_VALUES = {
+    # The repr of a value this deep runs to ~1.8 kB of brackets.
+    "deep_list": '{"snapshot_points": ' + "[" * 900 + "]" * 900 + "}",
+    "long_string": '{"snapshot_agent": "' + "x" * 5000 + '"}',
+    "channel_above": '{"palette": [[0, 0, 0], [300, 0, 0]]}',
+    "channel_below": '{"palette": [[0, -1, 255]]}',
+    # Each range check quotes the value it refuses, a 401-digit int included.
+    **{
+        key: json.dumps({key: BEYOND_FLOAT})
+        for key in ("population_size", "window", "objects_per_scene", "runs")
+    },
+    **{
+        key: json.dumps({key: -BEYOND_FLOAT})
+        for key in ("seed", "parallel", "snapshot_agent")
+    },
+    "palette_size": json.dumps(
+        {"random_palette": True, "palette_size": BEYOND_FLOAT}
+    ),
+    "separation": json.dumps({"min_separation": 10**300}),
+}
+
+
+@pytest.mark.parametrize("text", BAD_VALUES.values(), ids=BAD_VALUES.keys())
 def test_bad_value_exits_2_with_one_short_line_before_writing(
     tmp_path, capsys, text
 ):
@@ -342,6 +357,50 @@ def test_bad_value_exits_2_with_one_short_line_before_writing(
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("configuration error: ")
+    assert len(lines[0].encode()) < 200
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "key", [key for key, value in DEFAULT_CONFIG.items() if type(value) is float]
+)
+def test_int_past_float_range_for_a_float_key_exits_2_before_writing(
+    tmp_path, capsys, key
+):
+    # math.isfinite raised OverflowError on such an int, a traceback and exit 1.
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({key: BEYOND_FLOAT}))
+    out_dir = tmp_path / "out"
+    code = main(["run", "--config", str(config_file), "--out-dir", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"configuration error: {key} must be ")
+    assert len(lines[0].encode()) < 200
+    assert not out_dir.exists()
+    # The bound is the float range itself.
+    with pytest.raises(ConfigurationError):
+        parse_config(None, {key: int(sys.float_info.max) + 1})
+
+
+def test_int_literal_past_the_digit_limit_exits_2_before_writing(
+    tmp_path, capsys
+):
+    # json.load raised int()'s ValueError for the literal, a traceback and
+    # exit 1; JSONDecodeError alone was caught.
+    config_file = tmp_path / "config.json"
+    config_file.write_text('{"seed": 1' + "0" * 5000 + "}")
+    out_dir = tmp_path / "out"
+    code = main(["run", "--config", str(config_file), "--out-dir", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("configuration error: config file")
+    assert "integer too long" in lines[0]
     assert len(lines[0].encode()) < 200
     assert not out_dir.exists()
 

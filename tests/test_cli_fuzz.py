@@ -10,9 +10,10 @@ A case starts from a small valid config and applies mutations of one kind
 or several: wrong JSON types, NaN and infinities, huge and negative ints,
 empty, oversized and unplaceable palettes, unknown keys, bad UTF-8, null
 bytes, deep nesting, and flags in both the `--flag value` and `--flag=value`
-forms. Accepted cases stay cheap: at most 4 games and 2 runs. No mutation
-makes a valid `num_interactions` or `parallel` above that, so no process
-pool starts.
+forms. Fixed cases give each float key an int past the float range and the
+file an int literal too long for int() to read. Accepted cases stay cheap:
+at most 4 games and 2 runs. No mutation makes a valid `num_interactions` or
+`parallel` above that, so no process pool starts.
 """
 import json
 import random
@@ -34,6 +35,10 @@ COSTLY_KEYS = {"num_interactions", "parallel"}
 HUGE_INTS = [10**20, 2**63, sys.maxsize + 1]
 JUST_ABOVE = {"population_size": MAX_POPULATION + 1, "runs": MAX_RUNS + 1}
 NEGATIVE_INTS = [-1, -(10**20), -(2**63)]
+# An int past the largest float, which a float key must refuse as it refuses
+# inf; and more digits than int() converts from a string by default.
+BEYOND_FLOAT = 10**400
+TOO_MANY_DIGITS = 5000
 
 
 def _wrong_type(rng, config):
@@ -180,12 +185,18 @@ def _case(rng, mutations):
 def _cases():
     rng = random.Random(SEED)
     # Each int key alone at a huge value first, so that a missing upper
-    # bound shows whatever the draws below reach.
+    # bound shows whatever the draws below reach; then each float key at an
+    # int no float can hold, and an int literal longer than int() reads.
     cases = [
         (json.dumps({**_small_config(rng), key: 10**20}).encode(), [])
         for key in INT_KEYS
         if key not in COSTLY_KEYS
     ]
+    cases += [
+        (json.dumps({**_small_config(rng), key: BEYOND_FLOAT}).encode(), [])
+        for key in FLOAT_KEYS
+    ]
+    cases.append((b'{"seed": 1' + b"0" * TOO_MANY_DIGITS + b"}", []))
     for mutate in MUTATIONS:
         cases.extend(_case(rng, [mutate]) for _ in range(CASES_PER_KIND))
     for _ in range(MIXED_CASES):

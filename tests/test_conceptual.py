@@ -5,7 +5,7 @@ import pytest
 
 from colourgame.conceptual import Ontology
 from colourgame.errors import InternalConsistencyError
-from colourgame.world import Colour
+from colourgame.world import DEFAULT_PALETTE, Colour, make_world, perceive
 
 from helpers import (
     oracle_closest,
@@ -159,6 +159,21 @@ def test_shift_prototype_linear_interpolation():
     assert shifted == Colour(11, 0, 0)
     assert ontology.get(1) == Colour(11, 0, 0)
     assert ontology.prototypes == [Colour(11, 0, 0)]
+
+
+def test_prototypes_invented_at_percepts_and_shifted_are_exact_tuples():
+    world = make_world(DEFAULT_PALETTE, objects_per_scene=3)
+    model = perceive(world, world.object_ids[:3], 3.0, random.Random(2))
+    ontology = Ontology()
+    category_id = ontology.invent_category(model["obj-0"])
+    assert type(ontology.get(category_id)) is tuple
+    shifted = ontology.shift_prototype(category_id, model["obj-1"], 0.5)
+    assert type(shifted) is tuple
+    assert ontology.get(category_id) is shifted
+    # A prototype invented at a checked Colour is a tuple once it moves.
+    category_id = ontology.invent_category(Colour(1, 2, 3))
+    shifted = ontology.shift_prototype(category_id, Colour(3, 2, 1), 0.5)
+    assert type(shifted) is tuple and shifted == (2.0, 2.0, 2.0)
 
 
 def test_shift_prototype_rate_extremes():

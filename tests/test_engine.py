@@ -372,6 +372,20 @@ def test_run_experiment_replay_is_deterministic():
     assert first.records != different.records
 
 
+def test_every_prototype_of_a_run_is_an_exact_tuple():
+    # Categories are invented at percepts and moved by shift_prototype, so a
+    # run's prototypes take CPython's exact-tuple paths in math.dist and
+    # unpacking; a tuple subclass such as Colour would miss them.
+    result = run_experiment(ExperimentParams(num_interactions=300), seed=2)
+    prototypes = [
+        prototype
+        for agent in result.population
+        for prototype in agent.ontology.prototypes
+    ]
+    assert len(prototypes) >= 6 * len(result.population)
+    assert all(type(prototype) is tuple for prototype in prototypes)
+
+
 def test_run_experiment_converges_with_defaults():
     result = run_experiment(ExperimentParams(num_interactions=1000), seed=1)
     assert result.series[-1].success_window_avg >= 0.9

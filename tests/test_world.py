@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 import random
@@ -10,6 +11,7 @@ from colourgame.errors import ConfigurationError
 from colourgame.world import (
     DEFAULT_PALETTE,
     Colour,
+    clipped,
     draw_index,
     draw_sample,
     make_world,
@@ -29,11 +31,12 @@ def test_colour_rejects_out_of_range_channels():
 
 
 def test_colour_clipped_clamps_into_range():
-    assert Colour.clipped(-40, 300, 128) == (0.0, 255.0, 128.0)
+    assert clipped(-40, 300, 128) == (0.0, 255.0, 128.0)
+    assert type(clipped(-40, 300, 128)) is tuple
     # Same value and type as min(255.0, max(0.0, v)), -0.0 and NaN included.
     for v in (-0.0, 0.0, 0, 255, 255.0, 1e-300, -1e-300, 254.5, 255.5,
               math.nan, math.inf, -math.inf):
-        assert repr(Colour.clipped(v, v, v)[0]) == repr(min(255.0, max(0.0, v)))
+        assert repr(clipped(v, v, v)[0]) == repr(min(255.0, max(0.0, v)))
 
 
 def test_default_palette_is_six_well_separated_colours():
@@ -55,6 +58,27 @@ def test_make_world_assigns_ids_in_palette_order():
         t == c for t, c in zip(world.true_colours.values(), DEFAULT_PALETTE)
     )
     assert world.objects_per_scene == 3
+
+
+def test_make_world_stores_each_true_colour_as_an_exact_tuple():
+    # perceive unpacks a true colour per scene object; an exact tuple takes
+    # the interpreter's fast path, a Colour does not.
+    world = make_world(DEFAULT_PALETTE, objects_per_scene=3)
+    assert all(type(colour) is tuple for colour in world.true_colours.values())
+    assert tuple(world.true_colours.values()) == DEFAULT_PALETTE
+
+
+def test_colour_survives_pickle_and_copy_as_a_colour():
+    # A --parallel batch pickles ExperimentParams.palette, whose colours are
+    # Colours; __getnewargs__ rebuilds each as Colour(r, g, b).
+    for colour in (*DEFAULT_PALETTE, Colour(0.5, 254.5, 7)):
+        copies = [copy.copy(colour), copy.deepcopy(colour)] + [
+            pickle.loads(pickle.dumps(colour, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for copied in copies:
+            assert type(copied) is Colour
+            assert list(map(repr, copied)) == list(map(repr, colour))
 
 
 def test_make_world_single_colour_world_is_valid():
@@ -221,12 +245,12 @@ def test_perceive_matches_the_min_max_clamp_oracle(noise_std):
             for object_id, observed in model.items()
         ] == [(oid, [repr(v) for v in channels]) for oid, channels in expected]
         for colour in model.values():
-            assert type(colour) is Colour
+            assert type(colour) is tuple
             seen.update("low" if v == 0 else "high" if v == 255 else "inside"
                         for v in colour)
             for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
                 copied = pickle.loads(pickle.dumps(colour, protocol))
-                assert type(copied) is Colour
+                assert type(copied) is tuple
                 assert copied == colour and hash(copied) == hash(colour)
                 assert list(map(repr, copied)) == list(map(repr, colour))
     assert seen["low"] and seen["high"] and seen["inside"]
