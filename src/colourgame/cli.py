@@ -26,6 +26,7 @@ import random
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Callable
 
 from .engine import SNAPSHOT_ALL, ExperimentParams, run_experiment
 from .errors import ColourGameError, ConfigurationError, quoted
@@ -247,6 +248,24 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _number_flag(key: str) -> Callable[[str], int | float]:
+    """The `type=` of a number flag: its text read as the type of the key's
+    default. A text that type cannot read (a word, or an int of more digits
+    than `int()` converts) is a ConfigurationError that quotes it cut short,
+    where argparse would print its usage and all of the value."""
+    kind = type(DEFAULT_CONFIG[key])
+
+    def parse(text: str) -> int | float:
+        try:
+            return kind(text)
+        except ValueError:
+            raise ConfigurationError(
+                f"{key} must be {_TYPES[kind][0]}, got {quoted(text)}"
+            ) from None
+
+    return parse
+
+
 def _parse_snapshot_points(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip()]
@@ -254,7 +273,7 @@ def _parse_snapshot_points(text: str) -> list[int]:
         import argparse
 
         raise argparse.ArgumentTypeError(
-            f"expected a comma-separated list of integers, got {text!r}"
+            f"expected a comma-separated list of integers, got {quoted(text)}"
         ) from None
 
 
@@ -267,7 +286,7 @@ def _parse_snapshot_agent(text: str) -> int | str:
         import argparse
 
         raise argparse.ArgumentTypeError(
-            f"expected 'all' or an agent index, got {text!r}"
+            f"expected 'all' or an agent index, got {quoted(text)}"
         ) from None
 
 
@@ -319,7 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one or more seeded experiments")
     run.add_argument("--config", help="JSON config file")
     for key, settings in _FLAGS.items():
-        options = {"dest": key, "type": type(DEFAULT_CONFIG[key]), **settings}
+        kind = type(DEFAULT_CONFIG[key])
+        options = {
+            "dest": key,
+            "type": _number_flag(key) if kind in (int, float) else kind,
+            **settings,
+        }
         flag = options.pop("flag", "--" + key.replace("_", "-"))
         run.add_argument(flag, **options)
     return parser
@@ -327,18 +351,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.command == "print-default-config":
-        print(json.dumps(DEFAULT_CONFIG, indent=2, sort_keys=True))
-        return 0
-
-    overrides = {
-        key: getattr(args, key)
-        for key in _FLAGS
-        if getattr(args, key) is not None
-    }
     try:
+        # A number flag's value that does not read raises here.
+        args = parser.parse_args(argv)
+        if args.command == "print-default-config":
+            print(json.dumps(DEFAULT_CONFIG, indent=2, sort_keys=True))
+            return 0
+        overrides = {
+            key: getattr(args, key)
+            for key in _FLAGS
+            if getattr(args, key) is not None
+        }
         config = parse_config(args.config, overrides)
         return run_command(config)
     except ConfigurationError as exc:

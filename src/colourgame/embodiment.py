@@ -19,11 +19,11 @@ object id unambiguously.
 """
 from __future__ import annotations
 
-import math
 import random
+import sys
 from typing import Callable, Protocol
 
-from .errors import ConfigurationError, ProtocolError
+from .errors import ConfigurationError, ProtocolError, quoted
 from .world import RGB, World, perceive
 
 SIMULATED = "simulated"
@@ -56,10 +56,11 @@ class SimulatedBackend:
     kind = SIMULATED
 
     def __init__(self, identity: str, noise_std: float) -> None:
-        # One chain rejects negative, NaN and infinite noise alike.
-        if not 0.0 <= noise_std < math.inf:
+        # One chain rejects negative, NaN, infinite and too large noise
+        # alike; an int compares with the largest float exactly.
+        if not 0.0 <= noise_std <= sys.float_info.max:
             raise ConfigurationError(
-                f"noise_std must be finite and >= 0, got {noise_std}"
+                f"noise_std must be finite and >= 0, got {quoted(noise_std)}"
             )
         self.identity = identity
         self.noise_std = noise_std

@@ -11,7 +11,7 @@ work on the agents whose counts changed. A `PopulationMonitor` remembers what
 it last counted for each agent and keeps running totals over the population:
 of ontology sizes, of inventory sizes, of the two form/meaning ratios, and of
 the agents holding each form. Only a game's speaker and hearer can change, so
-the monitor marks those two stale after every game, and a series row
+the monitor marks those two stale after every game, and `compute_series_point`
 recounts the stale agents alone, moving each total by the difference between
 an agent's new and old counts.
 
@@ -19,29 +19,41 @@ Each mean equals the exact sum (`math.fsum`) of one value per agent over
 their count, as `statistics.fmean` computes it, and the totals are exact
 integers, so no order of recounting can move a result. Sizes are ints, and
 int / int rounds the exact quotient once, as fsum's exact sum over the count
-does. A form/meaning ratio is n/k with 1 <= k <= n, so as a float it lies in
-[1, n]: its last mantissa bit is worth at least 2**-52, and the ratio is a
-whole number of 2**-52 units. The ratio totals are kept in those units, so
-total / 2**52 is the correctly rounded exact sum, which is what fsum returns,
-and dividing that by the count gives fsum's mean bit for bit. A ratio that
-is not a whole number of units raises rather than being truncated.
+does. A form/meaning ratio is n/k with 1 <= k <= n (the inventory keeps no
+empty bucket, so k distinct categories or forms need k constructions), so as
+a float it lies in [1, n]: its last mantissa bit is worth at least 2**-52,
+and the ratio times 2**52 is a whole float, exactly. The ratio totals are
+kept in those units as ints. A total times 2**-52 rounds it to a float once
+and scales that exactly, so it is the correctly rounded exact sum, which is
+what fsum returns, and dividing that by the count gives fsum's mean bit for
+bit.
 
 Most games change no count at all. Score updates move no series field; only
-an added or pruned construction or an invented category does. So the monitor
-remembers, per agent, the pair (ontology size, inventory edits) it last
-counted, and skips a stale agent whose pair has not moved.
+an added or pruned construction or an invented category does.
 `ConstructionInventory.edits` goes up with every construction added or
-pruned; categories are never deleted, so the ontology's size serves as its
-version. At pop 5 about one recount in fifteen changes anything, at pop 50
-about three in ten. Windowed success is incremental too: the monitor
-keeps the outcomes of the last `window` games and a running count of their
-successes, so a series point reads it without rescanning any record.
+pruned, and categories are never deleted, so neither the ontology's size nor
+the edit count ever falls, and their sum moves exactly when one of them does.
+The monitor remembers that sum per agent as the agent's version, and skips a
+stale agent whose version has not moved. At pop 5 about one recount in
+fifteen changes anything, at pop 50 about three in ten. Windowed success is
+incremental too: the monitor keeps the outcomes of the last `window` games
+and a running count of their successes, so a series point reads it without
+rescanning any record. A point derives again only what moved since the last
+one: the five population values when some agent's version moved, the
+windowed success when the count of successes or the number of games in the
+window did. Otherwise it takes the last point's values as they are.
 
 A `SeriesPoint` is a named tuple in `series.csv`'s column order, and an
-aggregate row a plain tuple in `aggregate.csv`'s (`AGGREGATE_HEADER`). Each
-CSV row is written with one `%` format over the row's values, one line at a
-time: no file is ever built whole as one string, so writing costs no memory
-that grows with the run.
+aggregate row a plain tuple in `aggregate.csv`'s (`AGGREGATE_HEADER`). A CSV
+row is its interaction number through `%d`, then the text of its other
+values from one `%` format. Consecutive rows often repeat every value but
+the interaction (80% of the rows of the default 20-run ensemble, 43% at pop
+50), so that text is formatted once for each stretch of rows that repeat it
+(`itertools.groupby` on the values after the interaction). Values that are
+`==` print alike, but for 0.0 and -0.0, so a stretch holding a zero is
+formatted row by row. Rows are written one line at a time: no file is ever
+built whole as one string, and no text outlives its stretch, so writing costs
+no memory that grows with the run.
 
 Exports per run: `series.csv` (one row per sampled interaction),
 `snapshots.json`, and `snapshots.html` (one colour swatch per category,
@@ -56,14 +68,21 @@ and sample standard deviation of every series field. `aggregate_runs` makes
 every check at the call (no runs, runs of different lengths, interaction
 numbers that differ at some row), so a bad batch raises before a row exists.
 It then produces the rows lazily, and `export_aggregate` writes each row as
-it arrives, so no batch ever holds its whole aggregate table. A single run
-passes through as itself with zero deviation, each value as `fsum([v]) / 1`
-spells it, which is `v + 0.0`. Across several runs, a field's column that is
-`==` to its column in the previous row reuses that row's mean and deviation
-rather than summing again: `==` values are equal reals, and both the mean
-(`math.fsum` gives 0.0 for any mix of signed zeros) and `_stdev` depend on
-the reals alone. In the default 20-run ensemble at seeds 0-19, 62% of
-the 6,000 columns repeat.
+it arrives, so no batch ever holds its whole aggregate table. Across several
+runs, a field's column that is `==` to its column in the previous row reuses
+that row's mean and deviation rather than summing again: `==` values are
+equal reals, and both the mean (`math.fsum` gives 0.0 for any mix of signed
+zeros) and `_stdev` depend on the reals alone. In the default 20-run
+ensemble at seeds 0-19, 62% of the 6,000 columns repeat.
+
+A single run passes through as itself with zero deviation, each value as
+`fsum([v]) / 1` spells it, which is `v + 0.0`: the value as a float, but 0.0
+for -0.0. `aggregate_runs` still yields those rows as tuples, but
+`export_aggregate` writes a single run's `aggregate.csv` straight from its
+points, with no row built: each stretch of points that repeat their values
+gets its text once, from the values plus 0.0 and the deviations as the
+literal text 0.000000. After adding 0.0, `==` values print alike, zeros
+included.
 
 The standard deviation is the correctly rounded square root of the exact
 sample variance, the value `statistics.stdev` returns from CPython 3.11 on,
@@ -81,6 +100,7 @@ import math
 import operator
 import sys
 from collections import deque
+from itertools import groupby
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
@@ -124,35 +144,31 @@ class LexiconSnapshot(NamedTuple):
 _new_tuple = tuple.__new__
 
 # Fixed point for the form/meaning ratio totals: a ratio n/k with 1 <= k <= n
-# is at least 1, so it is a whole number of 2**-52 units.
-_RATIO_UNIT = 1 << (sys.float_info.mant_dig - 1)
+# is at least 1, so it is a whole number of 2**-52 units. 2**52 and 2**-52 are
+# floats and powers of two, so multiplying by either only moves the exponent.
+_RATIO_UNIT = float(1 << (sys.float_info.mant_dig - 1))
+_UNIT_VALUE = 1.0 / _RATIO_UNIT
 
-# What an agent not yet counted contributes: nothing. Its edit count never
-# matches, because an inventory's edits start at 0.
-_UNCOUNTED = (0, -1, 0, 0, 0, frozenset())
-
-
-def _ratio_units(ratio: float) -> int:
-    """`ratio` as an exact whole number of 2**-52 units."""
-    num, den = ratio.as_integer_ratio()
-    if den > _RATIO_UNIT:
-        raise ValueError(f"ratio {ratio!r} is not a whole number of 2**-52 units")
-    return num * (_RATIO_UNIT // den)
+# What an agent not yet counted contributes: nothing. Its version never
+# matches, because an ontology's size and an inventory's edits start at 0.
+_UNCOUNTED = (-1, 0, 0, 0, 0, frozenset())
 
 
 class PopulationMonitor:
     """Running totals behind the series, recounted only where play happened.
 
     A game changes no agent but its speaker and hearer, so `observe` marks
-    those two stale and `recount` rescans the stale agents alone, skipping
-    one whose ontology size and inventory edit count are those it last
-    counted. Every agent starts stale. Per agent, `counted` keeps what it
-    last counted; over the population, the totals of ontology sizes, inventory
-    sizes and (in 2**-52 units) the two form/meaning ratios, the number of
-    agents holding any construction, and `holders`, which maps each form
-    alive in the population to the number of agents holding it. `observe`
-    also keeps the outcomes of the last `window` games and a running count of
-    the successes among them.
+    those two stale, and `compute_series_point` rescans the stale agents
+    alone, skipping one whose version (ontology size plus inventory edit
+    count) is the one it last counted. Every agent starts stale. Per agent,
+    `counted` keeps what it last counted; over the population, the totals of
+    ontology sizes, inventory sizes and (in 2**-52 units) the two
+    form/meaning ratios, the number of agents holding any construction, and
+    `holders`, which maps each form alive in the population to the number of
+    agents holding it. `observe` also keeps the outcomes of the last `window`
+    games and a running count of the successes among them. `counts` holds
+    the last point's five population values, and `success` its windowed
+    success, taken from the (successes, games) pair `success_from`.
     """
 
     def __init__(self, population: Sequence["Agent"], window: int) -> None:
@@ -162,10 +178,11 @@ class PopulationMonitor:
         self._successes = 0
         self._agents = {agent.agent_id: agent for agent in population}
         self._stale = set(self._agents)
-        # agent id -> (ontology size, inventory edits, inventory size,
+        # agent id -> (version, ontology size, inventory size,
         # forms-per-meaning units, meanings-per-form units, form set) as last
-        # counted: the agents the totals cover.
-        self.counted: dict[int, tuple] = {}
+        # counted, where the version is the ontology size plus the inventory's
+        # edits; `_UNCOUNTED` for an agent not yet counted.
+        self.counted = dict.fromkeys(self._agents, _UNCOUNTED)
         self.ontology_total = 0
         self.inventory_total = 0
         # Agents holding at least one construction: the ratios' count.
@@ -173,6 +190,11 @@ class PopulationMonitor:
         self.forms_per_meaning_units = 0
         self.meanings_per_form_units = 0
         self.holders: dict[str, int] = {}
+        # The values of a population no agent of which holds anything, and
+        # of a window no game has entered: zero by convention.
+        self.counts: tuple = (0.0, 0.0, 0, 0.0, 0.0)
+        self.success = 0.0
+        self.success_from = (0, 0)
 
     def observe(self, record: "InteractionRecord") -> None:
         """Mark the two agents that played `record` as needing a recount, and
@@ -185,69 +207,81 @@ class PopulationMonitor:
         recent.append(record.success)
         self._successes += record.success
 
-    def windowed_success(self) -> float:
-        """Fraction of successes among the last min(window, games observed)
-        games; zero games observed means zero success by definition."""
-        recent = self._recent
-        return self._successes / len(recent) if recent else 0.0
-
-    def recount(self) -> None:
-        """Bring the stale agents' counts and every total up to date."""
-        counted = self.counted
-        holders = self.holders
-        for agent_id in self._stale:
-            agent = self._agents[agent_id]
-            ontology_size = len(agent.ontology.prototypes)
-            edits = agent.inventory.edits
-            old = counted.get(agent_id, _UNCOUNTED)
-            if old[0] == ontology_size and old[1] == edits:
-                continue
-            _, _, old_size, old_fpm, old_mpf, old_forms = old
-            inventory = agent.inventory
-            size = len(inventory.constructions)
-            forms = set(inventory.by_form)
-            if size:
-                fpm = _ratio_units(size / len(inventory.by_category))
-                mpf = _ratio_units(size / len(forms))
-            else:
-                fpm = mpf = 0
-            counted[agent_id] = (ontology_size, edits, size, fpm, mpf, forms)
-            self.ontology_total += ontology_size - old[0]
-            self.inventory_total += size - old_size
-            self.ratio_agents += (size > 0) - (old_size > 0)
-            self.forms_per_meaning_units += fpm - old_fpm
-            self.meanings_per_form_units += mpf - old_mpf
-            for form in old_forms - forms:
-                if holders[form] == 1:
-                    del holders[form]
-                else:
-                    holders[form] -= 1
-            for form in forms - old_forms:
-                holders[form] = holders.get(form, 0) + 1
-        self._stale.clear()
-
 
 def compute_series_point(monitor: PopulationMonitor, at: int) -> SeriesPoint:
-    """Derive every monitored value at interaction `at` from the monitor."""
-    monitor.recount()
-    agents = len(monitor.counted)
-    ratio_agents = monitor.ratio_agents
-    # units / 2**52 is the correctly rounded exact sum of the ratios, which is
-    # what math.fsum returns (see the module docstring).
-    if ratio_agents:
-        forms_per_meaning = monitor.forms_per_meaning_units / _RATIO_UNIT / ratio_agents
-        meanings_per_form = monitor.meanings_per_form_units / _RATIO_UNIT / ratio_agents
-    else:
-        forms_per_meaning = meanings_per_form = 0.0
-    return _new_tuple(SeriesPoint, (
-        at,
-        monitor.windowed_success(),
-        monitor.ontology_total / agents if agents else 0.0,
-        monitor.inventory_total / agents if agents else 0.0,
-        len(monitor.holders),
-        forms_per_meaning,
-        meanings_per_form,
-    ))
+    """Derive every monitored value at interaction `at` from the monitor.
+
+    The stale agents are recounted first. Then only what moved since the
+    last point is derived again: the five population values when a stale
+    agent's version moved, and the windowed success (the fraction of
+    successes among the last min(window, games observed) games, 0.0 before
+    any) when the window's success count or length moved. Otherwise the last
+    point's values stand.
+    """
+    counted = monitor.counted
+    agents = monitor._agents
+    moved = False
+    for agent_id in monitor._stale:
+        agent = agents[agent_id]
+        ontology_size = len(agent.ontology.prototypes)
+        inventory = agent.inventory
+        # Both counts only ever grow, so their sum moves when either does.
+        version = ontology_size + inventory.edits
+        old = counted[agent_id]
+        if old[0] == version:
+            continue
+        moved = True
+        _, old_ontology_size, old_size, old_fpm, old_mpf, old_forms = old
+        size = len(inventory.constructions)
+        forms = set(inventory.by_form)
+        if size:
+            # Each ratio n/k is a float in [1, n] (see the module docstring),
+            # so scaling it by 2**52 gives its units as a whole float.
+            fpm = int(size / len(inventory.by_category) * _RATIO_UNIT)
+            mpf = int(size / len(forms) * _RATIO_UNIT)
+        else:
+            fpm = mpf = 0
+        counted[agent_id] = (version, ontology_size, size, fpm, mpf, forms)
+        monitor.ontology_total += ontology_size - old_ontology_size
+        monitor.inventory_total += size - old_size
+        monitor.ratio_agents += (size > 0) - (old_size > 0)
+        monitor.forms_per_meaning_units += fpm - old_fpm
+        monitor.meanings_per_form_units += mpf - old_mpf
+        holders = monitor.holders
+        for form in old_forms - forms:
+            if holders[form] == 1:
+                del holders[form]
+            else:
+                holders[form] -= 1
+        for form in forms - old_forms:
+            holders[form] = holders.get(form, 0) + 1
+    monitor._stale.clear()
+    if moved:
+        population = len(counted)
+        ratio_agents = monitor.ratio_agents
+        # units * 2**-52 is the correctly rounded exact sum of the ratios,
+        # which is what math.fsum returns (see the module docstring).
+        if ratio_agents:
+            forms_per_meaning = (
+                monitor.forms_per_meaning_units * _UNIT_VALUE / ratio_agents
+            )
+            meanings_per_form = (
+                monitor.meanings_per_form_units * _UNIT_VALUE / ratio_agents
+            )
+        else:
+            forms_per_meaning = meanings_per_form = 0.0
+        monitor.counts = (
+            monitor.ontology_total / population,
+            monitor.inventory_total / population,
+            len(monitor.holders),
+            forms_per_meaning,
+            meanings_per_form,
+        )
+    window = (monitor._successes, len(monitor._recent))
+    if window != monitor.success_from:
+        monitor.success = window[0] / window[1]
+        monitor.success_from = window
+    return _new_tuple(SeriesPoint, (at, monitor.success, *monitor.counts))
 
 
 def take_snapshot(agent: "Agent", at: int) -> LexiconSnapshot:
@@ -276,8 +310,39 @@ def take_snapshot(agent: "Agent", at: int) -> LexiconSnapshot:
     )
 
 
-# One series.csv row: `_SERIES_LINE % point`.
-_SERIES_LINE = "%d,%.6f,%.6f,%.6f,%d,%.6f,%.6f\n"
+# A CSV row's text after its interaction number, `%d`: series.csv's from a
+# point's other values, aggregate.csv's from a row's other values, and a
+# one-run aggregate.csv's from a point's other values with zero deviations.
+_SERIES_TAIL = ",%.6f,%.6f,%.6f,%d,%.6f,%.6f\n"
+_AGGREGATE_TAIL = ",%.6f" * 2 * len(SERIES_FIELDS) + "\n"
+_ONE_RUN_TAIL = ",%.6f,0.000000" * len(SERIES_FIELDS) + "\n"
+_ZEROS = (0.0,) * len(SERIES_FIELDS)
+_TAIL = operator.itemgetter(slice(1, None))
+
+
+def _write_rows(
+    fh, rows: Iterable[Sequence], tail: str, plus_zero: bool = False
+) -> None:
+    """Write each row as its interaction number through `%d`, then `tail`
+    formatted with the rest of its values (each plus 0.0 if `plus_zero`).
+
+    The rest is formatted once for each stretch of rows that repeat it.
+    Values that are == print alike but for 0.0 and -0.0, so unless 0.0 is
+    added, a stretch holding a zero is formatted row by row.
+    """
+    write = fh.write
+    for values, stretch in groupby(rows, _TAIL):
+        if 0.0 in values:
+            if not plus_zero:
+                fh.writelines(map(("%d" + tail).__mod__, stretch))
+                continue
+            # Of all the values, adding 0.0 changes the text of -0.0 alone:
+            # `%.6f` reads an int as the float that int + 0.0 is.
+            values = tuple(map(operator.add, values, _ZEROS))
+        # Formatted numbers hold no %, so the text is a format of its own.
+        line = "%d" + tail % values
+        for row in stretch:
+            write(line % row[0])
 
 
 def export_run(
@@ -292,7 +357,7 @@ def export_run(
     series_path = out / SERIES_CSV
     with series_path.open("w", newline="") as fh:
         fh.write(",".join(SERIES_HEADER) + "\n")
-        fh.writelines(map(_SERIES_LINE.__mod__, series))
+        _write_rows(fh, series, _SERIES_TAIL)
 
     json_path = out / SNAPSHOTS_JSON
     with json_path.open("w") as fh:
@@ -459,8 +524,27 @@ def _stdev(values: Sequence[float]) -> float:
 AGGREGATE_HEADER = ("interaction",) + tuple(
     f"{field}_{stat}" for field in SERIES_FIELDS for stat in ("mean", "std")
 )
-# One aggregate.csv row: `_AGGREGATE_LINE % row`.
-_AGGREGATE_LINE = "%d" + ",%.6f" * (len(AGGREGATE_HEADER) - 1) + "\n"
+
+
+class _OneRunRows:
+    """`aggregate_runs`' rows for a single run, which aggregates to itself
+    with zero deviation: an iterator over the run's points that turns each
+    into its row, each value spelt as `fsum([v]) / 1` spells it. That is
+    `v + 0.0`: `float(v)`, but 0.0 for -0.0. `export_aggregate` writes the
+    points not yet taken straight from `points`, with no row built."""
+
+    __slots__ = ("points",)
+
+    def __init__(self, series: Sequence[SeriesPoint]) -> None:
+        self.points = iter(series)
+
+    def __iter__(self) -> "_OneRunRows":
+        return self
+
+    def __next__(self) -> tuple:
+        i, a, b, c, d, e, f = next(self.points)
+        return (i, a + 0.0, 0.0, b + 0.0, 0.0, c + 0.0, 0.0, d + 0.0, 0.0,
+                e + 0.0, 0.0, f + 0.0, 0.0)
 
 
 def aggregate_runs(
@@ -482,12 +566,7 @@ def aggregate_runs(
             f"runs disagree on series length: {sorted(lengths)}"
         )
     if len(series_per_run) == 1:
-        # fsum([v]) / 1 is float(v), but 0.0 for -0.0: v + 0.0 exactly.
-        return (
-            (i, a + 0.0, 0.0, b + 0.0, 0.0, c + 0.0, 0.0, d + 0.0, 0.0,
-             e + 0.0, 0.0, f + 0.0, 0.0)
-            for i, a, b, c, d, e, f in series_per_run[0]
-        )
+        return _OneRunRows(series_per_run[0])
     for i, points in enumerate(zip(*series_per_run)):
         interactions = {point[0] for point in points}
         if len(interactions) != 1:
@@ -529,5 +608,8 @@ def export_aggregate(rows: Iterable[tuple], out_dir: str | Path) -> Path:
     path = out / AGGREGATE_CSV
     with path.open("w", newline="") as fh:
         fh.write(",".join(AGGREGATE_HEADER) + "\n")
-        fh.writelines(map(_AGGREGATE_LINE.__mod__, rows))
+        if type(rows) is _OneRunRows:
+            _write_rows(fh, rows.points, _ONE_RUN_TAIL, plus_zero=True)
+        else:
+            _write_rows(fh, rows, _AGGREGATE_TAIL)
     return path

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections.abc import Sequence
 from math import ceil as _ceil, cos as _cos, log as _log, sin as _sin, sqrt as _sqrt
 
@@ -87,6 +88,9 @@ DEFAULT_MIN_SEPARATION = 100.0
 
 # The constant `random.gauss` scales its uniform angle by.
 _TWOPI = 2.0 * math.pi
+# The largest float: noise above it, inf or an int too large to be a float
+# (which compares with it exactly), is refused.
+_FLOAT_MAX = sys.float_info.max
 
 
 class World:
@@ -256,9 +260,11 @@ def perceive(
     `tests/test_world.py::test_perceive_draws_exactly_what_gauss_draws`
     pins it against `rng.gauss`.
     """
-    # One chain rejects negative, NaN and infinite noise alike.
-    if not 0.0 <= noise_std < math.inf:
-        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
+    # One chain rejects negative, NaN, infinite and too large noise alike.
+    if not 0.0 <= noise_std <= _FLOAT_MAX:
+        raise ValueError(
+            f"noise_std must be finite and >= 0, got {quoted(noise_std)}"
+        )
     spare = rng.gauss_next
     uniform = rng.random
     true_colours = world.true_colours

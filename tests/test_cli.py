@@ -660,6 +660,34 @@ def test_bad_snapshot_flag_exits_2_with_its_message(
     assert not (tmp_path / "out").exists()
 
 
+# More digits than int() reads from a string by default (4,300).
+TOO_MANY_DIGITS = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    ("flag", "value", "message"),
+    [
+        ("--seed", TOO_MANY_DIGITS, "seed must be an integer, got '1000"),
+        ("--window", TOO_MANY_DIGITS, "window must be an integer, got '1000"),
+        ("--runs", "two", "runs must be an integer, got 'two'"),
+        ("--noise-std", "loud", "noise_std must be a number, got 'loud'"),
+    ],
+)
+def test_unreadable_number_flag_exits_2_with_one_short_line(
+    tmp_path, capsys, flag, value, message
+):
+    # argparse printed its usage and the whole value: ~5.7 kB for 5,001 digits.
+    out_dir = tmp_path / "out"
+    assert main(["run", "--out-dir", str(out_dir), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("configuration error: " + message)
+    assert len(lines[0].encode()) < 200
+    assert not out_dir.exists()
+
+
 def test_zero_interaction_run_produces_header_only_files(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(small_args(out, num_interactions=0)) == 0

@@ -10,10 +10,11 @@ A case starts from a small valid config and applies mutations of one kind
 or several: wrong JSON types, NaN and infinities, huge and negative ints,
 empty, oversized and unplaceable palettes, unknown keys, bad UTF-8, null
 bytes, deep nesting, and flags in both the `--flag value` and `--flag=value`
-forms. Fixed cases give each float key an int past the float range and the
-file an int literal too long for int() to read. Accepted cases stay cheap:
-at most 4 games and 2 runs. No mutation makes a valid `num_interactions` or
-`parallel` above that, so no process pool starts.
+forms. Fixed cases give each float key an int past the float range, the
+file an int literal too long for int() to read, and each number flag such
+digits and a word. Accepted cases stay cheap: at most 4 games and 2 runs.
+No mutation makes a valid `num_interactions` or `parallel` above that, so no
+process pool starts. The one error line is short, whatever the value.
 """
 import json
 import random
@@ -197,6 +198,12 @@ def _cases():
         for key in FLOAT_KEYS
     ]
     cases.append((b'{"seed": 1' + b"0" * TOO_MANY_DIGITS + b"}", []))
+    # The same digits, and a word, as the value of each number flag.
+    for key in sorted(cli._FLAGS):
+        if type(cli.DEFAULT_CONFIG[key]) in (int, float):
+            flag = "--" + key.replace("_", "-")
+            for text in ("1" + "0" * TOO_MANY_DIGITS, "x"):
+                cases.append((b'{"num_interactions": 2}', [f"{flag}={text}"]))
     for mutate in MUTATIONS:
         cases.extend(_case(rng, [mutate]) for _ in range(CASES_PER_KIND))
     for _ in range(MIXED_CASES):
@@ -233,6 +240,7 @@ def test_fuzzed_run_exits_0_or_2_and_writes_nothing_on_2(
         lines = captured.err.splitlines()
         assert len(lines) == 1, what + f" stderr={captured.err!r}"
         assert lines[0].startswith("configuration error: "), what
+        assert len(lines[0].encode()) < 300, what
         assert captured.out == "", what
         assert written == ([] if source == "missing" else ["input.json"]), what
     # The generator must reach both outcomes, or it tests nothing.

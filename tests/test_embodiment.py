@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -31,6 +32,17 @@ def test_make_body_simulated():
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ConfigurationError):
             make_body("simulated", "body-a", noise_std=bad)
+
+
+def test_make_body_rejects_an_int_past_the_float_range():
+    # An int compares with the largest float exactly: past it, the body is
+    # refused as inf is, in one short line; at it, the body is made.
+    for bad in (10**400, -(10**400)):
+        with pytest.raises(ConfigurationError, match="finite and >= 0") as err:
+            make_body("simulated", "body-a", noise_std=bad)
+        assert len(str(err.value)) < 120
+    largest = int(sys.float_info.max)
+    assert make_body("simulated", "body-a", noise_std=largest).noise_std == largest
 
 
 def test_make_body_rejects_unsupported_kind():

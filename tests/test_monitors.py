@@ -57,32 +57,31 @@ def records_with(successes: list[bool]) -> list[InteractionRecord]:
     ]
 
 
-def monitor_after(successes: list[bool], window: int = 50) -> PopulationMonitor:
+def success_after(successes: list[bool], window: int = 50) -> float:
+    """The windowed success of a series point taken after `successes`."""
     monitor = PopulationMonitor([Agent(0), Agent(1)], window)
     for record in records_with(successes):
         monitor.observe(record)
-    return monitor
+    return compute_series_point(monitor, len(successes)).success_window_avg
 
 
 def test_windowed_success_basics():
-    assert monitor_after([True] * 50).windowed_success() == 1.0
-    assert monitor_after([False]).windowed_success() == 0.0
-    assert monitor_after([]).windowed_success() == 0.0
+    assert success_after([True] * 50) == 1.0
+    assert success_after([False]) == 0.0
+    assert success_after([]) == 0.0
 
 
 def test_windowed_success_alternating_and_clamping():
-    assert monitor_after([i % 2 == 0 for i in range(100)]).windowed_success() == 0.5
+    assert success_after([i % 2 == 0 for i in range(100)]) == 0.5
     # only three games have been played
-    assert monitor_after([True, True, False]).windowed_success() == pytest.approx(
-        2 / 3
-    )
+    assert success_after([True, True, False]) == pytest.approx(2 / 3)
     with pytest.raises(ValueError):
         PopulationMonitor([Agent(0), Agent(1)], window=0)
 
 
 def test_windowed_success_uses_most_recent_games():
-    assert monitor_after([False] * 50 + [True] * 50).windowed_success() == 1.0
-    assert monitor_after([False] * 50).windowed_success() == 0.0
+    assert success_after([False] * 50 + [True] * 50) == 1.0
+    assert success_after([False] * 50) == 0.0
 
 
 def test_windowed_success_never_drops_when_success_evicts_failure():
@@ -95,7 +94,7 @@ def test_windowed_success_never_drops_when_success_evicts_failure():
     previous = 0.0
     for n, record in enumerate(records, start=1):
         monitor.observe(record)
-        current = monitor.windowed_success()
+        current = compute_series_point(monitor, n).success_window_avg
         assert current == windowed_success(records, 50, n)
         if n > 50 and flags[n - 1] and not flags[n - 51]:
             assert current >= previous
@@ -357,9 +356,35 @@ CSV_FLOATS = (-0.0, 0.1 + 0.2, 5e-7, 2.5e-7, 1.5e-6, 1e16, 1 / 3, 0, 6, 10**6)
 CSV_INTS = (0, 1, 7, 999_999, 10**6)
 
 
+def stretches(first: tuple, int_columns=()) -> list[tuple]:
+    """Rows that repeat every value after the interaction number, three at a
+    time, with each stretch changing one column of the last: in turn, each
+    column to a value one ulp away (an int column to the next int), and each
+    float column to 0.0, then the int 0, then -0.0, zeros that are == but
+    need not print alike (an int column to the int 0)."""
+    rows = []
+    values = list(first)
+    changes = [
+        (k, math.nextafter(values[k], math.inf) if k not in int_columns
+         else values[k] + 1)
+        for k in range(len(values))
+    ]
+    changes += [
+        (k, zero)
+        for k in range(len(values))
+        for zero in ((0,) if k in int_columns else (0.0, 0, -0.0))
+    ]
+    for k, value in changes:
+        values[k] = value
+        for _ in range(3):
+            rows.append((len(rows) + 1, *values))
+    return rows
+
+
 def test_csv_lines_match_the_csv_module_oracle(tmp_path):
     # Each point shifts the float values one column along, so every float
     # field takes every value; the two int fields run through CSV_INTS.
+    # Then stretches of points repeat all values after the interaction.
     series = [
         SeriesPoint(
             CSV_INTS[i % len(CSV_INTS)],
@@ -368,6 +393,10 @@ def test_csv_lines_match_the_csv_module_oracle(tmp_path):
             *(CSV_FLOATS[(i + k) % len(CSV_FLOATS)] for k in range(3, 5)),
         )
         for i in range(2 * len(CSV_FLOATS))
+    ]
+    series += [
+        SeriesPoint(*row)
+        for row in stretches((0.25, -0.0, 6.5, 7, 1 / 3, 1.0), int_columns={3})
     ]
     series_path = export_run(series, [], tmp_path)[0]
     assert series_path.read_bytes() == oracle_series_csv(series).encode()
@@ -382,12 +411,36 @@ def test_csv_lines_match_the_csv_module_oracle(tmp_path):
         )
         for i in range(2 * len(CSV_FLOATS))
     ]
+    rows += stretches(CSV_FLOATS[1:] + CSV_FLOATS[1:4])
     # The same interactions with another run's values, for nonzero deviations.
     other = [SeriesPoint(a[0], *b[1:]) for a, b in zip(series, reversed(series))]
     rows += list(aggregate_runs([series]))
     rows += list(aggregate_runs([series, other]))
     aggregate_path = export_aggregate(rows, tmp_path)
     assert aggregate_path.read_bytes() == oracle_aggregate_csv(rows).encode()
+
+
+def test_one_run_aggregate_csv_matches_the_oracle(tmp_path):
+    # A single run's aggregate.csv is written from its points: every value
+    # spelt as fsum([v]) / 1 spells it (so -0.0 as 0.0, and an int past
+    # 2**53 as the nearest float), and each deviation 0.0. The points hold
+    # stretches that repeat all values after the interaction, one column
+    # moving by an ulp or to a zero of either sign at a time.
+    first = (-0.0, 2**60 + 1, 0.1 + 0.2, 7, 2.0**60, 1 / 3)
+    series = [SeriesPoint(*row) for row in stretches(first)]
+    series.append(SeriesPoint(len(series) + 1, 2**60 + 1, *first[1:]))
+    expected = [
+        tuple(row[key] for key in AGGREGATE_HEADER)
+        for row in oracle_aggregate_rows([series])
+    ]
+    path = export_aggregate(aggregate_runs([series]), tmp_path)
+    assert path.read_bytes() == oracle_aggregate_csv(expected).encode()
+    # Rows already taken from the iterator are not written again.
+    rows = aggregate_runs([series])
+    assert next(rows) == expected[0]
+    path = export_aggregate(rows, tmp_path)
+    assert path.read_bytes() == oracle_aggregate_csv(expected[1:]).encode()
+    assert list(rows) == []
 
 
 # Forms json must escape (a quote, a backslash, control characters, non-ASCII

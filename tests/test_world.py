@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 import statistics
+import sys
 from collections import Counter
 
 import pytest
@@ -217,6 +218,21 @@ def test_perceive_rejects_negative_noise():
     for bad in (-1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             perceive(world, scene, noise_std=bad, rng=random.Random(0))
+
+
+def test_perceive_rejects_an_int_past_the_float_range():
+    world = make_world([Colour(0, 0, 0)], objects_per_scene=1)
+    scene = sample_scene(world, random.Random(0))
+    rng = random.Random(0)
+    state = rng.getstate()
+    for bad in (10**400, -(10**400)):
+        with pytest.raises(ValueError, match="finite and >= 0") as err:
+            perceive(world, scene, noise_std=bad, rng=rng)
+        assert len(str(err.value)) < 120
+    # Refused before any draw; the largest int that is a float still plays.
+    assert rng.getstate() == state
+    (colour,) = perceive(world, scene, int(sys.float_info.max), rng).values()
+    assert all(0.0 <= channel <= 255.0 for channel in colour)
 
 
 @pytest.mark.parametrize("noise_std", [0.0, 3.0, 200.0])
