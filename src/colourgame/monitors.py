@@ -317,7 +317,8 @@ _SERIES_TAIL = ",%.6f,%.6f,%.6f,%d,%.6f,%.6f\n"
 _AGGREGATE_TAIL = ",%.6f" * 2 * len(SERIES_FIELDS) + "\n"
 _ONE_RUN_TAIL = ",%.6f,0.000000" * len(SERIES_FIELDS) + "\n"
 _ZEROS = (0.0,) * len(SERIES_FIELDS)
-_TAIL = operator.itemgetter(slice(1, None))
+# A row's values after its interaction number.
+_REST = operator.itemgetter(slice(1, None))
 
 
 def _write_rows(
@@ -331,7 +332,7 @@ def _write_rows(
     added, a stretch holding a zero is formatted row by row.
     """
     write = fh.write
-    for values, stretch in groupby(rows, _TAIL):
+    for values, stretch in groupby(rows, _REST):
         if 0.0 in values:
             if not plus_zero:
                 fh.writelines(map(("%d" + tail).__mod__, stretch))
@@ -602,7 +603,8 @@ def _aggregate_rows(
 
 def export_aggregate(rows: Iterable[tuple], out_dir: str | Path) -> Path:
     """Write the aggregated series as aggregate.csv in `out_dir`, each row
-    as it arrives from `rows`."""
+    as it arrives from `rows`; a single run's rows from `aggregate_runs`
+    are written from the run's points."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / AGGREGATE_CSV
