@@ -30,7 +30,7 @@ from typing import Callable
 
 from .engine import SNAPSHOT_ALL, ExperimentParams, run_experiment
 from .errors import ColourGameError, ConfigurationError, quoted
-from .monitors import SeriesPoint, aggregate_runs, export_aggregate, export_run
+from .monitors import SeriesPoint, export_aggregate, export_run
 from .world import Colour, random_palette
 
 OUT_DIR_ENV_VAR = "NAMING_GAME_OUT_DIR"
@@ -74,25 +74,37 @@ _TYPES = {
 }
 
 
+def _is_palette(value: object) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(t, list)
+        and len(t) == 3
+        and all(_is_int(ch) and 0 <= ch <= 255 for ch in t)
+        for t in value
+    )
+
+
+# What a config value must be, for the keys whose default's JSON type does
+# not say it all.
+_KEY_TYPES = {
+    "palette": ("a list of [r, g, b] integer triplets in [0, 255]", _is_palette),
+    "snapshot_agent": (
+        "'all' or an agent index",
+        lambda value: value == SNAPSHOT_ALL or _is_int(value),
+    ),
+}
+
+
+def _key_type(key: str) -> tuple[str, Callable[[object], bool]]:
+    """What a known config key's value must be, and the check for it."""
+    return _KEY_TYPES.get(key) or _TYPES[type(DEFAULT_CONFIG[key])]
+
+
 def _check_type(key: str, value: object) -> None:
     """Type-check one config entry; raises ConfigurationError on mismatch."""
     if key not in DEFAULT_CONFIG:
         raise ConfigurationError(f"unknown configuration key {key!r}")
-    if key == "palette":
-        kind = "a list of [r, g, b] integer triplets in [0, 255]"
-        ok = isinstance(value, list) and all(
-            isinstance(t, list)
-            and len(t) == 3
-            and all(_is_int(ch) and 0 <= ch <= 255 for ch in t)
-            for t in value
-        )
-    elif key == "snapshot_agent":
-        kind = "'all' or an agent index"
-        ok = value == SNAPSHOT_ALL or _is_int(value)
-    else:
-        kind, accepts = _TYPES[type(DEFAULT_CONFIG[key])]
-        ok = accepts(value)
-    if not ok:
+    kind, accepts = _key_type(key)
+    if not accepts(value):
         raise ConfigurationError(f"{key} must be {kind}, got {quoted(value)}")
 
 
@@ -234,7 +246,7 @@ def run_command(config: SimpleNamespace) -> int:
     else:
         series_per_run = [_execute_run(*job) for job in jobs]
 
-    export_aggregate(aggregate_runs(series_per_run), out_dir)
+    export_aggregate(series_per_run, out_dir)
     for i, series in enumerate(series_per_run):
         print(_run_summary(i, config.seed + i, series))
     return 0
@@ -248,51 +260,32 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _number_flag(key: str) -> Callable[[str], int | float]:
-    """The `type=` of a number flag: its text read as the type of the key's
-    default. A text that type cannot read (a word, or an int of more digits
-    than `int()` converts) is a ConfigurationError that quotes it cut short,
+def _flag_reader(key: str) -> Callable[[str], object]:
+    """The `type=` of the flag that sets `key`: its text read as the key's
+    value. A text that does not read (a word, or an int of more digits than
+    `int()` converts) is a ConfigurationError that quotes it cut short,
     where argparse would print its usage and all of the value."""
-    kind = type(DEFAULT_CONFIG[key])
+    if key == "snapshot_points":
+        read = lambda text: [int(part) for part in text.split(",") if part.strip()]
+    elif key == "snapshot_agent":
+        read = lambda text: text if text == SNAPSHOT_ALL else int(text)
+    else:
+        read = type(DEFAULT_CONFIG[key])
 
-    def parse(text: str) -> int | float:
+    def parse(text: str) -> object:
         try:
-            return kind(text)
+            return read(text)
         except ValueError:
             raise ConfigurationError(
-                f"{key} must be {_TYPES[kind][0]}, got {quoted(text)}"
+                f"{key} must be {_key_type(key)[0]}, got {quoted(text)}"
             ) from None
 
     return parse
 
 
-def _parse_snapshot_points(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        import argparse
-
-        raise argparse.ArgumentTypeError(
-            f"expected a comma-separated list of integers, got {quoted(text)}"
-        ) from None
-
-
-def _parse_snapshot_agent(text: str) -> int | str:
-    if text == SNAPSHOT_ALL:
-        return text
-    try:
-        return int(text)
-    except ValueError:
-        import argparse
-
-        raise argparse.ArgumentTypeError(
-            f"expected 'all' or an agent index, got {quoted(text)}"
-        ) from None
-
-
 # The keys a `run` flag sets, in --help order, each with the argparse settings
-# it does not derive: the flag is `--<key with dashes>` and its type that of
-# the key's default. Every other key is set in a config file only.
+# it does not derive: the flag is `--<key with dashes>` and its type
+# `_flag_reader(key)`. Every other key is set in a config file only.
 _FLAGS: dict[str, dict] = {
     "population_size": {},
     "objects_per_scene": {},
@@ -308,12 +301,10 @@ _FLAGS: dict[str, dict] = {
     "window": {},
     "snapshot_points": {
         "flag": "--snapshot-at",
-        "type": _parse_snapshot_points,
         "metavar": "N,N,...",
         "help": "comma-separated interaction numbers to snapshot at",
     },
     "snapshot_agent": {
-        "type": _parse_snapshot_agent,
         "help": "agent index to snapshot, or 'all'",
     },
     "out_dir": {},
@@ -338,12 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one or more seeded experiments")
     run.add_argument("--config", help="JSON config file")
     for key, settings in _FLAGS.items():
-        kind = type(DEFAULT_CONFIG[key])
-        options = {
-            "dest": key,
-            "type": _number_flag(key) if kind in (int, float) else kind,
-            **settings,
-        }
+        options = {"dest": key, "type": _flag_reader(key), **settings}
         flag = options.pop("flag", "--" + key.replace("_", "-"))
         run.add_argument(flag, **options)
     return parser
@@ -352,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        # A number flag's value that does not read raises here.
+        # A flag's value that does not read raises here.
         args = parser.parse_args(argv)
         if args.command == "print-default-config":
             print(json.dumps(DEFAULT_CONFIG, indent=2, sort_keys=True))

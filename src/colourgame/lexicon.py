@@ -6,13 +6,14 @@ and comprehension pick the strongest match; successful games reward the used
 construction and laterally inhibit its competitors, failed games punish it.
 A construction whose score drops to zero disappears.
 
-An inventory keeps its constructions in one list, in the order they were
-added, and indexes the same objects twice: `by_form` groups them by word form
-and `by_category` by category id, each bucket in list order, and no bucket
-is ever empty. `add_construction` and `_prune`, the only methods that add or
-remove a construction, keep the list and both indexes in step. So every
-lookup reads the one bucket it needs and costs its matches, not the whole
-inventory.
+An inventory indexes its constructions twice: `by_form` groups them by word
+form and `by_category` by category id, each bucket in the order its
+constructions were added, and no bucket is ever empty. There is no other list
+of them; `size` counts them. `add_construction` and `_remove`, the only
+methods that add or remove a construction, keep both indexes and the count in
+step, and bump `edits`. So every lookup reads the one bucket it needs and
+costs its matches, not the whole inventory, and a construction whose score
+reaches zero is removed from its two buckets alone.
 
 Every score a method stores is rounded to 12 decimals by `_rounded`, which
 memoises `round` in a module-level dict. A run at the default increments
@@ -98,16 +99,16 @@ class ConstructionInventory:
     """An agent's private collection of scored constructions."""
 
     def __init__(self) -> None:
-        self.constructions: list[Construction] = []
         self.by_form: dict[str, list[Construction]] = {}
         self.by_category: dict[int, list[Construction]] = {}
+        self.size = 0
         # Bumped by every method that adds or removes a construction, so a
         # monitor can tell an inventory whose form and category sets may
         # have changed from one whose scores alone moved.
         self.edits = 0
 
     def __len__(self) -> int:
-        return len(self.constructions)
+        return self.size
 
     def add_construction(
         self, form: str, category_id: int, initial_score: float
@@ -132,9 +133,9 @@ class ConstructionInventory:
         construction = Construction(
             form=form, category_id=category_id, score=score
         )
-        self.constructions.append(construction)
         self.by_form.setdefault(form, []).append(construction)
         self.by_category.setdefault(category_id, []).append(construction)
+        self.size += 1
         self.edits += 1
         return construction
 
@@ -188,13 +189,13 @@ class ConstructionInventory:
             raise _not_in_inventory(used)
         used.score = _rounded(min(1.0, used.score + inc))
         # Only an inhibited competitor can reach zero, since inc >= 0.
-        zeroed = False
+        # `_unindex` replaces a bucket rather than editing it, so a removal
+        # leaves the bucket this loop walks as it was.
         for other in bucket:
             if other is not used:
                 other.score = _rounded(other.score - inh)
-                zeroed = zeroed or other.score <= 0.0
-        if zeroed:
-            self._prune()
+                if other.score <= 0.0:
+                    self._remove(other)
 
     def punish(self, used: Construction, dec: float) -> None:
         """Decrease the used construction's score, removing it at zero."""
@@ -208,19 +209,13 @@ class ConstructionInventory:
             raise _not_in_inventory(used)
         used.score = _rounded(used.score - dec)
         if used.score <= 0.0:
-            self._prune()
+            self._remove(used)
 
-    def _prune(self) -> None:
-        """Remove every construction whose score is no longer positive, from
-        the list and from both indexes."""
-        kept = []
-        for c in self.constructions:
-            if c.score > 0.0:
-                kept.append(c)
-            else:
-                _unindex(self.by_form, c.form, c)
-                _unindex(self.by_category, c.category_id, c)
-        self.constructions = kept
+    def _remove(self, construction: Construction) -> None:
+        """Take a held construction out of both its buckets."""
+        _unindex(self.by_form, construction.form, construction)
+        _unindex(self.by_category, construction.category_id, construction)
+        self.size -= 1
         self.edits += 1
 
 

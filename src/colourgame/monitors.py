@@ -64,25 +64,26 @@ would: strings through json's own ASCII escaper, numbers as json spells them
 (NaN and the infinities included), and `[]` for an empty list.
 
 Multi-run aggregation writes `aggregate.csv` with the per-interaction mean
-and sample standard deviation of every series field. `aggregate_runs` makes
-every check at the call (no runs, runs of different lengths, interaction
-numbers that differ at some row), so a bad batch raises before a row exists.
-It then produces the rows lazily, and `export_aggregate` writes each row as
-it arrives, so no batch ever holds its whole aggregate table. Across several
+and sample standard deviation of every series field. `export_aggregate`
+takes the runs' series and calls `aggregate_runs`, which makes every check at
+the call (no runs, runs of different lengths, interaction numbers that differ
+at some row), so a bad batch raises before a row or the file exists. It then
+produces the rows lazily, and `export_aggregate` writes each row as it
+arrives, so no batch ever holds its whole aggregate table. Across several
 runs, a field's column that is `==` to its column in the previous row reuses
 that row's mean and deviation rather than summing again: `==` values are
 equal reals, and both the mean (`math.fsum` gives 0.0 for any mix of signed
 zeros) and `_stdev` depend on the reals alone. In the default 20-run
 ensemble at seeds 0-19, 62% of the 6,000 columns repeat.
 
-A single run passes through as itself with zero deviation, each value as
+A single run aggregates to itself with zero deviation, each value as
 `fsum([v]) / 1` spells it, which is `v + 0.0`: the value as a float, but 0.0
-for -0.0. `aggregate_runs` still yields those rows as tuples, but
-`export_aggregate` writes a single run's `aggregate.csv` straight from its
-points, with no row built: each stretch of points that repeat their values
-gets its text once, from the values plus 0.0 and the deviations as the
-literal text 0.000000. After adding 0.0, `==` values print alike, zeros
-included.
+for -0.0. `aggregate_runs` yields its rows as it yields any others, with no
+interaction numbering to compare, but `export_aggregate` writes a single
+run's `aggregate.csv` straight from its points, with no row built: each
+stretch of points that repeat their values gets its text once, from the
+values plus 0.0 and the deviations as the literal text 0.000000. After adding
+0.0, `==` values print alike, zeros included.
 
 The standard deviation is the correctly rounded square root of the exact
 sample variance, the value `statistics.stdev` returns from CPython 3.11 on,
@@ -232,7 +233,7 @@ def compute_series_point(monitor: PopulationMonitor, at: int) -> SeriesPoint:
             continue
         moved = True
         _, old_ontology_size, old_size, old_fpm, old_mpf, old_forms = old
-        size = len(inventory.constructions)
+        size = inventory.size
         forms = set(inventory.by_form)
         if size:
             # Each ratio n/k is a float in [1, n] (see the module docstring),
@@ -527,27 +528,6 @@ AGGREGATE_HEADER = ("interaction",) + tuple(
 )
 
 
-class _OneRunRows:
-    """`aggregate_runs`' rows for a single run, which aggregates to itself
-    with zero deviation: an iterator over the run's points that turns each
-    into its row, each value spelt as `fsum([v]) / 1` spells it. That is
-    `v + 0.0`: `float(v)`, but 0.0 for -0.0. `export_aggregate` writes the
-    points not yet taken straight from `points`, with no row built."""
-
-    __slots__ = ("points",)
-
-    def __init__(self, series: Sequence[SeriesPoint]) -> None:
-        self.points = iter(series)
-
-    def __iter__(self) -> "_OneRunRows":
-        return self
-
-    def __next__(self) -> tuple:
-        i, a, b, c, d, e, f = next(self.points)
-        return (i, a + 0.0, 0.0, b + 0.0, 0.0, c + 0.0, 0.0, d + 0.0, 0.0,
-                e + 0.0, 0.0, f + 0.0, 0.0)
-
-
 def aggregate_runs(
     series_per_run: Sequence[Sequence[SeriesPoint]],
 ) -> Iterator[tuple]:
@@ -566,22 +546,21 @@ def aggregate_runs(
         raise ConfigurationError(
             f"runs disagree on series length: {sorted(lengths)}"
         )
-    if len(series_per_run) == 1:
-        return _OneRunRows(series_per_run[0])
-    for i, points in enumerate(zip(*series_per_run)):
-        interactions = {point[0] for point in points}
-        if len(interactions) != 1:
-            raise ConfigurationError(
-                f"runs disagree on interaction numbering at row {i}: "
-                f"{sorted(interactions)}"
-            )
+    if len(series_per_run) > 1:
+        for i, points in enumerate(zip(*series_per_run)):
+            interactions = {point[0] for point in points}
+            if len(interactions) != 1:
+                raise ConfigurationError(
+                    f"runs disagree on interaction numbering at row {i}: "
+                    f"{sorted(interactions)}"
+                )
     return _aggregate_rows(series_per_run)
 
 
 def _aggregate_rows(
     series_per_run: Sequence[Sequence[SeriesPoint]],
 ) -> Iterator[tuple]:
-    """`aggregate_runs`' rows for two or more checked runs, one at a time."""
+    """`aggregate_runs`' rows for checked runs, one at a time."""
     n = len(series_per_run)
     last_columns: list = [None] * len(SERIES_FIELDS)
     last_stats: list = [None] * len(SERIES_FIELDS)
@@ -601,17 +580,20 @@ def _aggregate_rows(
         last_columns, last_stats = columns, stats
 
 
-def export_aggregate(rows: Iterable[tuple], out_dir: str | Path) -> Path:
-    """Write the aggregated series as aggregate.csv in `out_dir`, each row
-    as it arrives from `rows`; a single run's rows from `aggregate_runs`
-    are written from the run's points."""
+def export_aggregate(
+    series_per_run: Sequence[Sequence[SeriesPoint]], out_dir: str | Path
+) -> Path:
+    """Write the runs' aggregated series as aggregate.csv in `out_dir`, each
+    row as it arrives from `aggregate_runs`, which checks the runs before
+    anything is written; a single run is written from its points."""
+    rows = aggregate_runs(series_per_run)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / AGGREGATE_CSV
     with path.open("w", newline="") as fh:
         fh.write(",".join(AGGREGATE_HEADER) + "\n")
-        if type(rows) is _OneRunRows:
-            _write_rows(fh, rows.points, _ONE_RUN_TAIL, plus_zero=True)
+        if len(series_per_run) == 1:
+            _write_rows(fh, series_per_run[0], _ONE_RUN_TAIL, plus_zero=True)
         else:
             _write_rows(fh, rows, _AGGREGATE_TAIL)
     return path

@@ -8,7 +8,9 @@ success window from the records, the reference for the incremental
 min/max clamps and `rng.gauss`, the reference for `world.perceive`'s
 comparison clamps and in-line noise draws. `oracle_produce` and
 `oracle_comprehend` filter, take the top score, then break ties, the
-reference for the lexicon's indexed lookups. `oracle_series_csv` and
+reference for the lexicon's indexed lookups. `constructions_of` lists an
+inventory's constructions from its `by_form` index, which is where a test
+finds the objects an inventory holds. `oracle_series_csv` and
 `oracle_aggregate_csv` write each field with its own f-string through
 `csv.writer`, the reference for the one `%` format per line of
 `monitors.export_run` and `monitors.export_aggregate`.
@@ -105,6 +107,13 @@ def oracle_perceive(
     return observed
 
 
+def constructions_of(inventory) -> list:
+    """Every construction `inventory` holds, bucket by bucket of `by_form`:
+    forms in the order they were first held, each bucket in the order its
+    constructions were added."""
+    return [c for bucket in inventory.by_form.values() for c in bucket]
+
+
 def oracle_produce(constructions, category_id: int):
     """Strongest construction for a category, score ties to the smallest
     form: filter, take the top score, then break the tie."""
@@ -150,16 +159,14 @@ def oracle_series_point(population, records, at: int, window: int) -> SeriesPoin
     are whole numbers that sum to its construction count, so the mean is
     that count over the number of distinct categories; likewise for
     meanings per form over distinct forms."""
+    held = [constructions_of(agent.inventory) for agent in population]
     ontology_sizes = [len(agent.ontology) for agent in population]
-    inventory_sizes = [len(agent.inventory) for agent in population]
-    all_forms = {
-        c.form for agent in population for c in agent.inventory.constructions
-    }
+    inventory_sizes = [len(constructions) for constructions in held]
+    all_forms = {c.form for constructions in held for c in constructions}
 
     forms_per_meaning: list[float] = []
     meanings_per_form: list[float] = []
-    for agent in population:
-        constructions = agent.inventory.constructions
+    for constructions in held:
         if not constructions:
             continue
         count = len(constructions)

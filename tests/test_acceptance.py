@@ -16,6 +16,7 @@ from colourgame.engine import ExperimentParams, run_experiment
 from colourgame.lexicon import HEARER, SPEAKER, ConstructionInventory, invent_word_form
 
 from helpers import (
+    constructions_of,
     oracle_conceptualise,
     oracle_interpret,
     random_int_colour,
@@ -167,9 +168,9 @@ def test_criterion_6_score_dynamics_properties():
                 round(rng.uniform(0.05, 1.0), 2),
             )
         for _ in range(rng.randint(1, 8)):
-            if not inventory.constructions:
+            if not inventory.by_form:
                 break
-            used = rng.choice(inventory.constructions)
+            used = rng.choice(constructions_of(inventory))
             op = rng.random()
             if op < 0.5:
                 inventory.reward_and_inhibit(
@@ -181,7 +182,7 @@ def test_criterion_6_score_dynamics_properties():
             else:
                 inventory.punish(used, rng.uniform(0, 0.3))
             if any(
-                not 0.0 < c.score <= 1.0 for c in inventory.constructions
+                not 0.0 < c.score <= 1.0 for c in constructions_of(inventory)
             ):
                 violations += 1
     report(

@@ -642,22 +642,49 @@ def test_serial_batch_imports_no_process_pool(tmp_path):
         assert (tmp_path / batch / "aggregate.csv").is_file()
 
 
+BAD_SNAPSHOT_AT = "snapshot_points must be a list of integers, got '1,x'"
+
+
 @pytest.mark.parametrize(
     ("flag", "value", "message"),
     [
-        ("--snapshot-at", "1,x",
-         "expected a comma-separated list of integers, got '1,x'"),
-        ("--snapshot-agent", "foo", "expected 'all' or an agent index, got 'foo'"),
+        ("--snapshot-at", "1,x", BAD_SNAPSHOT_AT),
+        ("--snapshot-agent", "foo",
+         "snapshot_agent must be 'all' or an agent index, got 'foo'"),
     ],
 )
 def test_bad_snapshot_flag_exits_2_with_its_message(
     tmp_path, capsys, flag, value, message
 ):
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--out-dir", str(tmp_path / "out"), flag, value])
-    assert exc.value.code == 2
-    assert f"argument {flag}: {message}" in capsys.readouterr().err
+    assert main(["run", "--out-dir", str(tmp_path / "out"), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"configuration error: {message}"]
     assert not (tmp_path / "out").exists()
+
+
+def test_python_m_colourgame_runs_and_refuses_a_bad_flag(tmp_path, monkeypatch):
+    # `python -m colourgame` runs the package's __main__.py, in a fresh
+    # interpreter.
+    monkeypatch.delenv(OUT_DIR_ENV_VAR, raising=False)
+    src_dir = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src_dir}
+
+    def colourgame(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "colourgame", "run", *args],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+
+    proc = colourgame("--num-interactions", "20", "--out-dir", "out")
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "run-0" / "series.csv").is_file()
+    assert (tmp_path / "out" / "aggregate.csv").is_file()
+    proc = colourgame("--snapshot-at", "1,x", "--out-dir", "bad")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"configuration error: {BAD_SNAPSHOT_AT}"]
+    assert not (tmp_path / "bad").exists()
 
 
 # More digits than int() reads from a string by default (4,300).

@@ -11,8 +11,8 @@ or several: wrong JSON types, NaN and infinities, huge and negative ints,
 empty, oversized and unplaceable palettes, unknown keys, bad UTF-8, null
 bytes, deep nesting, and flags in both the `--flag value` and `--flag=value`
 forms. Fixed cases give each float key an int past the float range, the
-file an int literal too long for int() to read, and each number flag such
-digits and a word. Accepted cases stay cheap: at most 4 games and 2 runs.
+file an int literal too long for int() to read, and each flag that reads
+its text (all but `--out-dir`) such digits and a word. Accepted cases stay cheap: at most 4 games and 2 runs.
 No mutation makes a valid `num_interactions` or `parallel` above that, so no
 process pool starts. The one error line is short, whatever the value.
 """
@@ -198,10 +198,11 @@ def _cases():
         for key in FLOAT_KEYS
     ]
     cases.append((b'{"seed": 1' + b"0" * TOO_MANY_DIGITS + b"}", []))
-    # The same digits, and a word, as the value of each number flag.
+    # The same digits, and a word, as the value of each flag but out_dir,
+    # which takes any text.
     for key in sorted(cli._FLAGS):
-        if type(cli.DEFAULT_CONFIG[key]) in (int, float):
-            flag = "--" + key.replace("_", "-")
+        if key != "out_dir":
+            flag = cli._FLAGS[key].get("flag", "--" + key.replace("_", "-"))
             for text in ("1" + "0" * TOO_MANY_DIGITS, "x"):
                 cases.append((b'{"num_interactions": 2}', [f"{flag}={text}"]))
     for mutate in MUTATIONS:

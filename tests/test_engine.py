@@ -33,7 +33,11 @@ from colourgame.world import (
     sample_scene,
 )
 
-from helpers import register_recording_backend, split_into_games
+from helpers import (
+    constructions_of,
+    register_recording_backend,
+    split_into_games,
+)
 
 GAME_SHAPE = re.compile(
     r"^embody,embody,observe_world,observe_world,speak,hear,(point,)?(nod|point)$"
@@ -175,12 +179,12 @@ def test_first_game_invention_and_adoption():
     hearer = population[record.hearer_id]
     # speaker invented a category and a word; the word was punished once
     assert len(speaker.ontology) == 1
-    [spoken] = speaker.inventory.constructions
+    [spoken] = constructions_of(speaker.inventory)
     assert spoken.form == record.utterance
     assert spoken.score == pytest.approx(params.initial_score - params.dec)
     # hearer adopted the word for a freshly invented category at 0.5
     assert len(hearer.ontology) == 1
-    [adopted] = hearer.inventory.constructions
+    [adopted] = constructions_of(hearer.inventory)
     assert adopted.form == record.utterance
     assert adopted.score == pytest.approx(params.initial_score)
     # the adopted prototype reflects the hearer's own noisy percept
@@ -239,13 +243,13 @@ def test_align_unknown_word_adoption_reuses_or_invents():
 
     assert len(agent.ontology) == 1
     assert agent.ontology.prototypes == [Colour(5, 243, 2)]
-    [adopted] = agent.inventory.constructions
+    [adopted] = constructions_of(agent.inventory)
     assert adopted.form == "fusemo" and adopted.score == 0.5
 
     # hearing another unknown word for the same object reuses the category
     align(agent, HEARER, False, params, None, pointed, model, "sobele")
     assert len(agent.ontology) == 1
-    assert {c.form for c in agent.inventory.constructions} == {"fusemo", "sobele"}
+    assert {c.form for c in constructions_of(agent.inventory)} == {"fusemo", "sobele"}
 
 
 def test_align_degenerate_game_updates_nothing():
@@ -263,16 +267,16 @@ def test_align_degenerate_game_updates_nothing():
     for agent in population:
         category_id = agent.ontology.invent_category(Colour(1, 1, 1))
         agent.inventory.add_construction("fusemo", category_id, 0.5)
-    before = [deepcopy(a.inventory.constructions) for a in population]
+    before = [deepcopy(constructions_of(a.inventory)) for a in population]
     rng = random.Random(0)
     record = run_interaction(
         population, world, simulated_bodies(0.0), params, rng, 1
     )
     assert record.failure_reason == FAILURE_DEGENERATE
     speaker = population[record.speaker_id]
-    [used] = speaker.inventory.constructions
+    [used] = constructions_of(speaker.inventory)
     assert used.score == 0.5 and len(speaker.inventory) == 1
-    assert [a.inventory.constructions for a in population] == before
+    assert [constructions_of(a.inventory) for a in population] == before
 
 
 def test_record_consistency_over_many_games():
@@ -320,7 +324,9 @@ def test_games_only_mutate_the_two_participants():
     rng = random.Random(13)
     for n in range(1, 60):
         before = {
-            a.agent_id: deepcopy((a.ontology.prototypes, a.inventory.constructions))
+            a.agent_id: deepcopy(
+                (a.ontology.prototypes, constructions_of(a.inventory))
+            )
             for a in population
         }
         record = run_interaction(population, world, bodies, params, rng, n)
@@ -329,7 +335,7 @@ def test_games_only_mutate_the_two_participants():
                 continue
             assert before[agent.agent_id] == (
                 agent.ontology.prototypes,
-                agent.inventory.constructions,
+                constructions_of(agent.inventory),
             )
 
 

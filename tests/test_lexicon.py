@@ -16,7 +16,7 @@ from colourgame.lexicon import (
     invent_word_form,
 )
 
-from helpers import oracle_comprehend, oracle_produce
+from helpers import constructions_of, oracle_comprehend, oracle_produce
 
 WORD_SHAPE = re.compile(f"^([{CONSONANTS}][{VOWELS}]){{3}}$")
 
@@ -150,9 +150,15 @@ def test_inhibition_to_exactly_zero_prunes_and_keeps_survivor_order():
     last = inventory.add_construction("fusemo", 2, 0.2)
     inventory.reward_and_inhibit(used, SPEAKER, inc=0.1, inh=0.1)
     assert doomed.score == 0.0
-    assert list(map(id, inventory.constructions)) == list(
-        map(id, [first, used, survivor, last])
-    )
+    assert {k: list(map(id, v)) for k, v in inventory.by_form.items()} == {
+        "sobele": [id(first)],
+        "fusemo": [id(used), id(last)],
+        "kadilu": [id(survivor)],
+    }
+    assert {k: list(map(id, v)) for k, v in inventory.by_category.items()} == {
+        2: [id(first), id(last)],
+        1: [id(used), id(survivor)],
+    }
     assert survivor.score == pytest.approx(0.3)
 
 
@@ -167,7 +173,7 @@ def test_reward_requires_membership_and_valid_role():
         outsider = ConstructionInventory().add_construction(*foreign, 0.5)
         with pytest.raises(InternalConsistencyError):
             inventory.reward_and_inhibit(outsider, role, 0.1, 0.5)
-        assert inventory.constructions == [used] and used.score == 0.5
+        assert constructions_of(inventory) == [used] and used.score == 0.5
         assert outsider.score == 0.5
     with pytest.raises(ValueError):
         inventory.reward_and_inhibit(used, "bystander", 0.1, 0.1)
@@ -192,7 +198,7 @@ def test_punish_rejects_a_field_equal_foreign_construction():
     assert foreign == used and foreign is not used
     with pytest.raises(InternalConsistencyError):
         inventory.punish(foreign, 0.1)
-    assert inventory.constructions == [used]
+    assert constructions_of(inventory) == [used]
     assert used.score == 0.5 and foreign.score == 0.5
 
 
@@ -218,9 +224,9 @@ def test_scores_stay_in_unit_interval_under_random_updates():
                 round(rng.uniform(0.05, 1.0), 2),
             )
         for _ in range(rng.randint(1, 15)):
-            if not inventory.constructions:
+            if not inventory.by_form:
                 break
-            used = rng.choice(inventory.constructions)
+            used = rng.choice(constructions_of(inventory))
             if rng.random() < 0.5:
                 inventory.reward_and_inhibit(
                     used,
@@ -230,7 +236,9 @@ def test_scores_stay_in_unit_interval_under_random_updates():
                 )
             else:
                 inventory.punish(used, rng.uniform(0, 0.25))
-            assert all(0.0 < c.score <= 1.0 for c in inventory.constructions)
+            assert all(
+                0.0 < c.score <= 1.0 for c in constructions_of(inventory)
+            )
 
 
 def test_produce_returns_the_freshly_added_strongest_form():
@@ -264,16 +272,16 @@ def test_one_pass_lookups_pick_what_the_two_pass_oracles_pick():
         for form, category_id in rng.sample(pairs, rng.randint(0, len(pairs))):
             inventory.add_construction(form, category_id, rng.choice(scores))
         for _ in range(rng.randint(0, 6)):
-            if not inventory.constructions:
+            if not inventory.by_form:
                 break
-            used = rng.choice(inventory.constructions)
+            used = rng.choice(constructions_of(inventory))
             if rng.random() < 0.5:
                 inventory.reward_and_inhibit(
                     used, rng.choice((SPEAKER, HEARER)), 0.1, 0.2
                 )
             else:
                 inventory.punish(used, 0.2)
-        constructions = inventory.constructions
+        constructions = constructions_of(inventory)
         for category_id in range(0, 6):
             assert inventory.produce(category_id) is oracle_produce(
                 constructions, category_id
@@ -295,20 +303,25 @@ def grouped(constructions, key) -> dict:
     return groups
 
 
-def assert_index_matches(inventory: ConstructionInventory) -> None:
-    """Both buckets hold exactly the grouping of the flat list: the same
-    objects in the same order, and no bucket is empty."""
-    constructions = inventory.constructions
+def assert_index_matches(inventory: ConstructionInventory, model: list) -> None:
+    """Both indexes hold exactly the grouping of `model`, the constructions
+    the inventory should hold in the order they were added: the same objects
+    in the same order, and no bucket is empty. So both hold the same
+    objects, and the inventory's length is each index's total."""
+    held = []
     for buckets, key in (
         (inventory.by_form, lambda c: c.form),
         (inventory.by_category, lambda c: c.category_id),
     ):
-        expected = grouped(constructions, key)
+        expected = grouped(model, key)
         assert {k: list(map(id, v)) for k, v in buckets.items()} == {
             k: list(map(id, v)) for k, v in expected.items()
         }
         assert all(buckets.values())
-    assert set(inventory.by_form) == {c.form for c in constructions}
+        assert len(inventory) == sum(map(len, buckets.values()))
+        held.append(sorted(id(c) for bucket in buckets.values() for c in bucket))
+    assert held[0] == held[1]
+    assert set(inventory.by_form) == {c.form for c in model}
 
 
 def test_index_follows_every_add_reward_punish_and_prune():
@@ -318,22 +331,30 @@ def test_index_follows_every_add_reward_punish_and_prune():
     prunes = foreign = 0
     for _ in range(300):
         inventory = ConstructionInventory()
+        # What the inventory should hold, in the order it was added.
+        model: list = []
         for _ in range(rng.randint(1, 40)):
             op = rng.random()
             before = inventory.edits
-            if op < 0.4 or not inventory.constructions:
+            added = 0
+            if op < 0.4 or not model:
                 form, category_id = rng.choice(forms), rng.randint(1, 4)
                 held = any(
                     c.form == form and c.category_id == category_id
-                    for c in inventory.constructions
+                    for c in model
                 )
                 if held:
                     with pytest.raises(InternalConsistencyError):
                         inventory.add_construction(form, category_id, 0.5)
                 else:
-                    inventory.add_construction(form, category_id, rng.choice(scores))
+                    model.append(
+                        inventory.add_construction(
+                            form, category_id, rng.choice(scores)
+                        )
+                    )
+                    added = 1
             elif op < 0.85:
-                used = rng.choice(inventory.constructions)
+                used = rng.choice(model)
                 if rng.random() < 0.5:
                     inventory.reward_and_inhibit(
                         used, rng.choice((SPEAKER, HEARER)), 0.1, rng.choice((0.1, 0.3))
@@ -343,12 +364,12 @@ def test_index_follows_every_add_reward_punish_and_prune():
             else:
                 # A stranger equal in form, category and score to a held
                 # construction is still not that construction.
-                twin = rng.choice(inventory.constructions)
+                twin = rng.choice(model)
                 outsider = ConstructionInventory().add_construction(
                     twin.form, twin.category_id, twin.score
                 )
                 assert outsider == twin and outsider is not twin
-                held_scores = [c.score for c in inventory.constructions]
+                held_scores = [c.score for c in model]
                 with pytest.raises(InternalConsistencyError):
                     if rng.random() < 0.5:
                         inventory.reward_and_inhibit(
@@ -356,19 +377,23 @@ def test_index_follows_every_add_reward_punish_and_prune():
                         )
                     else:
                         inventory.punish(outsider, 1.0)
-                assert [c.score for c in inventory.constructions] == held_scores
+                assert [c.score for c in model] == held_scores
                 assert outsider.score == twin.score
                 foreign += 1
-            prunes += inventory.edits - before > 0 and op >= 0.4
-            assert_index_matches(inventory)
-            constructions = inventory.constructions
+            kept = [c for c in model if c.score > 0.0]
+            removed = len(model) - len(kept)
+            model = kept
+            # Every add and every removal raises the edit count by one.
+            assert inventory.edits - before == added + removed
+            prunes += removed > 0
+            assert_index_matches(inventory, model)
             for category_id in range(0, 6):
                 assert inventory.produce(category_id) is oracle_produce(
-                    constructions, category_id
+                    model, category_id
                 )
             for form in forms + ["zuzuzu"]:
                 assert inventory.comprehend(form) is oracle_comprehend(
-                    constructions, form
+                    model, form
                 )
     assert prunes > 300 and foreign > 300
 
@@ -398,9 +423,9 @@ def _rounded_inputs_of_random_updates(seed: int, wanted: int) -> list[float]:
                     round(rng.uniform(0.06, 1.0), rng.randint(1, 9)),
                 )
             for _ in range(rng.randint(1, 30)):
-                if not inventory.constructions:
+                if not inventory.by_form:
                     break
-                used = rng.choice(inventory.constructions)
+                used = rng.choice(constructions_of(inventory))
                 if rng.random() < 0.6:
                     inventory.reward_and_inhibit(
                         used, rng.choice((SPEAKER, HEARER)), inc, inh

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import re
 import statistics
 import sys
 
@@ -191,21 +192,22 @@ def test_recount_follows_inventory_edits_between_rows():
     # inventory size stays 2 while its form set changes. Agent 1 only sees
     # scores move, and is skipped.
     swapper, scorer = population[0].inventory, population[1].inventory
-    bakala = swapper.constructions[0]
+    [bakala] = swapper.by_form["bakala"]
     swapper.add_construction("zulewa", bakala.category_id, 0.5)
     swapper.punish(bakala, 1.0)
     assert len(swapper) == 2 and set(swapper.by_form) == {"defile", "zulewa"}
-    scorer.reward_and_inhibit(scorer.constructions[0], SPEAKER, 0.1, 0.2)
-    scorer.punish(scorer.constructions[1], 0.1)
+    scorer.reward_and_inhibit(scorer.by_form["bakala"][0], SPEAKER, 0.1, 0.2)
+    scorer.punish(scorer.by_form["gikolu"][0], 0.1)
     assert len(scorer) == 2
     assert play(0, 1, 1).distinct_forms_population == 5
     # A word adopted for a category the agent already has: the ontology
     # stays, only the inventory grows.
     adopter = population[2].inventory
-    adopter.add_construction("defile", adopter.constructions[0].category_id, 0.5)
+    [lamune] = adopter.by_form["lamune"]
+    adopter.add_construction("defile", lamune.category_id, 0.5)
     assert play(2, 1, 2).mean_forms_per_meaning == pytest.approx(5 / 3)
     # A construction pruned with nothing added in its place.
-    adopter.punish(adopter.constructions[0], 1.0)
+    adopter.punish(lamune, 1.0)
     assert play(1, 2, 3).distinct_forms_population == 4
 
 
@@ -283,7 +285,7 @@ def test_take_snapshot_shape_and_copy_semantics():
         },
     )
     # later mutation must not leak into the stored snapshot
-    agent.inventory.constructions[0].score = 0.9
+    agent.inventory.by_form["fusemo"][0].score = 0.9
     agent.ontology.prototypes[0] = Colour(0, 0, 0)
     assert snapshot.entries[0]["forms"][0]["score"] == 0.5
     assert snapshot.entries[0]["prototype"] == [7.0, 246.0, 9.0]
@@ -412,12 +414,16 @@ def test_csv_lines_match_the_csv_module_oracle(tmp_path):
         for i in range(2 * len(CSV_FLOATS))
     ]
     rows += stretches(CSV_FLOATS[1:] + CSV_FLOATS[1:4])
+    lines = io.StringIO(newline="")
+    lines.write(",".join(AGGREGATE_HEADER) + "\n")
+    monitors._write_rows(lines, rows, monitors._AGGREGATE_TAIL)
+    assert lines.getvalue() == oracle_aggregate_csv(rows)
     # The same interactions with another run's values, for nonzero deviations.
     other = [SeriesPoint(a[0], *b[1:]) for a, b in zip(series, reversed(series))]
-    rows += list(aggregate_runs([series]))
-    rows += list(aggregate_runs([series, other]))
-    aggregate_path = export_aggregate(rows, tmp_path)
-    assert aggregate_path.read_bytes() == oracle_aggregate_csv(rows).encode()
+    for runs in ([series], [series, other]):
+        aggregate_path = export_aggregate(runs, tmp_path)
+        expected = oracle_aggregate_csv(aggregate_runs(runs))
+        assert aggregate_path.read_bytes() == expected.encode()
 
 
 def test_one_run_aggregate_csv_matches_the_oracle(tmp_path):
@@ -433,14 +439,8 @@ def test_one_run_aggregate_csv_matches_the_oracle(tmp_path):
         tuple(row[key] for key in AGGREGATE_HEADER)
         for row in oracle_aggregate_rows([series])
     ]
-    path = export_aggregate(aggregate_runs([series]), tmp_path)
+    path = export_aggregate([series], tmp_path)
     assert path.read_bytes() == oracle_aggregate_csv(expected).encode()
-    # Rows already taken from the iterator are not written again.
-    rows = aggregate_runs([series])
-    assert next(rows) == expected[0]
-    path = export_aggregate(rows, tmp_path)
-    assert path.read_bytes() == oracle_aggregate_csv(expected[1:]).encode()
-    assert list(rows) == []
 
 
 # Forms json must escape (a quote, a backslash, control characters, non-ASCII
@@ -731,7 +731,7 @@ def test_aggregate_runs_matches_the_dict_oracle():
     assert repeated > 1000
 
 
-def test_aggregate_runs_rejects_mismatched_runs():
+def test_aggregate_runs_rejects_mismatched_runs(tmp_path):
     with pytest.raises(ConfigurationError):
         aggregate_runs([])
     with pytest.raises(ConfigurationError):
@@ -748,6 +748,10 @@ def test_aggregate_runs_rejects_mismatched_runs():
         with pytest.raises(ConfigurationError) as want:
             oracle_aggregate_rows(bad)
         assert str(got.value) == str(want.value)
+        # export_aggregate makes the same checks before it writes anything.
+        with pytest.raises(ConfigurationError, match=re.escape(str(want.value))):
+            export_aggregate(bad, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 def test_aggregate_runs_checks_every_row_before_producing_one():
@@ -769,8 +773,7 @@ def test_aggregate_runs_checks_every_row_before_producing_one():
 
 
 def test_export_aggregate_file_shape(tmp_path):
-    rows = list(aggregate_runs([synthetic_series(4), synthetic_series(4)]))
-    path = export_aggregate(rows, tmp_path)
+    path = export_aggregate([synthetic_series(4), synthetic_series(4)], tmp_path)
     lines = path.read_text().splitlines()
     assert len(lines) == 5
     header = lines[0].split(",")
