@@ -648,9 +648,12 @@ BAD_SNAPSHOT_AT = "snapshot_points must be a list of integers, got '1,x'"
 @pytest.mark.parametrize(
     ("flag", "value", "message"),
     [
-        ("--snapshot-at", "1,x", BAD_SNAPSHOT_AT),
-        ("--snapshot-agent", "foo",
-         "snapshot_agent must be 'all' or an agent index, got 'foo'"),
+        pytest.param("--snapshot-at", "1,x", BAD_SNAPSHOT_AT, id="snapshot_points"),
+        pytest.param(
+            "--snapshot-agent", "foo",
+            "snapshot_agent must be 'all' or an agent index, got 'foo'",
+            id="snapshot_agent",
+        ),
     ],
 )
 def test_bad_snapshot_flag_exits_2_with_its_message(
