@@ -31,7 +31,7 @@ from typing import Callable
 from .engine import SNAPSHOT_ALL, ExperimentParams, run_experiment
 from .errors import ColourGameError, ConfigurationError, quoted
 from .monitors import SeriesPoint, export_aggregate, export_run
-from .world import Colour, random_palette
+from .world import random_palette
 
 OUT_DIR_ENV_VAR = "NAMING_GAME_OUT_DIR"
 
@@ -164,10 +164,10 @@ def parse_config(
 
 
 def _game_params(config: SimpleNamespace) -> ExperimentParams:
-    """The config's game keys as the engine takes them: colours and tuples
-    where the config file has lists."""
+    """The config's game keys as the engine takes them: tuples where the
+    config file has lists."""
     values = {key: getattr(config, key) for key in GAME_DEFAULTS}
-    values["palette"] = tuple(Colour(*triplet) for triplet in config.palette)
+    values["palette"] = tuple(map(tuple, config.palette))
     values["snapshot_points"] = tuple(config.snapshot_points)
     return ExperimentParams(**values)
 

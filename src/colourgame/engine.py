@@ -51,7 +51,6 @@ from .world import (
     DEFAULT_MIN_SEPARATION,
     DEFAULT_PALETTE,
     RGB,
-    Colour,
     World,
     check_separation,
     draw_index,
@@ -82,7 +81,7 @@ class ExperimentParams(NamedTuple):
     `params._replace(noise_std=0.0)` gives a copy with one field changed."""
 
     population_size: int = 5
-    palette: tuple[Colour, ...] = DEFAULT_PALETTE
+    palette: tuple[RGB, ...] = DEFAULT_PALETTE
     objects_per_scene: int = 3
     num_interactions: int = 1000
     noise_std: float = 3.0
@@ -153,12 +152,14 @@ class ExperimentParams(NamedTuple):
         if any(p < 1 for p in self.snapshot_points):
             raise ConfigurationError("snapshot points must be >= 1")
         if self.snapshot_agent != SNAPSHOT_ALL:
-            if not isinstance(self.snapshot_agent, int) or not (
-                0 <= self.snapshot_agent < self.population_size
+            agent = self.snapshot_agent
+            # A bool is an int, and True would snapshot agent 1.
+            if isinstance(agent, bool) or not (
+                isinstance(agent, int) and 0 <= agent < self.population_size
             ):
                 raise ConfigurationError(
                     f"snapshot_agent must be 'all' or an index in [0, "
-                    f"{self.population_size - 1}], got {quoted(self.snapshot_agent)}"
+                    f"{self.population_size - 1}], got {quoted(agent)}"
                 )
 
 

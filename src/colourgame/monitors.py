@@ -496,10 +496,6 @@ def _stdev(values: Sequence[float]) -> float:
     floats or ints, such as an int column of `distinct_forms_population`;
     equal to `statistics.stdev` on CPython 3.11 and later."""
     n = len(values)
-    # The variance is zero exactly when every value is equal, as in a quarter
-    # of the ensemble's aggregate columns; answer those without the integers.
-    if min(values) == max(values):
-        return 0.0
     ratios = [v.as_integer_ratio() for v in values]
     # Every denominator is a power of two; over the largest, 2**shift, every
     # value is an integer.
@@ -562,6 +558,8 @@ def _aggregate_rows(
 ) -> Iterator[tuple]:
     """`aggregate_runs`' rows for checked runs, one at a time."""
     n = len(series_per_run)
+    # `_stdev` takes two or more values; one run deviates by zero.
+    stdev = _stdev if n > 1 else lambda column: 0.0
     last_columns: list = [None] * len(SERIES_FIELDS)
     last_stats: list = [None] * len(SERIES_FIELDS)
     for points in zip(*series_per_run):
@@ -570,7 +568,7 @@ def _aggregate_rows(
         # A column == to the previous row's keeps its mean and deviation
         # (see the module docstring).
         stats = [
-            old if column == last else (math.fsum(column) / n, _stdev(column))
+            old if column == last else (math.fsum(column) / n, stdev(column))
             for column, last, old in zip(columns, last_columns, last_stats)
         ]
         row = [interactions[0]]

@@ -7,13 +7,11 @@ scene through its own noisy sensors into a private world model: a dict from
 each scene object's id to its observed colour, in scene order. So no two
 agents ever record exactly the same channel values for the same object.
 
-A colour is an (r, g, b) tuple to every caller: its channels are read by
-unpacking and its distances taken with `math.dist`. `Colour(...)` checks the
-ones that enter from outside: the config and default palettes and every
-`random_palette` draw. A game builds and reads only exact tuples (`RGB`), as
-CPython's fast paths for building, unpacking and `math.dist` miss a tuple
-subclass: `make_world` stores `tuple(colour)`, and `perceive` and
-`Ontology.shift_prototype` build theirs with `clipped`, in range by its clamps.
+A colour is a plain (r, g, b) tuple (`RGB`): its channels are read by
+unpacking and its distances taken with `math.dist`. `check_separation`, which
+every palette passes on its way into a world, checks each palette colour
+through `Colour(r, g, b)`; `perceive` and `Ontology.shift_prototype` build
+theirs with `clipped`, in range by its clamps.
 
 Every random draw of a game is one of CPython's own algorithms, unrolled
 into the generator's primitive calls: `perceive` is `random.gauss`, three
@@ -38,27 +36,13 @@ from .errors import ConfigurationError, quoted
 RGB = tuple[float, float, float]  # every colour a game builds or reads
 
 
-class Colour(tuple):
-    """A checked point in a 3-channel colour space, channels in [0, 255].
-
-    A colour is a tuple (r, g, b), so it goes to `math.dist`, `json` and
-    `pickle` as it is. `Colour(r, g, b)` checks every channel; it builds the
-    colours that enter from outside, while the engine's own are plain
-    tuples from `clipped`, in range by construction.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, r: float, g: float, b: float) -> Colour:
-        for name, value in (("r", r), ("g", g), ("b", b)):
-            if not 0.0 <= value <= 255.0:
-                raise ValueError(f"channel {name}={value!r} outside [0, 255]")
-        return tuple.__new__(cls, (r, g, b))
-
-    def __getnewargs__(self) -> tuple[float, float, float]:
-        # pickle and copy rebuild a colour as Colour(r, g, b), not from one
-        # tuple argument; without this the `--parallel` path cannot pickle it.
-        return tuple(self)
+def Colour(r: float, g: float, b: float) -> RGB:
+    """The colour (r, g, b), a plain tuple, after checking that every channel
+    lies in [0, 255]; raises ValueError for one that does not, NaN included."""
+    for name, value in (("r", r), ("g", g), ("b", b)):
+        if not 0.0 <= value <= 255.0:
+            raise ValueError(f"channel {name}={value!r} outside [0, 255]")
+    return (r, g, b)
 
 
 def clipped(r: float, g: float, b: float) -> RGB:
@@ -75,16 +59,18 @@ def clipped(r: float, g: float, b: float) -> RGB:
 
 
 # Six saturated, well-separated colours (pairwise distance >= 255).
-DEFAULT_PALETTE: tuple[Colour, ...] = (
-    Colour(255, 0, 0),
-    Colour(0, 255, 0),
-    Colour(0, 0, 255),
-    Colour(255, 255, 0),
-    Colour(255, 0, 255),
-    Colour(0, 255, 255),
+DEFAULT_PALETTE: tuple[RGB, ...] = (
+    (255, 0, 0),
+    (0, 255, 0),
+    (0, 0, 255),
+    (255, 255, 0),
+    (255, 0, 255),
+    (0, 255, 255),
 )
 
 DEFAULT_MIN_SEPARATION = 100.0
+# Candidate colours `random_palette` draws before it gives up.
+RANDOM_PALETTE_DRAWS = 10_000
 
 # The constant `random.gauss` scales its uniform angle by.
 _TWOPI = 2.0 * math.pi
@@ -139,8 +125,18 @@ def make_world(
 
 
 def check_separation(palette: Sequence[RGB], min_separation: float) -> None:
-    """Reject palettes whose colours are closer than `min_separation`, so
-    that scenes stay discriminable well above the perception noise level."""
+    """Reject a palette with a colour that is not three channels in [0, 255],
+    as `Colour` checks them, or with two colours closer than
+    `min_separation`, so that scenes stay discriminable well above the
+    perception noise level."""
+    for i, colour in enumerate(palette):
+        try:
+            Colour(*colour)
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"palette colour {i} must be three channels in [0, 255], "
+                f"got {quoted(colour)}"
+            ) from None
     for i, first in enumerate(palette):
         for j in range(i + 1, len(palette)):
             d = math.dist(first, palette[j])
@@ -155,23 +151,20 @@ def random_palette(
     rng: random.Random,
     size: int,
     min_separation: float = DEFAULT_MIN_SEPARATION,
-    max_tries: int = 10_000,
-) -> tuple[Colour, ...]:
+) -> tuple[RGB, ...]:
     """Rejection-sample `size` colours that respect `min_separation`."""
     if size < 1:
         raise ConfigurationError(f"palette size must be >= 1, got {quoted(size)}")
-    accepted: list[Colour] = []
-    for _ in range(max_tries):
-        candidate = Colour(
-            rng.uniform(0, 255), rng.uniform(0, 255), rng.uniform(0, 255)
-        )
+    accepted: list[RGB] = []
+    for _ in range(RANDOM_PALETTE_DRAWS):
+        candidate = (rng.uniform(0, 255), rng.uniform(0, 255), rng.uniform(0, 255))
         if all(math.dist(candidate, c) >= min_separation for c in accepted):
             accepted.append(candidate)
             if len(accepted) == size:
                 return tuple(accepted)
     raise ConfigurationError(
         f"could not place {quoted(size)} colours at separation "
-        f"{quoted(min_separation)} within {max_tries} draws"
+        f"{quoted(min_separation)} within {RANDOM_PALETTE_DRAWS} draws"
     )
 
 

@@ -36,17 +36,17 @@ from colourgame.monitors import (
     SeriesPoint,
     _stdev,
 )
-from colourgame.world import Colour, World
+from colourgame.world import RGB, Colour, World
 
 
-def squared_distance(a: Colour, b: Colour) -> float:
+def squared_distance(a: RGB, b: RGB) -> float:
     total = 0.0
     for x, y in zip(a, b):
         total += (x - y) * (x - y)
     return total
 
 
-def oracle_closest(prototypes: list[Colour], observation: Colour) -> int | None:
+def oracle_closest(prototypes: list[RGB], observation: RGB) -> int | None:
     """Id of the prototype nearest to `observation`, ties to the smallest id;
     category k's prototype is `prototypes[k - 1]`."""
     if not prototypes:
@@ -59,7 +59,7 @@ def oracle_closest(prototypes: list[Colour], observation: Colour) -> int | None:
 
 
 def oracle_conceptualise(
-    prototypes: list[Colour], topic_id: str, model: dict[str, Colour]
+    prototypes: list[RGB], topic_id: str, model: dict[str, RGB]
 ) -> int | None:
     best = oracle_closest(prototypes, model[topic_id])
     if best is None:
@@ -75,7 +75,7 @@ def oracle_conceptualise(
 
 
 def oracle_interpret(
-    prototypes: list[Colour], category_id: int, model: dict[str, Colour]
+    prototypes: list[RGB], category_id: int, model: dict[str, RGB]
 ) -> str | None:
     prototype = prototypes[category_id - 1]
     distances = [
@@ -250,7 +250,7 @@ def oracle_aggregate_csv(rows) -> str:
     return buffer.getvalue()
 
 
-def random_int_colour(rng: random.Random) -> Colour:
+def random_int_colour(rng: random.Random) -> RGB:
     return Colour(rng.randint(0, 255), rng.randint(0, 255), rng.randint(0, 255))
 
 
@@ -273,7 +273,7 @@ class RecordingBackend:
 
     def observe_world(
         self, world: World, scene: tuple[str, ...], rng: random.Random
-    ) -> dict[str, Colour]:
+    ) -> dict[str, RGB]:
         self._log("observe_world")
         return self.inner.observe_world(world, scene, rng)
 

@@ -5,7 +5,7 @@ import pytest
 
 from colourgame.conceptual import Ontology
 from colourgame.errors import InternalConsistencyError
-from colourgame.world import DEFAULT_PALETTE, Colour, make_world, perceive
+from colourgame.world import DEFAULT_PALETTE, RGB, Colour, make_world, perceive
 
 from helpers import (
     oracle_closest,
@@ -15,14 +15,14 @@ from helpers import (
 )
 
 
-def ontology_with(*prototypes: Colour) -> Ontology:
+def ontology_with(*prototypes: RGB) -> Ontology:
     ontology = Ontology()
     for prototype in prototypes:
         ontology.invent_category(prototype)
     return ontology
 
 
-def model_of(**colours: Colour) -> dict[str, Colour]:
+def model_of(**colours: RGB) -> dict[str, RGB]:
     return dict(colours)
 
 
@@ -170,7 +170,7 @@ def test_prototypes_invented_at_percepts_and_shifted_are_exact_tuples():
     shifted = ontology.shift_prototype(category_id, model["obj-1"], 0.5)
     assert type(shifted) is tuple
     assert ontology.get(category_id) is shifted
-    # A prototype invented at a checked Colour is a tuple once it moves.
+    # A prototype invented at an int colour moves to a float tuple.
     category_id = ontology.invent_category(Colour(1, 2, 3))
     shifted = ontology.shift_prototype(category_id, Colour(3, 2, 1), 0.5)
     assert type(shifted) is tuple and shifted == (2.0, 2.0, 2.0)

@@ -438,6 +438,9 @@ def test_params_validation_rejects_out_of_range_values():
         ExperimentParams(snapshot_points=(0,)),
         ExperimentParams(snapshot_agent=9),
         ExperimentParams(snapshot_agent=-1),
+        # True == 1, and would snapshot agent 1 if accepted.
+        ExperimentParams(snapshot_agent=True),
+        ExperimentParams(snapshot_agent=False),
         ExperimentParams(
             palette=(Colour(0, 0, 0), Colour(10, 0, 0)), objects_per_scene=2
         ),
@@ -445,6 +448,22 @@ def test_params_validation_rejects_out_of_range_values():
     for params in bad:
         with pytest.raises(ConfigurationError):
             params.validate()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(300.0, 0.0, 0.0), (math.nan, 0.0, 0.0), (-5.0, 0.0, 0.0), (255.0, 0.0)],
+    ids=["300", "nan", "-5", "two-channels"],
+)
+def test_validate_and_make_world_refuse_a_plain_tuple_colour_out_of_range(bad):
+    # Plain tuples, built by no checking constructor, far enough apart to
+    # pass the separation check.
+    palette = (bad, (0.0, 255.0, 0.0), (0.0, 0.0, 255.0))
+    with pytest.raises(ConfigurationError, match=r"palette colour 0 ") as err:
+        ExperimentParams(palette=palette).validate()
+    assert repr(bad) in str(err.value)
+    with pytest.raises(ConfigurationError, match=r"palette colour 0 "):
+        make_world(palette, objects_per_scene=3)
 
 
 def test_capability_trace_follows_the_script_order():

@@ -671,6 +671,19 @@ def test_stdev_matches_statistics_stdev():
     assert mismatches == [], f"{len(mismatches)} mismatches, first {mismatches[:3]}"
 
 
+def test_stdev_of_equal_values_is_exactly_zero():
+    # Needs no statistics module, so it runs on every CPython.
+    for values in (
+        [2.5] * 7,
+        [5e-324] * 4,
+        [-0.0] * 3,
+        [0.0, -0.0],
+        [1e308] * 2,
+        [2**60 + 1] * 3,
+    ):
+        assert repr(monitors._stdev(values)) == "0.0", values
+
+
 def varied_runs(rng: random.Random, runs: int, length: int) -> list:
     """`runs` series on one interaction grid whose fields often repeat their
     previous value, as a converged run's do, and take values that are == but

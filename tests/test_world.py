@@ -25,10 +25,11 @@ from helpers import oracle_perceive
 
 
 def test_colour_rejects_out_of_range_channels():
-    with pytest.raises(ValueError):
-        Colour(-1, 0, 0)
-    with pytest.raises(ValueError):
-        Colour(0, 256, 0)
+    for channels in ((-1, 0, 0), (0, 256, 0), (0, 0, math.nan)):
+        with pytest.raises(ValueError):
+            Colour(*channels)
+    assert type(Colour(1, 2, 3)) is tuple
+    assert Colour(0.5, 254.5, 7) == (0.5, 254.5, 7)
 
 
 def test_colour_clipped_clamps_into_range():
@@ -63,22 +64,21 @@ def test_make_world_assigns_ids_in_palette_order():
 
 def test_make_world_stores_each_true_colour_as_an_exact_tuple():
     # perceive unpacks a true colour per scene object; an exact tuple takes
-    # the interpreter's fast path, a Colour does not.
+    # the interpreter's fast path, a tuple subclass does not.
     world = make_world(DEFAULT_PALETTE, objects_per_scene=3)
     assert all(type(colour) is tuple for colour in world.true_colours.values())
     assert tuple(world.true_colours.values()) == DEFAULT_PALETTE
 
 
-def test_colour_survives_pickle_and_copy_as_a_colour():
-    # A --parallel batch pickles ExperimentParams.palette, whose colours are
-    # Colours; __getnewargs__ rebuilds each as Colour(r, g, b).
+def test_palette_colour_survives_pickle_and_copy_as_an_exact_tuple():
+    # A --parallel batch pickles ExperimentParams.palette.
     for colour in (*DEFAULT_PALETTE, Colour(0.5, 254.5, 7)):
         copies = [copy.copy(colour), copy.deepcopy(colour)] + [
             pickle.loads(pickle.dumps(colour, protocol))
             for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
         ]
         for copied in copies:
-            assert type(copied) is Colour
+            assert type(copied) is tuple
             assert list(map(repr, copied)) == list(map(repr, colour))
 
 
@@ -397,4 +397,4 @@ def test_random_palette_determinism_and_impossible_request():
         random.Random(5), 4, 120.0
     )
     with pytest.raises(ConfigurationError):
-        random_palette(random.Random(5), 50, 200.0, max_tries=500)
+        random_palette(random.Random(5), 50, 200.0)
