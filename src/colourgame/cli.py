@@ -16,6 +16,9 @@ are imported only then, so a serial batch never loads them. Nor does a batch
 started through `parse_config` and `run_command` load `argparse`, which only
 the flag parser imports, or `dataclasses` and `html`, which the package does
 not use.
+
+Serial or not, each run's series goes to the aggregate as the run ends and is
+dropped once folded, so a batch's memory does not grow with its run count.
 """
 from __future__ import annotations
 
@@ -235,6 +238,14 @@ def run_command(config: SimpleNamespace) -> int:
         (params, config.seed + i, str(out_dir / f"run-{i}"))
         for i in range(config.runs)
     ]
+    summaries = []
+
+    def finished(runs):
+        # Each run's series as it ends, for the aggregate to fold and drop.
+        for i, series in enumerate(runs):
+            summaries.append(_run_summary(i, config.seed + i, series))
+            yield series
+
     # The pool forks all its workers at the first submit, so ask for no more
     # than there are runs or CPUs to run them on.
     workers = min(config.parallel, config.runs, _usable_cpus())
@@ -242,13 +253,11 @@ def run_command(config: SimpleNamespace) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            series_per_run = list(pool.map(_execute_run, *zip(*jobs)))
+            export_aggregate(finished(pool.map(_execute_run, *zip(*jobs))), out_dir)
     else:
-        series_per_run = [_execute_run(*job) for job in jobs]
-
-    export_aggregate(series_per_run, out_dir)
-    for i, series in enumerate(series_per_run):
-        print(_run_summary(i, config.seed + i, series))
+        export_aggregate(finished(_execute_run(*job) for job in jobs), out_dir)
+    for summary in summaries:
+        print(summary)
     return 0
 
 

@@ -102,21 +102,32 @@ class ExperimentParams(NamedTuple):
     backend_kind: str = "simulated"
 
     def validate(self) -> None:
-        """Reject out-of-range values before any game is played."""
-        if not 2 <= self.population_size <= MAX_POPULATION:
+        """Reject out-of-range values before any game is played. A bool is
+        an int that would play as 0 or 1, so every int field refuses it."""
+        if isinstance(self.population_size, bool) or not (
+            2 <= self.population_size <= MAX_POPULATION
+        ):
             raise ConfigurationError(
                 f"population_size must be in [2, {MAX_POPULATION}], "
                 f"got {quoted(self.population_size)}"
             )
+        if self.random_palette and (
+            isinstance(self.palette_size, bool) or self.palette_size < 1
+        ):
+            raise ConfigurationError(
+                f"palette size must be >= 1, got {quoted(self.palette_size)}"
+            )
         palette_len = (
             self.palette_size if self.random_palette else len(self.palette)
         )
-        if not 1 <= self.objects_per_scene <= palette_len:
+        if isinstance(self.objects_per_scene, bool) or not (
+            1 <= self.objects_per_scene <= palette_len
+        ):
             raise ConfigurationError(
                 f"objects_per_scene={quoted(self.objects_per_scene)} outside "
                 f"[1, {quoted(palette_len)}]"
             )
-        if self.num_interactions < 0:
+        if isinstance(self.num_interactions, bool) or self.num_interactions < 0:
             raise ConfigurationError("num_interactions must be >= 0")
         # Scores are stored rounded, and one that rounds to 0 is pruned.
         if not (
@@ -140,20 +151,19 @@ class ExperimentParams(NamedTuple):
             raise ConfigurationError(
                 f"shift_rate must be in [0, 1], got {quoted(self.shift_rate)}"
             )
-        if self.window < 1:
+        if isinstance(self.window, bool) or self.window < 1:
             raise ConfigurationError("window must be >= 1")
         # The success window is a deque, whose length is a C ssize_t.
         if self.window > sys.maxsize:
             raise ConfigurationError(
                 f"window must be <= {sys.maxsize}, got {quoted(self.window)}"
             )
-        if self.series_interval < 1:
+        if isinstance(self.series_interval, bool) or self.series_interval < 1:
             raise ConfigurationError("series_interval must be >= 1")
-        if any(p < 1 for p in self.snapshot_points):
+        if any(isinstance(p, bool) or p < 1 for p in self.snapshot_points):
             raise ConfigurationError("snapshot points must be >= 1")
         if self.snapshot_agent != SNAPSHOT_ALL:
             agent = self.snapshot_agent
-            # A bool is an int, and True would snapshot agent 1.
             if isinstance(agent, bool) or not (
                 isinstance(agent, int) and 0 <= agent < self.population_size
             ):

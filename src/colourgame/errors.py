@@ -20,6 +20,19 @@ class InternalConsistencyError(ColourGameError):
 
 
 def quoted(value: object) -> str:
-    """The repr of a bad value, cut to a bounded size for a one-line error."""
+    """The repr of a bad value, cut to a bounded size for a one-line error.
+    An int past `sys.get_int_max_str_digits()`, which has no decimal repr,
+    is told by its bit count."""
     import reprlib  # on the error path only
-    return reprlib.repr(value)
+
+    cut = reprlib.Repr()
+    spell_int = cut.repr_int
+
+    def repr_int(x: int, level: int) -> str:
+        try:
+            return spell_int(x, level)
+        except ValueError:
+            return f"{'-' if x < 0 else ''}<int of {x.bit_length()} bits>"
+
+    cut.repr_int = repr_int
+    return cut.repr(value)

@@ -15,6 +15,13 @@ step, and bump `edits`. So every lookup reads the one bucket it needs and
 costs its matches, not the whole inventory, and a construction whose score
 reaches zero is removed from its two buckets alone.
 
+The same two methods note each `by_form` bucket they create (+1) or delete
+(-1) in `form_changes`, netted: a form whose bucket is created and deleted
+again before the notes are cleared leaves no entry. The series monitor
+applies the notes and clears them (see `monitors`), so it follows an agent's
+forms at the cost of the forms that changed, and the dict never holds more
+than the forms held now and those held when it was last cleared.
+
 Every score a method stores is rounded to 12 decimals by `_rounded`, which
 memoises `round` in a module-level dict. A run at the default increments
 sees a few dozen distinct scores, so nearly every call is one dict lookup.
@@ -106,6 +113,10 @@ class ConstructionInventory:
         # monitor can tell an inventory whose form and category sets may
         # have changed from one whose scores alone moved.
         self.edits = 0
+        # form -> +1 for a `by_form` bucket created, -1 for one deleted,
+        # since a monitor last drained it; a form created and deleted in
+        # between nets out and leaves no entry.
+        self.form_changes: dict[str, int] = {}
 
     def __len__(self) -> int:
         return self.size
@@ -125,7 +136,8 @@ class ConstructionInventory:
                 f"initial score must be in (0, 1] and not round to 0, "
                 f"got {initial_score!r}"
             )
-        for existing in self.by_form.get(form, ()):
+        bucket = self.by_form.get(form)
+        for existing in bucket or ():
             if existing.category_id == category_id:
                 raise InternalConsistencyError(
                     f"construction ({form!r}, {category_id}) already present"
@@ -133,7 +145,12 @@ class ConstructionInventory:
         construction = Construction(
             form=form, category_id=category_id, score=score
         )
-        self.by_form.setdefault(form, []).append(construction)
+        if bucket is None:
+            self.by_form[form] = [construction]
+            if not self.form_changes.pop(form, 0):
+                self.form_changes[form] = 1
+        else:
+            bucket.append(construction)
         self.by_category.setdefault(category_id, []).append(construction)
         self.size += 1
         self.edits += 1
@@ -213,19 +230,24 @@ class ConstructionInventory:
 
     def _remove(self, construction: Construction) -> None:
         """Take a held construction out of both its buckets."""
-        _unindex(self.by_form, construction.form, construction)
+        form = construction.form
+        if _unindex(self.by_form, form, construction):
+            if not self.form_changes.pop(form, 0):
+                self.form_changes[form] = -1
         _unindex(self.by_category, construction.category_id, construction)
         self.size -= 1
         self.edits += 1
 
 
-def _unindex(buckets: dict, key: object, construction: Construction) -> None:
-    """Take `construction` out of its bucket, deleting a bucket left empty."""
+def _unindex(buckets: dict, key: object, construction: Construction) -> bool:
+    """Take `construction` out of its bucket, deleting a bucket left empty;
+    True if it deleted the bucket."""
     bucket = buckets[key]
     if len(bucket) == 1:
         del buckets[key]
-    else:
-        buckets[key] = [c for c in bucket if c is not construction]
+        return True
+    buckets[key] = [c for c in bucket if c is not construction]
+    return False
 
 
 def _not_in_inventory(used: Construction) -> InternalConsistencyError:

@@ -13,7 +13,15 @@ of ontology sizes, of inventory sizes, of the two form/meaning ratios, and of
 the agents holding each form. Only a game's speaker and hearer can change, so
 the monitor marks those two stale after every game, and `compute_series_point`
 recounts the stale agents alone, moving each total by the difference between
-an agent's new and old counts.
+an agent's new and old counts. The form holders move by the inventory's own
+notes: `ConstructionInventory.form_changes` holds, netted, each form whose
+`by_form` bucket was created (+1) or deleted (-1) since it was last cleared,
+and a recount applies the notes and clears them. So a recount costs the
+forms that changed, not the forms held. An agent's first count reads its
+whole `by_form` instead, so a fresh monitor over a population that has
+already played counts it exactly. Since a recount clears the notes, one
+monitor drains a population at a time: two counting the same population
+side by side would each miss the notes the other cleared.
 
 Each mean equals the exact sum (`math.fsum`) of one value per agent over
 their count, as `statistics.fmean` computes it, and the totals are exact
@@ -64,26 +72,37 @@ would: strings through json's own ASCII escaper, numbers as json spells them
 (NaN and the infinities included), and `[]` for an empty list.
 
 Multi-run aggregation writes `aggregate.csv` with the per-interaction mean
-and sample standard deviation of every series field. `export_aggregate`
-takes the runs' series and calls `aggregate_runs`, which makes every check at
-the call (no runs, runs of different lengths, interaction numbers that differ
-at some row), so a bad batch raises before a row or the file exists. It then
-produces the rows lazily, and `export_aggregate` writes each row as it
-arrives, so no batch ever holds its whole aggregate table. Across several
-runs, a field's column that is `==` to its column in the previous row reuses
-that row's mean and deviation rather than summing again: `==` values are
-equal reals, and both the mean (`math.fsum` gives 0.0 for any mix of signed
-zeros) and `_stdev` depend on the reals alone. In the default 20-run
-ensemble at seeds 0-19, 62% of the 6,000 columns repeat.
+and sample standard deviation of every series field. `export_aggregate` hands
+the runs to `aggregate_runs`, which reads them one at a time (as they end,
+when `cli.run_command` runs a batch) and makes every check before a row or
+the file exists: no runs, runs of different lengths, interaction numbers
+that differ at some row. From the second run on, it folds each run into
+exact integer sums as the run arrives (`_RunSums`) and keeps none, so a
+batch's memory does not grow with its runs. Per field, the values are
+integers i over one power-of-two denominator 2**shift, as in `_stdev` (see
+below), and per row the sums of i and of i*i over the runs are kept as a
+difference array: a run adds to a row only where its value is != its value
+at the row before (in the default 20-run ensemble at seeds 0-19, 62% of the
+6,000 columns repeat the row before). Values that are == are the same
+integer, signed zeros and int/float spellings included, and exact sums do
+not depend on the order in which the runs arrive. The rows are produced
+lazily, summing down the difference arrays; a row whose sums did not move
+keeps the previous row's mean and deviation. The mean is the sum over
+2**shift, one correctly rounded int division, divided by n: that division
+gives the correctly rounded exact sum, which is what `math.fsum` returns
+(0.0 for any mix of signed zeros). fsum reads an int past 2**53 as the
+nearest float, so for such an int the mean's sum takes float(v) where the
+deviation's takes v. The deviation is `_stdev`'s formula on the same sums.
 
 A single run aggregates to itself with zero deviation, each value as
 `fsum([v]) / 1` spells it, which is `v + 0.0`: the value as a float, but 0.0
-for -0.0. `aggregate_runs` yields its rows as it yields any others, with no
-interaction numbering to compare, but `export_aggregate` writes a single
-run's `aggregate.csv` straight from its points, with no row built: each
-stretch of points that repeat their values gets its text once, from the
-values plus 0.0 and the deviations as the literal text 0.000000. After adding
-0.0, `==` values print alike, zeros included.
+for -0.0. `aggregate_runs` yields such rows from the run's points, with
+nothing folded and no interaction numbering to compare, but
+`export_aggregate` writes a single run's `aggregate.csv` straight from its
+points, with no row built: each stretch of points that repeat their values
+gets its text once, from the values plus 0.0 and the deviations as the
+literal text 0.000000. After adding 0.0, `==` values print alike, zeros
+included.
 
 The standard deviation is the correctly rounded square root of the exact
 sample variance, the value `statistics.stdev` returns from CPython 3.11 on,
@@ -101,7 +120,7 @@ import math
 import operator
 import sys
 from collections import deque
-from itertools import groupby
+from itertools import chain, compress, count, groupby, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
@@ -152,7 +171,7 @@ _UNIT_VALUE = 1.0 / _RATIO_UNIT
 
 # What an agent not yet counted contributes: nothing. Its version never
 # matches, because an ontology's size and an inventory's edits start at 0.
-_UNCOUNTED = (-1, 0, 0, 0, 0, frozenset())
+_UNCOUNTED = (-1, 0, 0, 0, 0)
 
 
 class PopulationMonitor:
@@ -180,9 +199,9 @@ class PopulationMonitor:
         self._agents = {agent.agent_id: agent for agent in population}
         self._stale = set(self._agents)
         # agent id -> (version, ontology size, inventory size,
-        # forms-per-meaning units, meanings-per-form units, form set) as last
-        # counted, where the version is the ontology size plus the inventory's
-        # edits; `_UNCOUNTED` for an agent not yet counted.
+        # forms-per-meaning units, meanings-per-form units) as last counted,
+        # where the version is the ontology size plus the inventory's edits;
+        # `_UNCOUNTED` for an agent not yet counted.
         self.counted = dict.fromkeys(self._agents, _UNCOUNTED)
         self.ontology_total = 0
         self.inventory_total = 0
@@ -218,6 +237,10 @@ def compute_series_point(monitor: PopulationMonitor, at: int) -> SeriesPoint:
     successes among the last min(window, games observed) games, 0.0 before
     any) when the window's success count or length moved. Otherwise the last
     point's values stand.
+
+    A recount reads and clears the agent's `inventory.form_changes`, so one
+    monitor drains a population at a time; a monitor's first count of an
+    agent reads its whole `by_form` and so never depends on another's.
     """
     counted = monitor.counted
     agents = monitor._agents
@@ -232,30 +255,36 @@ def compute_series_point(monitor: PopulationMonitor, at: int) -> SeriesPoint:
         if old[0] == version:
             continue
         moved = True
-        _, old_ontology_size, old_size, old_fpm, old_mpf, old_forms = old
+        old_version, old_ontology_size, old_size, old_fpm, old_mpf = old
         size = inventory.size
-        forms = set(inventory.by_form)
         if size:
             # Each ratio n/k is a float in [1, n] (see the module docstring),
             # so scaling it by 2**52 gives its units as a whole float.
             fpm = int(size / len(inventory.by_category) * _RATIO_UNIT)
-            mpf = int(size / len(forms) * _RATIO_UNIT)
+            mpf = int(size / len(inventory.by_form) * _RATIO_UNIT)
         else:
             fpm = mpf = 0
-        counted[agent_id] = (version, ontology_size, size, fpm, mpf, forms)
+        counted[agent_id] = (version, ontology_size, size, fpm, mpf)
         monitor.ontology_total += ontology_size - old_ontology_size
         monitor.inventory_total += size - old_size
         monitor.ratio_agents += (size > 0) - (old_size > 0)
         monitor.forms_per_meaning_units += fpm - old_fpm
         monitor.meanings_per_form_units += mpf - old_mpf
         holders = monitor.holders
-        for form in old_forms - forms:
-            if holders[form] == 1:
-                del holders[form]
-            else:
-                holders[form] -= 1
-        for form in forms - old_forms:
-            holders[form] = holders.get(form, 0) + 1
+        changes = inventory.form_changes
+        if old_version < 0:
+            # A first count takes every form held, whatever was noted before.
+            for form in inventory.by_form:
+                holders[form] = holders.get(form, 0) + 1
+        else:
+            # A later one the forms noted as gained (+1) or lost (-1) since.
+            for form, change in changes.items():
+                count = holders.get(form, 0) + change
+                if count:
+                    holders[form] = count
+                else:
+                    del holders[form]
+        changes.clear()
     monitor._stale.clear()
     if moved:
         population = len(counted)
@@ -495,15 +524,25 @@ def _stdev(values: Sequence[float]) -> float:
     """Correctly rounded sample standard deviation of two or more finite
     floats or ints, such as an int column of `distinct_forms_population`;
     equal to `statistics.stdev` on CPython 3.11 and later."""
-    n = len(values)
     ratios = [v.as_integer_ratio() for v in values]
     # Every denominator is a power of two; over the largest, 2**shift, every
     # value is an integer.
     unit = max([den for _, den in ratios])
     scaled = [num * (unit // den) for num, den in ratios]
-    shift = unit.bit_length() - 1
-    total = sum(scaled)
-    num = n * sum(map(operator.mul, scaled, scaled)) - total * total
+    return _deviation(
+        len(values),
+        sum(scaled),
+        sum(map(operator.mul, scaled, scaled)),
+        unit.bit_length() - 1,
+    )
+
+
+def _deviation(n: int, total: int, squares: int, shift: int) -> float:
+    """`_stdev` of n >= 2 values from the exact sums of the values and of
+    their squares, as integers over 2**shift and 4**shift. Any shift that
+    makes every value an integer gives the same float: a finer one scales
+    the radicand by a power of 4 and the root's exponent to match."""
+    num = n * squares - total * total
     den = n * (n - 1)
     # stdev = sqrt(num / den) / 2**shift = sqrt(num * 4**k / den) / 2**(shift + k)
     k = (_RADICAND_BITS + den.bit_length() - num.bit_length() + 1) // 2
@@ -523,75 +562,182 @@ AGGREGATE_HEADER = ("interaction",) + tuple(
     f"{field}_{stat}" for field in SERIES_FIELDS for stat in ("mean", "std")
 )
 
+# Every int up to this size is a float exactly. `math.fsum` reads a larger
+# one as the nearest float, while `_stdev` reads it exactly.
+_FLOAT_EXACT = 1 << sys.float_info.mant_dig
+
+
+class _RunSums:
+    """Several runs' values folded into exact integer sums, field by field.
+
+    A field's values are integers i over one denominator 2**shift, the
+    finest any of its values has needed so far; a value that needs a finer
+    one shifts the field's sums left. Per row, `totals` sums i and `squares`
+    i*i over the runs, and `extras` what the mean's sum adds to i where fsum
+    reads an int as float(v). Each is a difference array: a row's entry is
+    its sum minus the previous row's. So a run adds to a row only where its
+    value is != its value at the row before; == values are the same integer,
+    signed zeros and int/float spellings included.
+    """
+
+    def __init__(self, length: int) -> None:
+        fields = range(len(SERIES_FIELDS))
+        self.runs = 0
+        self.shifts = [0 for _ in fields]
+        self.totals = [[0] * length for _ in fields]
+        self.squares = [[0] * length for _ in fields]
+        # Mostly empty: row -> entry, for the rows that have one.
+        self.extras: list[dict[int, int]] = [{} for _ in fields]
+
+    def add(self, columns: Sequence[Sequence[float]]) -> None:
+        """Fold one run, given as one column of values per field."""
+        self.runs += 1
+        for field, column in enumerate(columns):
+            # Row 0 moves from nothing; after it, the rows whose value moved.
+            rows = [0, *compress(count(1), map(operator.ne, column[1:], column))]
+            ratios = [column[k].as_integer_ratio() for k in rows]
+            finer = max([den for _, den in ratios]).bit_length() - 1
+            if finer > self.shifts[field]:
+                self._refine(field, finer - self.shifts[field])
+            shift = self.shifts[field]
+            totals, squares = self.totals[field], self.squares[field]
+            extras = self.extras[field]
+            old = old_square = old_extra = 0
+            for k, (num, den) in zip(rows, ratios):
+                i = num << shift + 1 - den.bit_length()
+                square = i * i
+                totals[k] += i - old
+                squares[k] += square - old_square
+                old, old_square = i, square
+                extra = 0
+                if den == 1 and not -_FLOAT_EXACT <= num <= _FLOAT_EXACT:
+                    extra = (int(float(num)) - num) << shift
+                if extra != old_extra:
+                    extras[k] = extras.get(k, 0) + extra - old_extra
+                    old_extra = extra
+
+    def _refine(self, field: int, bits: int) -> None:
+        """Put a field's sums over a denominator 2**bits times finer."""
+        self.shifts[field] += bits
+        self.totals[field][:] = [t << bits for t in self.totals[field]]
+        self.squares[field][:] = [q << 2 * bits for q in self.squares[field]]
+        extras = self.extras[field]
+        for k in extras:
+            extras[k] <<= bits
+
+    def _stats(self, field: int) -> Iterator[tuple[float, float]]:
+        """A field's (mean, deviation), row by row, summing down the rows;
+        a row whose sums did not move keeps the previous row's pair."""
+        n, shift = self.runs, self.shifts[field]
+        unit = 1 << shift
+        extras = self.extras[field].get
+        total = square = extra = 0
+        stats = None
+        for k, (d_total, d_square) in enumerate(
+            zip(self.totals[field], self.squares[field])
+        ):
+            d_extra = extras(k, 0)
+            if d_total or d_square or d_extra or stats is None:
+                total += d_total
+                square += d_square
+                extra += d_extra
+                # One correctly rounded division gives the exact sum of the
+                # float(v) rounded once, which is what math.fsum returns.
+                stats = (
+                    (total + extra) / unit / n,
+                    _deviation(n, total, square, shift),
+                )
+            yield stats
+
+    def rows(self, interactions: Sequence[int]) -> Iterator[tuple]:
+        """The aggregate rows over the interaction numbers, one at a time."""
+        columns = [self._stats(field) for field in range(len(SERIES_FIELDS))]
+        for interaction, *stats in zip(interactions, *columns):
+            yield (interaction, *chain.from_iterable(stats))
+
 
 def aggregate_runs(
-    series_per_run: Sequence[Sequence[SeriesPoint]],
+    series_per_run: Iterable[Sequence[SeriesPoint]],
 ) -> Iterator[tuple]:
     """Per-interaction mean and sample standard deviation across runs.
 
-    Each row is a tuple in `AGGREGATE_HEADER`'s order. All runs must share
-    the same interaction grid, and that is checked at the call, before any
-    row is produced; the rows themselves are produced lazily, one per step of
-    the returned iterator. A single run aggregates to itself with zero
-    deviation.
+    Each row is a tuple in `AGGREGATE_HEADER`'s order. The runs may be any
+    iterable, such as one that yields each run as it ends: the call reads
+    them all, folds each into exact sums (`_RunSums`) as soon as a second
+    run has arrived, and keeps none it has folded. All runs must share the
+    same interaction grid; that is checked over every run at the call,
+    before any row is produced. The rows themselves are produced lazily, one
+    per step of the returned iterator. A single run aggregates to itself
+    with zero deviation.
     """
-    if not series_per_run:
+    runs = 0
+    lengths = set()
+    first = grid = sums = None
+    # Grids that differ from the first run's; an error, told once every
+    # run has been read.
+    strays = []
+    for series in series_per_run:
+        runs += 1
+        lengths.add(len(series))
+        if runs == 1:
+            first = series
+            continue
+        if len(lengths) > 1 or not series:
+            continue
+        if sums is None:
+            # A second run: the first is folded now, and let go.
+            grid, *columns = zip(*first)
+            sums = _RunSums(len(grid))
+            sums.add(columns)
+            first = None
+        interactions, *columns = zip(*series)
+        if interactions != grid:
+            strays.append(interactions)
+        elif not strays:
+            sums.add(columns)
+    if not runs:
         raise ConfigurationError("nothing to aggregate: no runs given")
-    lengths = {len(series) for series in series_per_run}
     if len(lengths) != 1:
         raise ConfigurationError(
             f"runs disagree on series length: {sorted(lengths)}"
         )
-    if len(series_per_run) > 1:
-        for i, points in enumerate(zip(*series_per_run)):
-            interactions = {point[0] for point in points}
-            if len(interactions) != 1:
-                raise ConfigurationError(
-                    f"runs disagree on interaction numbering at row {i}: "
-                    f"{sorted(interactions)}"
-                )
-    return _aggregate_rows(series_per_run)
-
-
-def _aggregate_rows(
-    series_per_run: Sequence[Sequence[SeriesPoint]],
-) -> Iterator[tuple]:
-    """`aggregate_runs`' rows for checked runs, one at a time."""
-    n = len(series_per_run)
-    # `_stdev` takes two or more values; one run deviates by zero.
-    stdev = _stdev if n > 1 else lambda column: 0.0
-    last_columns: list = [None] * len(SERIES_FIELDS)
-    last_stats: list = [None] * len(SERIES_FIELDS)
-    for points in zip(*series_per_run):
-        # One tuple of values per run, transposed to one column per field.
-        interactions, *columns = zip(*points)
-        # A column == to the previous row's keeps its mean and deviation
-        # (see the module docstring).
-        stats = [
-            old if column == last else (math.fsum(column) / n, stdev(column))
-            for column, last, old in zip(columns, last_columns, last_stats)
-        ]
-        row = [interactions[0]]
-        for pair in stats:
-            row += pair
-        yield tuple(row)
-        last_columns, last_stats = columns, stats
+    if strays:
+        at = min(list(map(operator.ne, grid, stray)).index(True) for stray in strays)
+        interactions = {grid[at], *(stray[at] for stray in strays)}
+        raise ConfigurationError(
+            f"runs disagree on interaction numbering at row {at}: "
+            f"{sorted(interactions)}"
+        )
+    if sums is None:
+        # One run (or runs without rows): each mean is fsum([v]) / 1, which
+        # is v + 0.0, and each deviation zero.
+        return (
+            (point[0], *chain.from_iterable((v + 0.0, 0.0) for v in point[1:]))
+            for point in first
+        )
+    return sums.rows(grid)
 
 
 def export_aggregate(
-    series_per_run: Sequence[Sequence[SeriesPoint]], out_dir: str | Path
+    series_per_run: Iterable[Sequence[SeriesPoint]], out_dir: str | Path
 ) -> Path:
     """Write the runs' aggregated series as aggregate.csv in `out_dir`, each
-    row as it arrives from `aggregate_runs`, which checks the runs before
-    anything is written; a single run is written from its points."""
-    rows = aggregate_runs(series_per_run)
+    row as it arrives from `aggregate_runs`, which reads and checks every run
+    before anything is written; a single run is written from its points."""
+    runs = iter(series_per_run)
+    head = list(islice(runs, 2))
+    one_run = head[0] if len(head) == 1 else None
+    # The list's iterator lets go of the list once it is past both runs.
+    runs = chain(iter(head), runs)
+    del head
+    rows = aggregate_runs(runs)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / AGGREGATE_CSV
     with path.open("w", newline="") as fh:
         fh.write(",".join(AGGREGATE_HEADER) + "\n")
-        if len(series_per_run) == 1:
-            _write_rows(fh, series_per_run[0], _ONE_RUN_TAIL, plus_zero=True)
+        if one_run is not None:
+            _write_rows(fh, one_run, _ONE_RUN_TAIL, plus_zero=True)
         else:
             _write_rows(fh, rows, _AGGREGATE_TAIL)
     return path

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -759,3 +760,30 @@ def test_default_run_converges_in_the_summary(tmp_path, capsys):
     line = capsys.readouterr().out.splitlines()[0]
     success = float(line.split("final_windowed_success=")[1].split()[0])
     assert success >= 0.95
+
+
+def test_a_batch_holds_no_run_series(tmp_path, capsys):
+    # Each run's series is folded into the aggregate as the run ends and then
+    # dropped, so ten times the runs peak at the same traced memory, give or
+    # take the per-run job and summary line. Holding every 150-point series
+    # to the end would add ~20 kB a run.
+    def peak(runs: int) -> int:
+        config = parse_config(
+            None,
+            {
+                "runs": runs,
+                "num_interactions": 150,
+                "snapshot_points": [],
+                "out_dir": str(tmp_path / f"runs-{runs}"),
+            },
+        )
+        tracemalloc.start()
+        try:
+            assert run_command(config) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak(4), peak(40)
+    assert len(capsys.readouterr().out.splitlines()) == 44
+    assert many - few < 100_000, (few, many)

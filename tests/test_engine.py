@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 from collections import Counter
 from copy import deepcopy
 
@@ -19,7 +20,7 @@ from colourgame.engine import (
     run_interaction,
 )
 from colourgame.embodiment import make_body
-from colourgame.errors import ConfigurationError
+from colourgame.errors import ConfigurationError, quoted
 from colourgame.lexicon import HEARER, SPEAKER
 from colourgame.monitors import SeriesPoint
 from colourgame.world import (
@@ -444,10 +445,45 @@ def test_params_validation_rejects_out_of_range_values():
         ExperimentParams(
             palette=(Colour(0, 0, 0), Colour(10, 0, 0)), objects_per_scene=2
         ),
+        # Every int field refuses a bool, which would play as 1 or 0; more
+        # below, each with its field's usual message.
+        ExperimentParams(population_size=True),
+        ExperimentParams(num_interactions=False),
+        ExperimentParams(snapshot_points=(10, False)),
     ]
     for params in bad:
         with pytest.raises(ConfigurationError):
             params.validate()
+    for params, message in (
+        (ExperimentParams(objects_per_scene=True), "objects_per_scene=True outside"),
+        (ExperimentParams(num_interactions=True), "num_interactions must be >= 0"),
+        (ExperimentParams(window=True), "window must be >= 1"),
+        (ExperimentParams(series_interval=True), "series_interval must be >= 1"),
+        (
+            ExperimentParams(
+                random_palette=True, palette_size=True, objects_per_scene=1
+            ),
+            "palette size must be >= 1, got True",
+        ),
+        (ExperimentParams(snapshot_points=(True,)), "snapshot points must be >= 1"),
+    ):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            params.validate()
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="no int-to-str digit limit on this CPython",
+)
+@pytest.mark.parametrize("field", ["population_size", "objects_per_scene"])
+def test_validate_quotes_an_int_too_long_for_a_decimal_repr(field):
+    # Past the interpreter's int-to-str digit limit, repr() itself raises
+    # ValueError; the error still reads, telling the int by its bit count.
+    huge = 10**5000
+    with pytest.raises(ConfigurationError, match=r"<int of 16610 bits>"):
+        ExperimentParams(**{field: huge}).validate()
+    assert quoted((huge, 1)) == "(<int of 16610 bits>, 1)"
+    assert quoted(-huge) == "-<int of 16610 bits>"
 
 
 @pytest.mark.parametrize(

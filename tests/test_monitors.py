@@ -11,11 +11,14 @@ import sys
 import pytest
 
 from colourgame import monitors
+from colourgame.embodiment import make_body
 from colourgame.engine import (
     Agent,
     ExperimentParams,
     InteractionRecord,
+    make_population,
     run_experiment,
+    run_interaction,
 )
 from colourgame.errors import ConfigurationError
 from colourgame.lexicon import SPEAKER
@@ -31,7 +34,7 @@ from colourgame.monitors import (
     export_run,
     take_snapshot,
 )
-from colourgame.world import Colour
+from colourgame.world import DEFAULT_PALETTE, Colour, make_world
 from helpers import (
     oracle_aggregate_csv,
     oracle_aggregate_rows,
@@ -209,6 +212,73 @@ def test_recount_follows_inventory_edits_between_rows():
     # A construction pruned with nothing added in its place.
     adopter.punish(lamune, 1.0)
     assert play(1, 2, 3).distinct_forms_population == 4
+
+
+def test_a_form_lost_and_regained_between_rows_leaves_no_note():
+    population = [
+        agent_with(0, [("bakala", 1), ("defile", 2)]),
+        agent_with(1, [("gikolu", 1)]),
+    ]
+    monitor = PopulationMonitor(population, window=50)
+    records = []
+
+    def row(at):
+        record = records_with([True])[0]._replace(
+            interaction_number=at, speaker_id=0, hearer_id=1
+        )
+        monitor.observe(record)
+        records.append(record)
+        point = compute_series_point(monitor, at)
+        assert point == oracle_series_point(population, records, at, 50)
+        return point
+
+    assert compute_series_point(monitor, 0) == oracle_series_point(
+        population, records, 0, 50
+    )
+    # Between two rows agent 0 loses "bakala" and adopts it again, and
+    # coins "zulewa" and loses it: each pair of notes nets out.
+    inventory = population[0].inventory
+    [bakala] = inventory.by_form["bakala"]
+    inventory.punish(bakala, 1.0)
+    inventory.add_construction("bakala", bakala.category_id, 0.5)
+    inventory.punish(inventory.add_construction("zulewa", 2, 0.5), 1.0)
+    assert inventory.form_changes == {}
+    assert row(1).distinct_forms_population == 3
+    # Losing "bakala" for good takes it out of the population's forms.
+    inventory.punish(inventory.by_form["bakala"][0], 1.0)
+    assert inventory.form_changes == {"bakala": -1}
+    assert row(2).distinct_forms_population == 2
+    assert inventory.form_changes == {}
+
+
+def test_a_second_monitor_over_a_counted_population_equals_the_oracle():
+    # One monitor counts the first 300 games and drains the inventories'
+    # notes; a fresh one then takes over. Its first count of each agent
+    # reads the inventory whole, not the notes left since the last drain.
+    params = ExperimentParams(population_size=6, noise_std=20.0)
+    population = make_population(params.population_size)
+    world = make_world(DEFAULT_PALETTE, params.objects_per_scene)
+    bodies = tuple(
+        make_body("simulated", name, noise_std=params.noise_std)
+        for name in ("body-a", "body-b")
+    )
+    rng = random.Random(4)
+    first = PopulationMonitor(population, params.window)
+    for n in range(1, 301):
+        first.observe(run_interaction(population, world, bodies, params, rng, n))
+        if n % 7 == 0:
+            compute_series_point(first, n)
+    second = PopulationMonitor(population, params.window)
+    records = []
+    for n in range(301, 601):
+        record = run_interaction(population, world, bodies, params, rng, n)
+        second.observe(record)
+        records.append(record)
+        # The oracle's window counts games from the second monitor's first.
+        assert compute_series_point(second, n) == oracle_series_point(
+            population, records, len(records), params.window
+        )._replace(interaction=n)
+    assert len({len(agent.inventory.by_form) for agent in population}) > 1
 
 
 # Windows 1 and 7 ride along with the palette kind, so each runs over every
@@ -742,6 +812,43 @@ def test_aggregate_runs_matches_the_dict_oracle():
                 for a, b in zip(previous, current)
             )
     assert repeated > 1000
+
+
+def test_aggregate_runs_folds_runs_handed_over_one_at_a_time():
+    # Ints past 2**53, which the mean reads as fsum does (the nearest
+    # float) and the deviation exactly; a denominator finer than any before
+    # it arriving with the last run; and a row where two runs swap sums, so
+    # that the total stays put while the sum of squares moves. At row 4,
+    # three times 2**53 + 1 sums to 3 * 2**53 + 3 exactly, which rounds to
+    # another float than the 3 * 2**53 that fsum sums.
+    big = 2**60 + 1
+    batch = [
+        [
+            SeriesPoint(1, 1.0, big, 3, 7, 0.5, -(2**55) - 3),
+            SeriesPoint(2, 2.0, big, 3, 7, 0.5, 1),
+            SeriesPoint(3, 2.0, big + 2, 3, 8, 0.5, 1),
+            SeriesPoint(4, 2.0, big + 2, 3, 2**53 + 1, 0.5, 1),
+        ],
+        [
+            SeriesPoint(1, 3.0, 2**53 + 1, 3, 8, 0.5, -(2**55) - 3),
+            SeriesPoint(2, 2.0, 2**53 + 1, 6.0, 8, 0.1, 2),
+            SeriesPoint(3, 2.0, big, 6, 8.0, 0.1, 2**60),
+            SeriesPoint(4, 2.0, big, 6, 2**53 + 1, 0.1, 2**60),
+        ],
+        [
+            SeriesPoint(1, 0.25, 7, 3.0, 7, 0.5, 0),
+            SeriesPoint(2, 0.25, 7, 3.0, 7, 5e-324, -0.0),
+            SeriesPoint(3, 0.25, -big, 3.0, 7, 5e-324, 0.0),
+            SeriesPoint(4, 0.25, -big, 3.0, 2**53 + 1, 5e-324, 0.0),
+        ],
+    ]
+    handed = iter(batch)
+    rows = aggregate_runs(handed)
+    assert next(handed, None) is None  # every run was read at the call
+    assert [repr(row) for row in rows] == [
+        repr(tuple(row[key] for key in AGGREGATE_HEADER))
+        for row in oracle_aggregate_rows(batch)
+    ]
 
 
 def test_aggregate_runs_rejects_mismatched_runs(tmp_path):

@@ -1,0 +1,208 @@
+"""Replay the mutation catalogue: every planted fault must fail its tests.
+
+    python tools/mutation_catalogue.py               # every mutant
+    python tools/mutation_catalogue.py NAME [NAME]   # the named mutants
+    python tools/mutation_catalogue.py --list        # names and reasons
+
+Several parts of the package are right only because some test catches the
+faults one could plant in them: the form notes behind the series monitor,
+the exact-sum aggregate, the inventory's edit count. Each entry of MUTANTS
+names a file, an exact text in it, the text to put in its place and the
+tests that must catch the change. For each mutant the script copies `src/`,
+`tests/` and `pyproject.toml` to a temporary directory, makes the edit
+there, runs `python -m pytest -x -q` on the mutant's tests and requires them
+to fail. A mutant whose text does not occur exactly once in its file is an
+error, so an entry that no longer matches the code is noticed, not skipped.
+The checkout itself is never edited. Exit status 0 means every mutant
+selected was caught.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml")
+# pytest's exit status when tests ran and some failed; a collection error or
+# an empty selection exits otherwise and catches nothing.
+TESTS_FAILED = 1
+
+
+class Mutant(NamedTuple):
+    name: str
+    why: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+LEXICON = "src/colourgame/lexicon.py"
+MONITORS = "src/colourgame/monitors.py"
+CLI = "src/colourgame/cli.py"
+FOLD_TEST = (
+    "tests/test_monitors.py::"
+    "test_aggregate_runs_folds_runs_handed_over_one_at_a_time"
+)
+
+MUTANTS = (
+    Mutant(
+        "note-not-netted",
+        "a form gained after it was lost keeps a +1 note, so it is counted twice",
+        LEXICON,
+        "            if not self.form_changes.pop(form, 0):\n"
+        "                self.form_changes[form] = 1\n",
+        "            self.form_changes[form] = 1\n",
+        (
+            "tests/test_monitors.py::"
+            "test_a_form_lost_and_regained_between_rows_leaves_no_note",
+        ),
+    ),
+    Mutant(
+        "first-count-reads-notes",
+        "an agent's first count takes the notes left since another monitor's "
+        "last drain, not the forms it holds",
+        MONITORS,
+        "        if old_version < 0:\n",
+        "        if False:\n",
+        (
+            "tests/test_monitors.py::"
+            "test_a_second_monitor_over_a_counted_population_equals_the_oracle",
+        ),
+    ),
+    Mutant(
+        "mean-folds-exact-int",
+        "the mean sums an int past 2**53 exactly, where fsum reads float(v)",
+        MONITORS,
+        "                    extra = (int(float(num)) - num) << shift\n",
+        "                    extra = 0\n",
+        (FOLD_TEST,),
+    ),
+    Mutant(
+        "fold-skips-a-change",
+        "the last change of each run's column is never folded",
+        MONITORS,
+        "            for k, (num, den) in zip(rows, ratios):\n",
+        "            for k, (num, den) in zip(rows[:-1], ratios):\n",
+        ("tests/test_monitors.py::test_aggregate_runs_matches_the_dict_oracle",),
+    ),
+    Mutant(
+        "sum-down-reads-totals-only",
+        "a row whose total stays put keeps the previous row's deviation even "
+        "though its sum of squares moved",
+        MONITORS,
+        "            if d_total or d_square or d_extra or stats is None:\n",
+        "            if d_total or d_extra or stats is None:\n",
+        (FOLD_TEST,),
+    ),
+    Mutant(
+        "batch-holds-every-run",
+        "run_command keeps every run's series until the aggregate is written",
+        CLI,
+        "export_aggregate(finished(_execute_run(*job) for job in jobs), out_dir)",
+        "export_aggregate(list(finished(_execute_run(*job) for job in jobs)), out_dir)",
+        ("tests/test_cli.py::test_a_batch_holds_no_run_series",),
+    ),
+    Mutant(
+        "remove-without-edit",
+        "_remove does not bump edits, so the monitor skips a pruned agent",
+        LEXICON,
+        "        self.size -= 1\n        self.edits += 1\n",
+        "        self.size -= 1\n",
+        ("tests/test_lexicon.py", "tests/test_monitors.py"),
+    ),
+    Mutant(
+        "add-without-edit",
+        "add_construction does not bump edits, so the monitor skips an agent "
+        "that grew",
+        LEXICON,
+        "        self.size += 1\n        self.edits += 1\n",
+        "        self.size += 1\n",
+        ("tests/test_lexicon.py", "tests/test_monitors.py"),
+    ),
+    Mutant(
+        "window-by-length-only",
+        "the windowed success is derived again only when the window's length "
+        "moves",
+        MONITORS,
+        "    if window != monitor.success_from:\n",
+        "    if window[1] != monitor.success_from[1]:\n",
+        ("tests/test_monitors.py",),
+    ),
+)
+
+
+def apply(mutant: Mutant, tree: Path) -> None:
+    """Make the mutant's edit in `tree`; its text must occur exactly once."""
+    path = tree / mutant.path
+    text = path.read_text()
+    found = text.count(mutant.old)
+    if found != 1:
+        raise ValueError(
+            f"its text occurs {found} times in {mutant.path}, not once"
+        )
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def caught(mutant: Mutant) -> tuple[bool, str]:
+    """Run the mutant's tests on a mutated copy; (caught, pytest's tail)."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as scratch:
+        tree = Path(scratch)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(
+                    source, tree / name,
+                    ignore=shutil.ignore_patterns("__pycache__", ".pytest_cache"),
+                )
+            else:
+                shutil.copy2(source, tree / name)
+        apply(mutant, tree)
+        env = {
+            k: v for k, v in os.environ.items()
+            if k not in ("PYTHONPATH", "NAMING_GAME_OUT_DIR")
+        }
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "pytest", "-x", "-q",
+                "-p", "no:cacheprovider", *mutant.tests,
+            ],
+            cwd=tree, env={**env, "PYTHONDONTWRITEBYTECODE": "1"},
+            capture_output=True, text=True, timeout=600,
+        )
+    tail = (done.stdout + done.stderr).strip().splitlines()[-1:]
+    return done.returncode == TESTS_FAILED, " ".join(tail)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default all)")
+    parser.add_argument("--list", action="store_true", help="list the mutants")
+    args = parser.parse_args(argv)
+    by_name = {mutant.name: mutant for mutant in MUTANTS}
+    if args.list:
+        for mutant in MUTANTS:
+            print(f"{mutant.name}: {mutant.why}")
+        return 0
+    unknown = [name for name in args.names if name not in by_name]
+    if unknown:
+        parser.error(f"no mutant named {', '.join(unknown)}")
+    failures = 0
+    for mutant in [by_name[name] for name in args.names] or MUTANTS:
+        try:
+            ok, tail = caught(mutant)
+        except ValueError as exc:
+            ok, tail = False, f"STALE: {exc}"
+        failures += not ok
+        print(f"{'caught' if ok else 'NOT CAUGHT'} {mutant.name}: {tail}", flush=True)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
