@@ -31,7 +31,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
 
-from .engine import SNAPSHOT_ALL, ExperimentParams, run_experiment
+from .engine import SNAPSHOT_ALL, ExperimentParams, is_int, run_experiment
 from .errors import ColourGameError, ConfigurationError, quoted
 from .monitors import SeriesPoint, export_aggregate, export_run
 from .world import random_palette
@@ -60,19 +60,15 @@ BATCH_DEFAULTS: dict = {"runs": 1, "seed": 0, "out_dir": "out", "parallel": 1}
 DEFAULT_CONFIG: dict = {**GAME_DEFAULTS, **BATCH_DEFAULTS}
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 # What a config value must be, by the JSON type of its key's default.
 _TYPES = {
     bool: ("a boolean", lambda value: isinstance(value, bool)),
-    int: ("an integer", _is_int),
-    float: ("a number", lambda value: _is_int(value) or isinstance(value, float)),
+    int: ("an integer", is_int),
+    float: ("a number", lambda value: is_int(value) or isinstance(value, float)),
     str: ("a string", lambda value: isinstance(value, str)),
     list: (
         "a list of integers",
-        lambda value: isinstance(value, list) and all(map(_is_int, value)),
+        lambda value: isinstance(value, list) and all(map(is_int, value)),
     ),
 }
 
@@ -81,7 +77,7 @@ def _is_palette(value: object) -> bool:
     return isinstance(value, list) and all(
         isinstance(t, list)
         and len(t) == 3
-        and all(_is_int(ch) and 0 <= ch <= 255 for ch in t)
+        and all(is_int(ch, 0, 255) for ch in t)
         for t in value
     )
 
@@ -92,7 +88,7 @@ _KEY_TYPES = {
     "palette": ("a list of [r, g, b] integer triplets in [0, 255]", _is_palette),
     "snapshot_agent": (
         "'all' or an agent index",
-        lambda value: value == SNAPSHOT_ALL or _is_int(value),
+        lambda value: value == SNAPSHOT_ALL or is_int(value),
     ),
 }
 

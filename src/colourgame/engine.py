@@ -21,6 +21,7 @@ at least one object per scene.
 """
 from __future__ import annotations
 
+import math
 import random
 import sys
 from typing import NamedTuple
@@ -76,6 +77,14 @@ MAX_POPULATION = 100_000
 _new_tuple = tuple.__new__
 
 
+def is_int(value: object, low: float = -math.inf, high: float = math.inf) -> bool:
+    """Whether `value` is an int within [low, high] and not a bool, which is
+    an int that would play as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        return False
+    return low <= value <= high
+
+
 class ExperimentParams(NamedTuple):
     """Everything that determines a run, apart from the seed. A named tuple:
     `params._replace(noise_std=0.0)` gives a copy with one field changed."""
@@ -102,32 +111,35 @@ class ExperimentParams(NamedTuple):
     backend_kind: str = "simulated"
 
     def validate(self) -> None:
-        """Reject out-of-range values before any game is played. A bool is
-        an int that would play as 0 or 1, so every int field refuses it."""
-        if isinstance(self.population_size, bool) or not (
-            2 <= self.population_size <= MAX_POPULATION
+        """Reject out-of-range values before any game is played. No number
+        field takes a bool, and no int field a float (see `is_int`)."""
+        for name in (
+            "noise_std", "min_separation", "initial_score", "inc", "inh", "dec",
+            "shift_rate",
         ):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ConfigurationError(
+                    f"{name} must be a number, got {quoted(value)}"
+                )
+        if not is_int(self.population_size, 2, MAX_POPULATION):
             raise ConfigurationError(
                 f"population_size must be in [2, {MAX_POPULATION}], "
                 f"got {quoted(self.population_size)}"
             )
-        if self.random_palette and (
-            isinstance(self.palette_size, bool) or self.palette_size < 1
-        ):
+        if self.random_palette and not is_int(self.palette_size, 1):
             raise ConfigurationError(
                 f"palette size must be >= 1, got {quoted(self.palette_size)}"
             )
         palette_len = (
             self.palette_size if self.random_palette else len(self.palette)
         )
-        if isinstance(self.objects_per_scene, bool) or not (
-            1 <= self.objects_per_scene <= palette_len
-        ):
+        if not is_int(self.objects_per_scene, 1, palette_len):
             raise ConfigurationError(
                 f"objects_per_scene={quoted(self.objects_per_scene)} outside "
                 f"[1, {quoted(palette_len)}]"
             )
-        if isinstance(self.num_interactions, bool) or self.num_interactions < 0:
+        if not is_int(self.num_interactions, 0):
             raise ConfigurationError("num_interactions must be >= 0")
         # Scores are stored rounded, and one that rounds to 0 is pruned.
         if not (
@@ -151,26 +163,23 @@ class ExperimentParams(NamedTuple):
             raise ConfigurationError(
                 f"shift_rate must be in [0, 1], got {quoted(self.shift_rate)}"
             )
-        if isinstance(self.window, bool) or self.window < 1:
+        if not is_int(self.window, 1):
             raise ConfigurationError("window must be >= 1")
         # The success window is a deque, whose length is a C ssize_t.
         if self.window > sys.maxsize:
             raise ConfigurationError(
                 f"window must be <= {sys.maxsize}, got {quoted(self.window)}"
             )
-        if isinstance(self.series_interval, bool) or self.series_interval < 1:
+        if not is_int(self.series_interval, 1):
             raise ConfigurationError("series_interval must be >= 1")
-        if any(isinstance(p, bool) or p < 1 for p in self.snapshot_points):
+        if not all(is_int(p, 1) for p in self.snapshot_points):
             raise ConfigurationError("snapshot points must be >= 1")
-        if self.snapshot_agent != SNAPSHOT_ALL:
-            agent = self.snapshot_agent
-            if isinstance(agent, bool) or not (
-                isinstance(agent, int) and 0 <= agent < self.population_size
-            ):
-                raise ConfigurationError(
-                    f"snapshot_agent must be 'all' or an index in [0, "
-                    f"{self.population_size - 1}], got {quoted(agent)}"
-                )
+        agent = self.snapshot_agent
+        if agent != SNAPSHOT_ALL and not is_int(agent, 0, self.population_size - 1):
+            raise ConfigurationError(
+                f"snapshot_agent must be 'all' or an index in [0, "
+                f"{self.population_size - 1}], got {quoted(agent)}"
+            )
 
 
 class Agent:

@@ -17,8 +17,8 @@ an agent's new and old counts. The form holders move by the inventory's own
 notes: `ConstructionInventory.form_changes` holds, netted, each form whose
 `by_form` bucket was created (+1) or deleted (-1) since it was last cleared,
 and a recount applies the notes and clears them. So a recount costs the
-forms that changed, not the forms held. An agent's first count reads its
-whole `by_form` instead, so a fresh monitor over a population that has
+forms that changed, not the forms held. A monitor starts from the forms each
+agent holds and clears the notes, so one started over a population that has
 already played counts it exactly. Since a recount clears the notes, one
 monitor drains a population at a time: two counting the same population
 side by side would each miss the notes the other cleared.
@@ -73,36 +73,36 @@ would: strings through json's own ASCII escaper, numbers as json spells them
 
 Multi-run aggregation writes `aggregate.csv` with the per-interaction mean
 and sample standard deviation of every series field. `export_aggregate` hands
-the runs to `aggregate_runs`, which reads them one at a time (as they end,
-when `cli.run_command` runs a batch) and makes every check before a row or
-the file exists: no runs, runs of different lengths, interaction numbers
-that differ at some row. From the second run on, it folds each run into
-exact integer sums as the run arrives (`_RunSums`) and keeps none, so a
-batch's memory does not grow with its runs. Per field, the values are
-integers i over one power-of-two denominator 2**shift, as in `_stdev` (see
-below), and per row the sums of i and of i*i over the runs are kept as a
-difference array: a run adds to a row only where its value is != its value
-at the row before (in the default 20-run ensemble at seeds 0-19, 62% of the
-6,000 columns repeat the row before). Values that are == are the same
-integer, signed zeros and int/float spellings included, and exact sums do
-not depend on the order in which the runs arrive. The rows are produced
-lazily, summing down the difference arrays; a row whose sums did not move
-keeps the previous row's mean and deviation. The mean is the sum over
-2**shift, one correctly rounded int division, divided by n: that division
-gives the correctly rounded exact sum, which is what `math.fsum` returns
-(0.0 for any mix of signed zeros). fsum reads an int past 2**53 as the
-nearest float, so for such an int the mean's sum takes float(v) where the
-deviation's takes v. The deviation is `_stdev`'s formula on the same sums.
+the runs (unless there is just one, see below) to `aggregate_runs`, which
+reads them one at a time (as they end, when `cli.run_command` runs a batch)
+and makes every check before a row or the file exists: no runs, runs of
+different lengths, interaction numbers that differ at some row. It folds
+each run into exact integer sums as the run arrives (`_RunSums`), the first
+run too, and keeps none, so a batch's memory does not grow with its runs.
+Per field, the values are integers i over one power-of-two denominator
+2**shift, as in `_stdev` (see below), and per row the sums of i and of i*i
+over the runs are kept as a difference array: a run adds to a row only where
+its value is != its value at the row before (in the default 20-run ensemble
+at seeds 0-19, 62% of the 6,000 columns repeat the row before). Values that
+are == are the same integer, signed zeros and int/float spellings included,
+and exact sums do not depend on the order in which the runs arrive. The rows
+are produced lazily, summing down the difference arrays; a row whose sums
+did not move keeps the previous row's mean and deviation. The mean is the
+sum over 2**shift, one correctly rounded int division, divided by n: that
+division gives the correctly rounded exact sum, which is what `math.fsum`
+returns (0.0 for any mix of signed zeros). fsum reads an int past 2**53 as
+the nearest float, so for such an int the mean's sum takes float(v) where
+the deviation's takes v. The deviation is `_stdev`'s formula on the same
+sums, and 0.0 for a single run.
 
 A single run aggregates to itself with zero deviation, each value as
 `fsum([v]) / 1` spells it, which is `v + 0.0`: the value as a float, but 0.0
-for -0.0. `aggregate_runs` yields such rows from the run's points, with
-nothing folded and no interaction numbering to compare, but
-`export_aggregate` writes a single run's `aggregate.csv` straight from its
-points, with no row built: each stretch of points that repeat their values
-gets its text once, from the values plus 0.0 and the deviations as the
-literal text 0.000000. After adding 0.0, `==` values print alike, zeros
-included.
+for -0.0. The fold gives exactly that, but `export_aggregate` writes a
+single run's `aggregate.csv` straight from its points, with nothing folded
+and no row built, since folding and then producing the rows costs several
+times as much: each stretch of points that repeat their values gets its
+text once, from the values plus 0.0 and the deviations as the literal text
+0.000000. After adding 0.0, `==` values print alike, zeros included.
 
 The standard deviation is the correctly rounded square root of the exact
 sample variance, the value `statistics.stdev` returns from CPython 3.11 on,
@@ -170,7 +170,8 @@ _RATIO_UNIT = float(1 << (sys.float_info.mant_dig - 1))
 _UNIT_VALUE = 1.0 / _RATIO_UNIT
 
 # What an agent not yet counted contributes: nothing. Its version never
-# matches, because an ontology's size and an inventory's edits start at 0.
+# matches, because an ontology's size and an inventory's edits start at 0, so
+# every agent's first recount counts its sizes.
 _UNCOUNTED = (-1, 0, 0, 0, 0)
 
 
@@ -185,10 +186,12 @@ class PopulationMonitor:
     ontology sizes, inventory sizes and (in 2**-52 units) the two
     form/meaning ratios, the number of agents holding any construction, and
     `holders`, which maps each form alive in the population to the number of
-    agents holding it. `observe` also keeps the outcomes of the last `window`
-    games and a running count of the successes among them. `counts` holds
-    the last point's five population values, and `success` its windowed
-    success, taken from the (successes, games) pair `success_from`.
+    agents holding it: counted whole when the monitor is made, which clears
+    every inventory's form notes, and moved by the notes from then on.
+    `observe` also keeps the outcomes of the last `window` games and a
+    running count of the successes among them. `counts` holds the last
+    point's five population values, and `success` its windowed success,
+    taken from the (successes, games) pair `success_from`.
     """
 
     def __init__(self, population: Sequence["Agent"], window: int) -> None:
@@ -210,6 +213,11 @@ class PopulationMonitor:
         self.forms_per_meaning_units = 0
         self.meanings_per_form_units = 0
         self.holders: dict[str, int] = {}
+        for agent in population:
+            inventory = agent.inventory
+            for form in inventory.by_form:
+                self.holders[form] = self.holders.get(form, 0) + 1
+            inventory.form_changes.clear()
         # The values of a population no agent of which holds anything, and
         # of a window no game has entered: zero by convention.
         self.counts: tuple = (0.0, 0.0, 0, 0.0, 0.0)
@@ -238,9 +246,8 @@ def compute_series_point(monitor: PopulationMonitor, at: int) -> SeriesPoint:
     any) when the window's success count or length moved. Otherwise the last
     point's values stand.
 
-    A recount reads and clears the agent's `inventory.form_changes`, so one
-    monitor drains a population at a time; a monitor's first count of an
-    agent reads its whole `by_form` and so never depends on another's.
+    A recount applies and clears the agent's `inventory.form_changes`, so
+    one monitor drains a population at a time.
     """
     counted = monitor.counted
     agents = monitor._agents
@@ -255,7 +262,7 @@ def compute_series_point(monitor: PopulationMonitor, at: int) -> SeriesPoint:
         if old[0] == version:
             continue
         moved = True
-        old_version, old_ontology_size, old_size, old_fpm, old_mpf = old
+        _, old_ontology_size, old_size, old_fpm, old_mpf = old
         size = inventory.size
         if size:
             # Each ratio n/k is a float in [1, n] (see the module docstring),
@@ -270,20 +277,15 @@ def compute_series_point(monitor: PopulationMonitor, at: int) -> SeriesPoint:
         monitor.ratio_agents += (size > 0) - (old_size > 0)
         monitor.forms_per_meaning_units += fpm - old_fpm
         monitor.meanings_per_form_units += mpf - old_mpf
+        # The forms noted as gained (+1) or lost (-1) since the last count.
         holders = monitor.holders
         changes = inventory.form_changes
-        if old_version < 0:
-            # A first count takes every form held, whatever was noted before.
-            for form in inventory.by_form:
-                holders[form] = holders.get(form, 0) + 1
-        else:
-            # A later one the forms noted as gained (+1) or lost (-1) since.
-            for form, change in changes.items():
-                count = holders.get(form, 0) + change
-                if count:
-                    holders[form] = count
-                else:
-                    del holders[form]
+        for form, change in changes.items():
+            count = holders.get(form, 0) + change
+            if count:
+                holders[form] = count
+            else:
+                del holders[form]
         changes.clear()
     monitor._stale.clear()
     if moved:
@@ -568,7 +570,7 @@ _FLOAT_EXACT = 1 << sys.float_info.mant_dig
 
 
 class _RunSums:
-    """Several runs' values folded into exact integer sums, field by field.
+    """Runs' values folded into exact integer sums, field by field.
 
     A field's values are integers i over one denominator 2**shift, the
     finest any of its values has needed so far; a value that needs a finer
@@ -645,7 +647,7 @@ class _RunSums:
                 # float(v) rounded once, which is what math.fsum returns.
                 stats = (
                     (total + extra) / unit / n,
-                    _deviation(n, total, square, shift),
+                    _deviation(n, total, square, shift) if n > 1 else 0.0,
                 )
             yield stats
 
@@ -663,34 +665,26 @@ def aggregate_runs(
 
     Each row is a tuple in `AGGREGATE_HEADER`'s order. The runs may be any
     iterable, such as one that yields each run as it ends: the call reads
-    them all, folds each into exact sums (`_RunSums`) as soon as a second
-    run has arrived, and keeps none it has folded. All runs must share the
-    same interaction grid; that is checked over every run at the call,
-    before any row is produced. The rows themselves are produced lazily, one
-    per step of the returned iterator. A single run aggregates to itself
-    with zero deviation.
+    them all, folds each into exact sums (`_RunSums`) as it arrives, and
+    keeps none. All runs must share the same interaction grid; that is
+    checked over every run at the call, before any row is produced. The
+    rows themselves are produced lazily, one per step of the returned
+    iterator. A single run aggregates to itself with zero deviation.
     """
     runs = 0
     lengths = set()
-    first = grid = sums = None
+    grid = sums = None
     # Grids that differ from the first run's; an error, told once every
     # run has been read.
     strays = []
     for series in series_per_run:
         runs += 1
         lengths.add(len(series))
-        if runs == 1:
-            first = series
-            continue
         if len(lengths) > 1 or not series:
             continue
-        if sums is None:
-            # A second run: the first is folded now, and let go.
-            grid, *columns = zip(*first)
-            sums = _RunSums(len(grid))
-            sums.add(columns)
-            first = None
         interactions, *columns = zip(*series)
+        if sums is None:
+            grid, sums = interactions, _RunSums(len(interactions))
         if interactions != grid:
             strays.append(interactions)
         elif not strays:
@@ -708,36 +702,31 @@ def aggregate_runs(
             f"runs disagree on interaction numbering at row {at}: "
             f"{sorted(interactions)}"
         )
-    if sums is None:
-        # One run (or runs without rows): each mean is fsum([v]) / 1, which
-        # is v + 0.0, and each deviation zero.
-        return (
-            (point[0], *chain.from_iterable((v + 0.0, 0.0) for v in point[1:]))
-            for point in first
-        )
+    if sums is None:  # runs without rows
+        return iter(())
     return sums.rows(grid)
 
 
 def export_aggregate(
     series_per_run: Iterable[Sequence[SeriesPoint]], out_dir: str | Path
 ) -> Path:
-    """Write the runs' aggregated series as aggregate.csv in `out_dir`, each
-    row as it arrives from `aggregate_runs`, which reads and checks every run
-    before anything is written; a single run is written from its points."""
+    """Write the runs' aggregated series as aggregate.csv in `out_dir`: a
+    single run straight from its points, any other number row by row from
+    `aggregate_runs`, which reads and checks every run before any write."""
     runs = iter(series_per_run)
     head = list(islice(runs, 2))
-    one_run = head[0] if len(head) == 1 else None
-    # The list's iterator lets go of the list once it is past both runs.
-    runs = chain(iter(head), runs)
+    one_run = len(head) == 1
+    rows = head[0] if one_run else chain(iter(head), runs)
+    # The list's iterator lets go of the list once it is past both runs, so
+    # no run outlives its fold once this name is gone.
     del head
-    rows = aggregate_runs(runs)
+    if not one_run:
+        rows = aggregate_runs(rows)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / AGGREGATE_CSV
     with path.open("w", newline="") as fh:
         fh.write(",".join(AGGREGATE_HEADER) + "\n")
-        if one_run is not None:
-            _write_rows(fh, one_run, _ONE_RUN_TAIL, plus_zero=True)
-        else:
-            _write_rows(fh, rows, _AGGREGATE_TAIL)
+        tail = _ONE_RUN_TAIL if one_run else _AGGREGATE_TAIL
+        _write_rows(fh, rows, tail, plus_zero=one_run)
     return path

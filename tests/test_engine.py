@@ -11,6 +11,7 @@ from colourgame.engine import (
     FAILURE_DEGENERATE,
     FAILURE_NONE,
     FAILURE_UNKNOWN_WORD,
+    MAX_POPULATION,
     Agent,
     ExperimentParams,
     InteractionRecord,
@@ -466,6 +467,32 @@ def test_params_validation_rejects_out_of_range_values():
             "palette size must be >= 1, got True",
         ),
         (ExperimentParams(snapshot_points=(True,)), "snapshot points must be >= 1"),
+        # An int field refuses a float: each of these would round, or raise
+        # a bare TypeError once play starts.
+        (
+            ExperimentParams(population_size=2.5),
+            f"population_size must be in [2, {MAX_POPULATION}], got 2.5",
+        ),
+        (ExperimentParams(objects_per_scene=2.5), "objects_per_scene=2.5 outside"),
+        (ExperimentParams(num_interactions=10.5), "num_interactions must be >= 0"),
+        (ExperimentParams(window=50.5), "window must be >= 1"),
+        (ExperimentParams(series_interval=1.5), "series_interval must be >= 1"),
+        (
+            ExperimentParams(random_palette=True, palette_size=2.5),
+            "palette size must be >= 1, got 2.5",
+        ),
+        (ExperimentParams(snapshot_points=(10, 2.5)), "snapshot points must be >= 1"),
+        # A float field refuses a bool, which would play as 1.0 or 0.0.
+        (ExperimentParams(noise_std=True), "noise_std must be a number, got True"),
+        (ExperimentParams(inc=True), "inc must be a number, got True"),
+        (
+            ExperimentParams(initial_score=True),
+            "initial_score must be a number, got True",
+        ),
+        (
+            ExperimentParams(shift_rate=False),
+            "shift_rate must be a number, got False",
+        ),
     ):
         with pytest.raises(ConfigurationError, match=re.escape(message)):
             params.validate()

@@ -7,6 +7,8 @@ import random
 import re
 import statistics
 import sys
+import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -513,6 +515,29 @@ def test_one_run_aggregate_csv_matches_the_oracle(tmp_path):
     assert path.read_bytes() == oracle_aggregate_csv(expected).encode()
 
 
+def test_a_single_run_aggregate_is_written_without_folding(tmp_path, monkeypatch):
+    # A single run's aggregate.csv is written straight from its points,
+    # which costs a fraction of folding it; the fold gives the same rows.
+    first = (-0.0, 2**60 + 1, 0.1 + 0.2, 7, 2.0**60, 1 / 3)
+    series = [SeriesPoint(*row) for row in stretches(first)]
+    expected = [
+        tuple(row[key] for key in AGGREGATE_HEADER)
+        for row in oracle_aggregate_rows([series])
+    ]
+
+    class NoFold:
+        def __init__(self, length):
+            raise AssertionError("a single run was folded")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(monitors, "_RunSums", NoFold)
+        path = export_aggregate(iter([series]), tmp_path)
+    assert path.read_bytes() == oracle_aggregate_csv(expected).encode()
+    assert [repr(row) for row in aggregate_runs([series])] == list(
+        map(repr, expected)
+    )
+
+
 # Forms json must escape (a quote, a backslash, control characters, non-ASCII
 # text, a surrogate pair) next to plain ones.
 SNAPSHOT_FORMS = (
@@ -754,6 +779,29 @@ def test_stdev_of_equal_values_is_exactly_zero():
         assert repr(monitors._stdev(values)) == "0.0", values
 
 
+def test_stdev_is_the_correctly_rounded_root_of_a_float_variance():
+    # Where the exact sample variance is itself a float, math.sqrt rounds
+    # its root correctly (IEEE 754), so this needs no statistics module and
+    # runs on every CPython. Most of these roots are inexact, so they check
+    # the rounding to odd as well.
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(2000):
+        ints = [rng.randint(-40, 40) for _ in range(rng.randint(2, 6))]
+        n = len(ints)
+        variance = Fraction(
+            n * sum(v * v for v in ints) - sum(ints) ** 2, n * (n - 1)
+        )
+        if variance.denominator & (variance.denominator - 1):
+            continue  # not a dyadic rational, so not a float
+        scale = 2.0 ** rng.randint(-60, 60)
+        values = [v * scale for v in ints]
+        expected = math.sqrt(float(variance) * scale * scale)
+        assert repr(monitors._stdev(values)) == repr(expected), ints
+        checked += 1
+    assert checked > 500
+
+
 def varied_runs(rng: random.Random, runs: int, length: int) -> list:
     """`runs` series on one interaction grid whose fields often repeat their
     previous value, as a converged run's do, and take values that are == but
@@ -849,6 +897,29 @@ def test_aggregate_runs_folds_runs_handed_over_one_at_a_time():
         repr(tuple(row[key] for key in AGGREGATE_HEADER))
         for row in oracle_aggregate_rows(batch)
     ]
+
+
+def test_export_aggregate_keeps_no_run_it_has_folded(tmp_path):
+    # export_aggregate reads two runs ahead to tell one run from several.
+    # After that, each run is let go once folded: when the batch plays run
+    # k, no run before k - 1 (the one the fold last read) is alive.
+    class Run(list):
+        """A series a weak reference can watch."""
+
+    played = []
+
+    def runs():
+        for k in range(6):
+            folded = played[: max(k - 1, 0)]
+            assert all(ref() is None for ref in folded), f"held at run {k}"
+            run = Run(synthetic_series(5))
+            played.append(weakref.ref(run))
+            yield run
+            del run
+
+    path = export_aggregate(runs(), tmp_path)
+    assert len(played) == 6
+    assert len(path.read_text().splitlines()) == 6
 
 
 def test_aggregate_runs_rejects_mismatched_runs(tmp_path):

@@ -6,15 +6,16 @@
 
 Several parts of the package are right only because some test catches the
 faults one could plant in them: the form notes behind the series monitor,
-the exact-sum aggregate, the inventory's edit count. Each entry of MUTANTS
-names a file, an exact text in it, the text to put in its place and the
-tests that must catch the change. For each mutant the script copies `src/`,
-`tests/` and `pyproject.toml` to a temporary directory, makes the edit
-there, runs `python -m pytest -x -q` on the mutant's tests and requires them
-to fail. A mutant whose text does not occur exactly once in its file is an
-error, so an entry that no longer matches the code is noticed, not skipped.
-The checkout itself is never edited. Exit status 0 means every mutant
-selected was caught.
+the exact-sum aggregate, the inventory's edit count, the exact standard
+deviation, the stretch formatter, the colour clamps, the config checks.
+Each entry of MUTANTS names a file, an exact text in it, the text to put in
+its place and the tests that must catch the change. For each mutant the
+script copies `src/`, `tests/` and `pyproject.toml` to a temporary
+directory, makes the edit there, runs `python -m pytest -x -q` on the
+mutant's tests and requires them to fail. A mutant whose text does not
+occur exactly once in its file is an error, so an entry that no longer
+matches the code is noticed, not skipped. The checkout itself is never
+edited. Exit status 0 means every mutant selected was caught.
 """
 from __future__ import annotations
 
@@ -46,6 +47,8 @@ class Mutant(NamedTuple):
 LEXICON = "src/colourgame/lexicon.py"
 MONITORS = "src/colourgame/monitors.py"
 CLI = "src/colourgame/cli.py"
+ENGINE = "src/colourgame/engine.py"
+WORLD = "src/colourgame/world.py"
 FOLD_TEST = (
     "tests/test_monitors.py::"
     "test_aggregate_runs_folds_runs_handed_over_one_at_a_time"
@@ -66,11 +69,11 @@ MUTANTS = (
     ),
     Mutant(
         "first-count-reads-notes",
-        "an agent's first count takes the notes left since another monitor's "
-        "last drain, not the forms it holds",
+        "a new monitor counts the forms held but keeps the notes left since "
+        "another monitor's last drain, so its first recount counts them again",
         MONITORS,
-        "        if old_version < 0:\n",
-        "        if False:\n",
+        "            inventory.form_changes.clear()\n",
+        "",
         (
             "tests/test_monitors.py::"
             "test_a_second_monitor_over_a_counted_population_equals_the_oracle",
@@ -134,6 +137,72 @@ MUTANTS = (
         "    if window != monitor.success_from:\n",
         "    if window[1] != monitor.success_from[1]:\n",
         ("tests/test_monitors.py",),
+    ),
+    Mutant(
+        "stretch-zero-unchecked",
+        "a stretch holding a zero gets its text once, so -0.0 and 0.0 print "
+        "alike, and a one-run aggregate keeps -0.0",
+        MONITORS,
+        "        if 0.0 in values:\n",
+        "        if False:\n",
+        ("tests/test_monitors.py::test_csv_lines_match_the_csv_module_oracle",),
+    ),
+    Mutant(
+        "one-run-folded",
+        "export_aggregate folds a single run instead of writing it from its "
+        "points: the same bytes at several times the cost",
+        MONITORS,
+        "    one_run = len(head) == 1\n",
+        "    one_run = False\n",
+        (
+            "tests/test_monitors.py::"
+            "test_a_single_run_aggregate_is_written_without_folding",
+        ),
+    ),
+    Mutant(
+        "read-ahead-runs-held",
+        "export_aggregate keeps the two runs it read ahead until the whole "
+        "batch has been folded",
+        MONITORS,
+        "    del head\n",
+        "",
+        (
+            "tests/test_monitors.py::"
+            "test_export_aggregate_keeps_no_run_it_has_folded",
+        ),
+    ),
+    Mutant(
+        "root-without-sticky-bit",
+        "_deviation truncates an inexact root, so it can round down where "
+        "the exact root rounds up",
+        MONITORS,
+        "    root |= root * root * bottom != top\n",
+        "",
+        (
+            "tests/test_monitors.py::"
+            "test_stdev_is_the_correctly_rounded_root_of_a_float_variance",
+        ),
+    ),
+    Mutant(
+        "clamp-keeps-negative-zero",
+        "world.clipped passes -0.0 through, where min(255.0, max(0.0, v)) "
+        "gives 0.0",
+        WORLD,
+        "        r if 0.0 < r < 255.0 else",
+        "        r if 0.0 <= r < 255.0 else",
+        ("tests/test_world.py::test_colour_clipped_clamps_into_range",),
+    ),
+    Mutant(
+        "int-field-takes-float",
+        "engine.is_int takes a float, so validate lets one into an int field, "
+        "where it rounds or raises a bare TypeError in play",
+        ENGINE,
+        "    if isinstance(value, bool) or not isinstance(value, int):\n",
+        "    if isinstance(value, bool) or not isinstance(value, (int, float)):\n",
+        (
+            "tests/test_engine.py::"
+            "test_params_validation_rejects_out_of_range_values",
+        ),
     ),
 )
 
