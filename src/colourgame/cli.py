@@ -3,10 +3,12 @@
 Configuration is resolved in three layers: built-in defaults, then a JSON
 config file, then command-line flags. The config keys are the fields of
 ExperimentParams plus the batch keys of BATCH_DEFAULTS, and each key's
-default, type check and flag derive from that one list. The fully resolved
-config is echoed to `<out_dir>/config.json`, and that file alone is enough to
-reproduce a batch bit for bit. Batch runs use seeds seed, seed+1, ... so runs
-are independent but reproducible.
+default and flag derive from that one list. A game key's type and range are
+the engine's, but a config palette's channels must be integers; a batch
+key's type is its default's, and its range is in `_BATCH_RANGES`. The fully
+resolved config is echoed to `<out_dir>/config.json`, and that file alone is
+enough to reproduce a batch bit for bit. Batch runs use seeds seed, seed+1,
+... so runs are independent but reproducible.
 
 A batch checks everything it can before it writes a file: the config's
 types and ranges, and each run's random palette. When `parallel`, the
@@ -31,7 +33,15 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
 
-from .engine import SNAPSHOT_ALL, ExperimentParams, is_int, run_experiment
+from .engine import (
+    FIELD_TYPES,
+    SNAPSHOT_ALL,
+    TYPE_RULES,
+    ExperimentParams,
+    Rule,
+    is_int,
+    run_experiment,
+)
 from .errors import ColourGameError, ConfigurationError, quoted
 from .monitors import SeriesPoint, export_aggregate, export_run
 from .world import random_palette
@@ -60,51 +70,33 @@ BATCH_DEFAULTS: dict = {"runs": 1, "seed": 0, "out_dir": "out", "parallel": 1}
 DEFAULT_CONFIG: dict = {**GAME_DEFAULTS, **BATCH_DEFAULTS}
 
 
-# What a config value must be, by the JSON type of its key's default.
-_TYPES = {
-    bool: ("a boolean", lambda value: isinstance(value, bool)),
-    int: ("an integer", is_int),
-    float: ("a number", lambda value: is_int(value) or isinstance(value, float)),
-    str: ("a string", lambda value: isinstance(value, str)),
-    list: (
-        "a list of integers",
-        lambda value: isinstance(value, list) and all(map(is_int, value)),
-    ),
-}
-
-
 def _is_palette(value: object) -> bool:
     return isinstance(value, list) and all(
         isinstance(t, list)
         and len(t) == 3
-        and all(is_int(ch, 0, 255) for ch in t)
+        and all(is_int(ch) and 0 <= ch <= 255 for ch in t)
         for t in value
     )
 
 
-# What a config value must be, for the keys whose default's JSON type does
-# not say it all.
-_KEY_TYPES = {
-    "palette": ("a list of [r, g, b] integer triplets in [0, 255]", _is_palette),
-    "snapshot_agent": (
-        "'all' or an agent index",
-        lambda value: value == SNAPSHOT_ALL or is_int(value),
-    ),
+# What each config key's value must be (see the module docstring).
+_KEY_TYPES: dict[str, Rule] = {
+    key: FIELD_TYPES.get(key) or TYPE_RULES[type(default)]
+    for key, default in DEFAULT_CONFIG.items()
 }
+_KEY_TYPES["palette"] = Rule(
+    "a list of [r, g, b] integer triplets in [0, 255]", _is_palette
+)
 
-
-def _key_type(key: str) -> tuple[str, Callable[[object], bool]]:
-    """What a known config key's value must be, and the check for it."""
-    return _KEY_TYPES.get(key) or _TYPES[type(DEFAULT_CONFIG[key])]
-
-
-def _check_type(key: str, value: object) -> None:
-    """Type-check one config entry; raises ConfigurationError on mismatch."""
-    if key not in DEFAULT_CONFIG:
-        raise ConfigurationError(f"unknown configuration key {key!r}")
-    kind, accepts = _key_type(key)
-    if not accepts(value):
-        raise ConfigurationError(f"{key} must be {kind}, got {quoted(value)}")
+# What each batch key's value must be once its type holds, in the order
+# `parse_config` checks them.
+_BATCH_RANGES = {
+    "runs": Rule(f"in [1, {MAX_RUNS}]", lambda v: 1 <= v <= MAX_RUNS),
+    "seed": Rule(">= 0", lambda v: v >= 0),
+    "parallel": Rule(">= 1", lambda v: v >= 1),
+    # The OS takes no path with a null byte; Path.mkdir would raise ValueError.
+    "out_dir": Rule("a path without a null byte", lambda v: "\0" not in v),
+}
 
 
 def parse_config(
@@ -120,6 +112,7 @@ def parse_config(
     if env_out_dir:
         resolved["out_dir"] = env_out_dir
 
+    file_config = {}
     if config_path is not None:
         try:
             with open(config_path, encoding="utf-8") as fh:
@@ -149,16 +142,18 @@ def parse_config(
             raise ConfigurationError(
                 f"config file {config_path} must hold a JSON object"
             )
-        for key, value in file_config.items():
-            _check_type(key, value)
-            resolved[key] = value
 
-    for key, value in (overrides or {}).items():
-        _check_type(key, value)
+    for key, value in [*file_config.items(), *(overrides or {}).items()]:
+        if key not in _KEY_TYPES:
+            raise ConfigurationError(f"unknown configuration key {key!r}")
+        _KEY_TYPES[key].require(key, value)
         resolved[key] = value
 
+    for key, rule in _BATCH_RANGES.items():
+        rule.require(key, resolved[key])
     config = SimpleNamespace(**resolved)
-    _validate_ranges(config)
+    # The game keys take their type and range checks from the engine.
+    _game_params(config).validate()
     return config
 
 
@@ -169,24 +164,6 @@ def _game_params(config: SimpleNamespace) -> ExperimentParams:
     values["palette"] = tuple(map(tuple, config.palette))
     values["snapshot_points"] = tuple(config.snapshot_points)
     return ExperimentParams(**values)
-
-
-def _validate_ranges(config: SimpleNamespace) -> None:
-    if not 1 <= config.runs <= MAX_RUNS:
-        raise ConfigurationError(
-            f"runs must be in [1, {MAX_RUNS}], got {quoted(config.runs)}"
-        )
-    for key, low in (("seed", 0), ("parallel", 1)):
-        value = getattr(config, key)
-        if value < low:
-            raise ConfigurationError(f"{key} must be >= {low}, got {quoted(value)}")
-    # The OS takes no path with a null byte; Path.mkdir would raise ValueError.
-    if "\0" in config.out_dir:
-        raise ConfigurationError(
-            f"out_dir must not hold a null byte, got {quoted(config.out_dir)}"
-        )
-    # Shared game parameters take their range checks from the engine.
-    _game_params(config).validate()
 
 
 def _execute_run(
@@ -282,7 +259,7 @@ def _flag_reader(key: str) -> Callable[[str], object]:
             return read(text)
         except ValueError:
             raise ConfigurationError(
-                f"{key} must be {_key_type(key)[0]}, got {quoted(text)}"
+                f"{key} must be {_KEY_TYPES[key].words}, got {quoted(text)}"
             ) from None
 
     return parse

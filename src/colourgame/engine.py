@@ -21,10 +21,9 @@ at least one object per scene.
 """
 from __future__ import annotations
 
-import math
 import random
 import sys
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import monitors
 from .conceptual import Ontology
@@ -77,12 +76,36 @@ MAX_POPULATION = 100_000
 _new_tuple = tuple.__new__
 
 
-def is_int(value: object, low: float = -math.inf, high: float = math.inf) -> bool:
-    """Whether `value` is an int within [low, high] and not a bool, which is
-    an int that would play as 0 or 1."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        return False
-    return low <= value <= high
+def is_int(value: object) -> bool:
+    """Whether `value` is an int and not a bool, which is an int that would
+    play as 0 or 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+class Rule:
+    """What a value must be: the `words` an error gives, and the `check`
+    that tells whether a value is that. A plain class: a named tuple costs
+    more to create at import."""
+
+    def __init__(self, words: str, check: Callable[[object], bool]) -> None:
+        self.words = words
+        self.check = check
+
+    def require(self, name: str, value: object) -> None:
+        """Raise ConfigurationError unless `value`, given for `name`, passes."""
+        if not self.check(value):
+            raise ConfigurationError(
+                f"{name} must be {self.words}, got {quoted(value)}"
+            )
+
+
+# What a value must be, by the type of its default.
+TYPE_RULES = {
+    bool: Rule("a boolean", lambda v: isinstance(v, bool)),
+    int: Rule("an integer", is_int),
+    float: Rule("a number", lambda v: is_int(v) or isinstance(v, float)),
+    str: Rule("a string", lambda v: isinstance(v, str)),
+}
 
 
 class ExperimentParams(NamedTuple):
@@ -111,75 +134,73 @@ class ExperimentParams(NamedTuple):
     backend_kind: str = "simulated"
 
     def validate(self) -> None:
-        """Reject out-of-range values before any game is played. No number
-        field takes a bool, and no int field a float (see `is_int`)."""
-        for name in (
-            "noise_std", "min_separation", "initial_score", "inc", "inh", "dec",
-            "shift_rate",
-        ):
-            value = getattr(self, name)
-            if isinstance(value, bool):
-                raise ConfigurationError(
-                    f"{name} must be a number, got {quoted(value)}"
-                )
-        if not is_int(self.population_size, 2, MAX_POPULATION):
-            raise ConfigurationError(
-                f"population_size must be in [2, {MAX_POPULATION}], "
-                f"got {quoted(self.population_size)}"
-            )
-        if self.random_palette and not is_int(self.palette_size, 1):
-            raise ConfigurationError(
-                f"palette size must be >= 1, got {quoted(self.palette_size)}"
-            )
-        palette_len = (
-            self.palette_size if self.random_palette else len(self.palette)
-        )
-        if not is_int(self.objects_per_scene, 1, palette_len):
-            raise ConfigurationError(
-                f"objects_per_scene={quoted(self.objects_per_scene)} outside "
-                f"[1, {quoted(palette_len)}]"
-            )
-        if not is_int(self.num_interactions, 0):
-            raise ConfigurationError("num_interactions must be >= 0")
-        # Scores are stored rounded, and one that rounds to 0 is pruned.
-        if not (
-            0.0 < self.initial_score <= 1.0 and _rounded(self.initial_score) > 0.0
-        ):
-            raise ConfigurationError(
-                f"initial_score must be in (0, 1] and not round to 0, "
-                f"got {quoted(self.initial_score)}"
-            )
-        # One chain rejects negatives, NaN, infinities and ints too large to
-        # be a float, which compare exactly with the largest float.
-        for name in ("noise_std", "min_separation", "inc", "inh", "dec"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= sys.float_info.max:
-                raise ConfigurationError(
-                    f"{name} must be finite and >= 0, got {quoted(value)}"
-                )
+        """Refuse, before any game is played, a value not of its field's type
+        (`FIELD_TYPES`), then one out of its range (`_range_rules`), then a
+        fixed palette that `check_separation` refuses."""
+        for name, rule in FIELD_TYPES.items():
+            rule.require(name, getattr(self, name))
+        for name, rule in _range_rules(self):
+            rule.require(name, getattr(self, name))
         if not self.random_palette:
             check_separation(self.palette, self.min_separation)
-        if not 0.0 <= self.shift_rate <= 1.0:
-            raise ConfigurationError(
-                f"shift_rate must be in [0, 1], got {quoted(self.shift_rate)}"
-            )
-        if not is_int(self.window, 1):
-            raise ConfigurationError("window must be >= 1")
-        # The success window is a deque, whose length is a C ssize_t.
-        if self.window > sys.maxsize:
-            raise ConfigurationError(
-                f"window must be <= {sys.maxsize}, got {quoted(self.window)}"
-            )
-        if not is_int(self.series_interval, 1):
-            raise ConfigurationError("series_interval must be >= 1")
-        if not all(is_int(p, 1) for p in self.snapshot_points):
-            raise ConfigurationError("snapshot points must be >= 1")
-        agent = self.snapshot_agent
-        if agent != SNAPSHOT_ALL and not is_int(agent, 0, self.population_size - 1):
-            raise ConfigurationError(
-                f"snapshot_agent must be 'all' or an index in [0, "
-                f"{self.population_size - 1}], got {quoted(agent)}"
-            )
+
+
+# What each field's value must be, checked before its range: its override,
+# else the rule of its default's type. `check_separation` checks colours.
+_TYPE_OVERRIDES = {
+    "palette": Rule("a list of colours", lambda v: isinstance(v, (list, tuple))),
+    "snapshot_points": Rule(
+        "a list of integers",
+        lambda v: isinstance(v, (list, tuple)) and all(map(is_int, v)),
+    ),
+    "snapshot_agent": Rule(
+        "'all' or an agent index", lambda v: v == SNAPSHOT_ALL or is_int(v)
+    ),
+}
+FIELD_TYPES: dict[str, Rule] = {
+    name: _TYPE_OVERRIDES.get(name) or TYPE_RULES[type(default)]
+    for name, default in ExperimentParams._field_defaults.items()
+}
+
+
+def _range_rules(params: ExperimentParams) -> Iterator[tuple[str, Rule]]:
+    """Each field and the range its value must be in, in the order `validate`
+    checks them once every type holds. A bound taken from another field is
+    read only after that field has passed."""
+    yield "population_size", Rule(
+        f"in [2, {MAX_POPULATION}]", lambda v: 2 <= v <= MAX_POPULATION
+    )
+    yield "palette_size", Rule(">= 1", lambda v: v >= 1 or not params.random_palette)
+    scene_max = params.palette_size if params.random_palette else len(params.palette)
+    # A random palette's size has no upper bound, so it is quoted.
+    yield "objects_per_scene", Rule(
+        f"in [1, {quoted(scene_max)}]", lambda v: 1 <= v <= scene_max
+    )
+    yield "num_interactions", Rule(">= 0", lambda v: v >= 0)
+    # Scores are stored rounded, and one that rounds to 0 is pruned.
+    yield "initial_score", Rule(
+        "in (0, 1] and not round to 0", lambda v: 0.0 < v <= 1.0 and _rounded(v) > 0.0
+    )
+    # One chain refuses negatives, NaN, infinities and ints too large to be
+    # a float, which compare exactly with the largest float.
+    finite = Rule("finite and >= 0", lambda v: 0.0 <= v <= sys.float_info.max)
+    yield "noise_std", finite
+    yield "min_separation", finite
+    yield "inc", finite
+    yield "inh", finite
+    yield "dec", finite
+    yield "shift_rate", Rule("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+    # The success window is a deque, whose length is a C ssize_t.
+    yield "window", Rule(
+        ">= 1" if params.window < 1 else f"<= {sys.maxsize}",
+        lambda v: 1 <= v <= sys.maxsize,
+    )
+    yield "series_interval", Rule(">= 1", lambda v: v >= 1)
+    yield "snapshot_points", Rule("integers >= 1", lambda v: all(p >= 1 for p in v))
+    yield "snapshot_agent", Rule(
+        f"'all' or an index in [0, {params.population_size - 1}]",
+        lambda v: v == SNAPSHOT_ALL or 0 <= v < params.population_size,
+    )
 
 
 class Agent:

@@ -94,7 +94,7 @@ class World:
         object_ids = tuple(true_colours)
         if not 1 <= objects_per_scene <= len(object_ids):
             raise ConfigurationError(
-                f"objects_per_scene={objects_per_scene} outside "
+                f"objects_per_scene={quoted(objects_per_scene)} outside "
                 f"[1, {len(object_ids)}]"
             )
         object.__setattr__(self, "true_colours", true_colours)

@@ -15,14 +15,21 @@ file an int literal too long for int() to read, and each flag that reads
 its text (all but `--out-dir`) such digits and a word. Accepted cases stay cheap: at most 4 games and 2 runs.
 No mutation makes a valid `num_interactions` or `parallel` above that, so no
 process pool starts. The one error line is short, whatever the value.
+
+Every wrong-typed value the fuzzer draws is also given to each game key
+through both doors, the config reader and `ExperimentParams.validate`, which
+must agree.
 """
 import json
 import random
 import sys
 
+import pytest
+
 from colourgame import cli
-from colourgame.cli import MAX_RUNS, OUT_DIR_ENV_VAR, main
-from colourgame.engine import MAX_POPULATION
+from colourgame.cli import GAME_DEFAULTS, MAX_RUNS, OUT_DIR_ENV_VAR, main, parse_config
+from colourgame.engine import MAX_POPULATION, ExperimentParams
+from colourgame.errors import ConfigurationError, quoted
 
 SEED = 17
 CASES_PER_KIND = 12
@@ -40,11 +47,13 @@ NEGATIVE_INTS = [-1, -(10**20), -(2**63)]
 # inf; and more digits than int() converts from a string by default.
 BEYOND_FLOAT = 10**400
 TOO_MANY_DIGITS = 5000
+# Values of a JSON type some key does not take.
+WRONG_TYPES = ["3", [1], {"a": 1}, None, True, 1.5, [[1, 2, 3]]]
 
 
 def _wrong_type(rng, config):
     key = rng.choice(sorted(cli.DEFAULT_CONFIG))
-    config[key] = rng.choice(["3", [1], {"a": 1}, None, True, 1.5, [[1, 2, 3]]])
+    config[key] = rng.choice(WRONG_TYPES)
 
 
 def _non_finite(rng, config):
@@ -246,3 +255,28 @@ def test_fuzzed_run_exits_0_or_2_and_writes_nothing_on_2(
         assert written == ([] if source == "missing" else ["input.json"]), what
     # The generator must reach both outcomes, or it tests nothing.
     assert exits.count(0) >= 10 and exits.count(2) >= 100
+
+
+def _as_python(value):
+    """A config value as a Python caller gives it: tuples for lists."""
+    return tuple(map(_as_python, value)) if isinstance(value, list) else value
+
+
+@pytest.mark.parametrize("key", sorted(GAME_DEFAULTS))
+def test_validate_refuses_what_the_config_reader_refuses(key):
+    # Refused by both doors with one message, the quoted value aside, or
+    # accepted by both. Only the palette's words may differ: its config rule
+    # takes integer channels alone.
+    for value in WRONG_TYPES:
+        python_value = _as_python(value)
+        params = ExperimentParams(**{key: python_value})
+        try:
+            parse_config(None, {key: value})
+        except ConfigurationError as exc:
+            with pytest.raises(ConfigurationError) as err:
+                params.validate()
+            if key != "palette":
+                expected = str(exc).replace(quoted(value), quoted(python_value))
+                assert str(err.value) == expected, value
+        else:
+            params.validate()

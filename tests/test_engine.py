@@ -447,7 +447,7 @@ def test_params_validation_rejects_out_of_range_values():
             palette=(Colour(0, 0, 0), Colour(10, 0, 0)), objects_per_scene=2
         ),
         # Every int field refuses a bool, which would play as 1 or 0; more
-        # below, each with its field's usual message.
+        # below, each with the config reader's message.
         ExperimentParams(population_size=True),
         ExperimentParams(num_interactions=False),
         ExperimentParams(snapshot_points=(10, False)),
@@ -456,32 +456,74 @@ def test_params_validation_rejects_out_of_range_values():
         with pytest.raises(ConfigurationError):
             params.validate()
     for params, message in (
-        (ExperimentParams(objects_per_scene=True), "objects_per_scene=True outside"),
-        (ExperimentParams(num_interactions=True), "num_interactions must be >= 0"),
-        (ExperimentParams(window=True), "window must be >= 1"),
-        (ExperimentParams(series_interval=True), "series_interval must be >= 1"),
+        (
+            ExperimentParams(objects_per_scene=True),
+            "objects_per_scene must be an integer, got True",
+        ),
+        (
+            ExperimentParams(num_interactions=True),
+            "num_interactions must be an integer, got True",
+        ),
+        (ExperimentParams(window=True), "window must be an integer, got True"),
+        (
+            ExperimentParams(series_interval=True),
+            "series_interval must be an integer, got True",
+        ),
         (
             ExperimentParams(
                 random_palette=True, palette_size=True, objects_per_scene=1
             ),
-            "palette size must be >= 1, got True",
+            "palette_size must be an integer, got True",
         ),
-        (ExperimentParams(snapshot_points=(True,)), "snapshot points must be >= 1"),
+        (
+            ExperimentParams(snapshot_points=(True,)),
+            "snapshot_points must be a list of integers, got (True,)",
+        ),
         # An int field refuses a float: each of these would round, or raise
         # a bare TypeError once play starts.
         (
             ExperimentParams(population_size=2.5),
-            f"population_size must be in [2, {MAX_POPULATION}], got 2.5",
+            "population_size must be an integer, got 2.5",
         ),
-        (ExperimentParams(objects_per_scene=2.5), "objects_per_scene=2.5 outside"),
-        (ExperimentParams(num_interactions=10.5), "num_interactions must be >= 0"),
-        (ExperimentParams(window=50.5), "window must be >= 1"),
-        (ExperimentParams(series_interval=1.5), "series_interval must be >= 1"),
+        (
+            ExperimentParams(objects_per_scene=2.5),
+            "objects_per_scene must be an integer, got 2.5",
+        ),
+        (
+            ExperimentParams(num_interactions=10.5),
+            "num_interactions must be an integer, got 10.5",
+        ),
+        (ExperimentParams(window=50.5), "window must be an integer, got 50.5"),
+        (
+            ExperimentParams(series_interval=1.5),
+            "series_interval must be an integer, got 1.5",
+        ),
         (
             ExperimentParams(random_palette=True, palette_size=2.5),
-            "palette size must be >= 1, got 2.5",
+            "palette_size must be an integer, got 2.5",
         ),
-        (ExperimentParams(snapshot_points=(10, 2.5)), "snapshot points must be >= 1"),
+        (
+            ExperimentParams(snapshot_points=(10, 2.5)),
+            "snapshot_points must be a list of integers, got (10, 2.5)",
+        ),
+        # Once its type holds, a value out of its range gets the range's
+        # words in the same shape.
+        (
+            ExperimentParams(population_size=1),
+            f"population_size must be in [2, {MAX_POPULATION}], got 1",
+        ),
+        (
+            ExperimentParams(objects_per_scene=7),
+            "objects_per_scene must be in [1, 6], got 7",
+        ),
+        (
+            ExperimentParams(random_palette=True, palette_size=0),
+            "palette_size must be >= 1, got 0",
+        ),
+        (
+            ExperimentParams(snapshot_points=(10, 0)),
+            "snapshot_points must be integers >= 1, got (10, 0)",
+        ),
         # A float field refuses a bool, which would play as 1.0 or 0.0.
         (ExperimentParams(noise_std=True), "noise_std must be a number, got True"),
         (ExperimentParams(inc=True), "inc must be a number, got True"),

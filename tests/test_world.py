@@ -102,6 +102,10 @@ def test_make_world_rejects_bad_scene_size():
         make_world(DEFAULT_PALETTE, objects_per_scene=7)
     with pytest.raises(ConfigurationError):
         make_world([], objects_per_scene=1)
+    # An int past the int-to-str digit limit is quoted cut short.
+    with pytest.raises(ConfigurationError) as err:
+        make_world(DEFAULT_PALETTE, objects_per_scene=10**5000)
+    assert len(str(err.value)) < 100
 
 
 @pytest.mark.parametrize(

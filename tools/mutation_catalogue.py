@@ -7,7 +7,8 @@
 Several parts of the package are right only because some test catches the
 faults one could plant in them: the form notes behind the series monitor,
 the exact-sum aggregate, the inventory's edit count, the exact standard
-deviation, the stretch formatter, the colour clamps, the config checks.
+deviation, the stretch formatter, the colour clamps, the config checks, the
+unrolled random draws.
 Each entry of MUTANTS names a file, an exact text in it, the text to put in
 its place and the tests that must catch the change. For each mutant the
 script copies `src/`, `tests/` and `pyproject.toml` to a temporary
@@ -49,6 +50,14 @@ MONITORS = "src/colourgame/monitors.py"
 CLI = "src/colourgame/cli.py"
 ENGINE = "src/colourgame/engine.py"
 WORLD = "src/colourgame/world.py"
+PARITY_TEST = (
+    "tests/test_cli_fuzz.py::"
+    "test_validate_refuses_what_the_config_reader_refuses"
+)
+DRAW_TEST = (
+    "tests/test_world.py::"
+    "test_draw_sample_and_draw_index_draw_what_sample_and_choice_draw"
+)
 FOLD_TEST = (
     "tests/test_monitors.py::"
     "test_aggregate_runs_folds_runs_handed_over_one_at_a_time"
@@ -197,11 +206,58 @@ MUTANTS = (
         "engine.is_int takes a float, so validate lets one into an int field, "
         "where it rounds or raises a bare TypeError in play",
         ENGINE,
-        "    if isinstance(value, bool) or not isinstance(value, int):\n",
-        "    if isinstance(value, bool) or not isinstance(value, (int, float)):\n",
+        "    return isinstance(value, int) and not isinstance(value, bool)\n",
+        "    return isinstance(value, (int, float)) and not isinstance(value, bool)\n",
         (
             "tests/test_engine.py::"
             "test_params_validation_rejects_out_of_range_values",
+        ),
+    ),
+    Mutant(
+        "validate-skips-types",
+        "validate checks no field's type, so a wrong-typed value reaches a "
+        "range check and raises a bare TypeError, or plays",
+        ENGINE,
+        "        for name, rule in FIELD_TYPES.items():\n"
+        "            rule.require(name, getattr(self, name))\n",
+        "",
+        (PARITY_TEST,),
+    ),
+    Mutant(
+        "sample-without-pool-swap",
+        "draw_sample leaves a drawn entry in its pool, so it can be drawn again",
+        WORLD,
+        "            pool[j] = pool[m - 1]\n",
+        "",
+        (DRAW_TEST,),
+    ),
+    Mutant(
+        "sample-set-takes-repeats",
+        "draw_sample's set branch redraws only out-of-range bits, so an index "
+        "can be drawn twice",
+        WORLD,
+        "        while j >= n or j in selected:\n",
+        "        while j >= n:\n",
+        (DRAW_TEST,),
+    ),
+    Mutant(
+        "index-draw-redraws-once",
+        "draw_index redraws out-of-range bits once, not until they fit, so it "
+        "can return an index past the end",
+        WORLD,
+        "    while j >= n:\n",
+        "    if j >= n:\n",
+        (DRAW_TEST,),
+    ),
+    Mutant(
+        "perceive-drops-spare",
+        "perceive does not write its spare Gaussian back to the generator, so "
+        "the next draw differs from random.gauss's",
+        WORLD,
+        "    rng.gauss_next = spare\n",
+        "",
+        (
+            "tests/test_world.py::test_perceive_draws_exactly_what_gauss_draws",
         ),
     ),
 )
