@@ -1,26 +1,14 @@
 """Command-line entry point: config handling and batch experiment runs.
 
-Configuration is resolved in three layers: built-in defaults, then a JSON
-config file, then command-line flags. The config keys are the fields of
-ExperimentParams plus the batch keys of BATCH_DEFAULTS, and each key's
-default and flag derive from that one list. A game key's type and range are
-the engine's, but a config palette's channels must be integers; a batch
-key's type is its default's, and its range is in `_BATCH_RANGES`. The fully
-resolved config is echoed to `<out_dir>/config.json`, and that file alone is
-enough to reproduce a batch bit for bit. Batch runs use seeds seed, seed+1,
-... so runs are independent but reproducible.
+A config resolves in three layers: built-in defaults, then a JSON config
+file, then command-line flags (`parse_config`). Its keys are the fields of
+`ExperimentParams` plus `BATCH_DEFAULTS`, and each key's default, type and
+flag derive from that one list (`DEFAULT_CONFIG`, `_KEY_TYPES`, `_FLAGS`).
 
-A batch checks everything it can before it writes a file: the config's
-types and ranges, and each run's random palette. When `parallel`, the
-number of runs and the usable CPUs all exceed 1, the runs fork into a
-process pool. The pool's modules (`concurrent.futures`, `multiprocessing`)
-are imported only then, so a serial batch never loads them. Nor does a batch
-started through `parse_config` and `run_command` load `argparse`, which only
-the flag parser imports, or `dataclasses` and `html`, which the package does
-not use.
-
-Serial or not, each run's series goes to the aggregate as the run ends and is
-dropped once folded, so a batch's memory does not grow with its run count.
+Invariants, each explained where it is kept (`run_command`): a batch checks
+everything before it writes a file, its `config.json` alone reproduces it,
+its memory does not grow with its run count, and a serial batch never
+imports the process pool.
 """
 from __future__ import annotations
 
@@ -39,10 +27,9 @@ from .engine import (
     TYPE_RULES,
     ExperimentParams,
     Rule,
-    is_int,
     run_experiment,
 )
-from .errors import ColourGameError, ConfigurationError, quoted
+from .errors import ColourGameError, ConfigurationError, is_int, quoted
 from .monitors import SeriesPoint, export_aggregate, export_run
 from .world import random_palette
 
@@ -79,7 +66,8 @@ def _is_palette(value: object) -> bool:
     )
 
 
-# What each config key's value must be (see the module docstring).
+# What each config key's value must be: a game key's type is the engine's,
+# but a palette's channels must be integers; a batch key's is its default's.
 _KEY_TYPES: dict[str, Rule] = {
     key: FIELD_TYPES.get(key) or TYPE_RULES[type(default)]
     for key, default in DEFAULT_CONFIG.items()
@@ -158,12 +146,9 @@ def parse_config(
 
 
 def _game_params(config: SimpleNamespace) -> ExperimentParams:
-    """The config's game keys as the engine takes them: tuples where the
-    config file has lists."""
-    values = {key: getattr(config, key) for key in GAME_DEFAULTS}
-    values["palette"] = tuple(map(tuple, config.palette))
-    values["snapshot_points"] = tuple(config.snapshot_points)
-    return ExperimentParams(**values)
+    """The config's game keys, lists as the config holds them, so an error
+    quotes a value as the file spells it."""
+    return ExperimentParams(**{key: getattr(config, key) for key in GAME_DEFAULTS})
 
 
 def _execute_run(
@@ -189,7 +174,11 @@ def _run_summary(run_index: int, seed: int, series: list[SeriesPoint]) -> str:
 
 
 def run_command(config: SimpleNamespace) -> int:
-    """Execute the configured batch and write all output files."""
+    """Execute the configured batch and write all output files, after
+    every check, a random palette that cannot be placed included. The
+    resolved config goes to `<out_dir>/config.json`, which alone reproduces
+    the batch bit for bit: run i plays at seed `seed + i`. The process pool
+    and its modules are loaded only for more than one worker."""
     params = _game_params(config)
     if params.random_palette:
         # Each run draws its palette from the start of its own seed's stream,

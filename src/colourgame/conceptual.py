@@ -1,17 +1,9 @@
 """Agent-internal colour categories: conceptualisation and interpretation.
 
-Each agent holds a private ontology: the list of its categories' prototype
-points. Categories are never deleted, so an agent's category ids are 1, 2,
-... in creation order, and category k's prototype is `prototypes[k - 1]`. A
-world model is the agent's own observation of a scene: a dict from each
-scene object's id to its observed colour. Conceptualisation finds the
-category that uniquely discriminates a topic id within the agent's world
-model and returns its id; interpretation filters a world model by closeness
-to a category's prototype to retrieve a referent's id. This experiment never
-composes meanings, so a meaning is just a category id. Both directions use
-plain Euclidean distance (`math.dist`) on the raw channel values of exact
-tuples, for the speed `world` explains: a category is invented at a percept,
-and every shift builds its prototype with `world.clipped`.
+Each agent holds a private `Ontology` of category prototypes, which it
+matches against its own world model by plain Euclidean distance
+(`math.dist`) on a colour's raw channels. This experiment never composes
+meanings, so a meaning is just a category id.
 """
 from __future__ import annotations
 

@@ -1,21 +1,11 @@
 """Hardware-independent body capabilities, backed here by a simulator.
 
-The game engine never names a body implementation: make_body() builds a
-backend of a registered kind, and the engine issues the game script's
-capability calls (embody, observe_world, speak, hear, point, nod) on it
-through this module's functions. New backends register a factory under a new
-kind and callers stay unchanged.
-
-The utterance passes between bodies as a value: the speaker's `speak`
-returns what went on air, and the hearer's `hear` takes that and returns
-what it heard. Nothing else is shared between two bodies.
-
-Only the "simulated" backend ships with the package. A live backend would
-drive a remote body over HTTP; the wire contract reserved for it is a POST to
-the endpoint `/speech/say` with body `{"speech": "<utterance>"}`, answered by
-a JSON object containing a key `success` with a boolean value. Utterance
-transmission in the simulated backend is noiseless and pointing transfers the
-object id unambiguously.
+The game engine never names a body implementation: `make_body` builds a
+backend of a registered kind (`register_backend`), and the engine issues the
+game script's capability calls (embody, observe_world, speak, hear, point,
+nod) on it through this module's functions. Only the "simulated" backend
+ships with the package. Two bodies share nothing but the utterance, which
+`speak` and `hear` hand over as a value.
 """
 from __future__ import annotations
 
@@ -51,13 +41,13 @@ class Backend(Protocol):
 
 
 class SimulatedBackend:
-    """In-process body: perception comes from the simulated world."""
+    """In-process body: perception comes from the simulated world, an
+    utterance passes unchanged, and pointing transfers the object id."""
 
     kind = SIMULATED
 
     def __init__(self, identity: str, noise_std: float) -> None:
-        # One chain rejects negative, NaN, infinite and too large noise
-        # alike; an int compares with the largest float exactly.
+        # Refuses NaN and too large an int as well (see `world._FLOAT_MAX`).
         if not 0.0 <= noise_std <= sys.float_info.max:
             raise ConfigurationError(
                 f"noise_std must be finite and >= 0, got {quoted(noise_std)}"

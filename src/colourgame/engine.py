@@ -1,23 +1,16 @@
 """Population management and the pairwise interaction script.
 
-One game runs through a fixed script: two randomly drawn agents are embodied,
-both observe the scene through their own sensors, the speaker picks a topic
-and conceptualises it (inventing a category if needed), produces a word
-(inventing one if needed), and utters it; the hearer hears what went on air,
-comprehends it, interprets it, and points at its hypothesis; the speaker nods
-on success or points at the true topic on failure; finally both agents align
-their lexicons and prototypes. Nothing is shared between agents except the
-scene, the utterance and the pointing gestures.
+One game (`run_interaction`) runs a fixed script: two drawn agents are
+embodied and both observe the scene; the speaker picks a topic,
+conceptualises it and names it, inventing a category or a word if needed;
+the hearer comprehends what it heard, interprets it and points; the speaker
+nods or points at the topic; both agents align (`align`). Agents share
+nothing but the scene, the utterance and the pointing gestures: each reads
+an object's colour from its own world model.
 
-Speaker and adopting hearer find a category by one rule, `_categorise`, and
-`align` takes the game's outcome, not its record, which is built last.
-
-A scene is the tuple of its object ids and a world model maps each of them
-to the observed colour (see `world`), so the topic, the hearer's hypothesis
-and every referent are object ids. Each agent reads a referent's colour from
-its own world model. The pair and the topic are drawn in line:
-`ExperimentParams.validate` guarantees at least two agents, and a `World`
-at least one object per scene.
+Invariants, each explained where it is kept: every field of a run is
+checked before its first game (`ExperimentParams.validate`), and a game
+ends in its record whatever happens in it (`run_interaction`).
 """
 from __future__ import annotations
 
@@ -37,7 +30,7 @@ from .embodiment import (
     point,
     speak,
 )
-from .errors import ConfigurationError, quoted
+from .errors import ConfigurationError, is_int, quoted
 from .lexicon import (
     _ROUNDED,
     HEARER,
@@ -74,12 +67,6 @@ MAX_POPULATION = 100_000
 # Builds a named tuple from a tuple of all its fields without the Python
 # frame of the class's generated __new__; one record is built per game.
 _new_tuple = tuple.__new__
-
-
-def is_int(value: object) -> bool:
-    """Whether `value` is an int and not a bool, which is an int that would
-    play as 0 or 1."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class Rule:
@@ -181,8 +168,7 @@ def _range_rules(params: ExperimentParams) -> Iterator[tuple[str, Rule]]:
     yield "initial_score", Rule(
         "in (0, 1] and not round to 0", lambda v: 0.0 < v <= 1.0 and _rounded(v) > 0.0
     )
-    # One chain refuses negatives, NaN, infinities and ints too large to be
-    # a float, which compare exactly with the largest float.
+    # Refuses NaN and too large an int as well (see `world._FLOAT_MAX`).
     finite = Rule("finite and >= 0", lambda v: 0.0 <= v <= sys.float_info.max)
     yield "noise_std", finite
     yield "min_separation", finite

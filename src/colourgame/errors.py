@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all simulator modules."""
+"""Exception hierarchy shared by all simulator modules, and the two helpers
+their checks share: `is_int` and `quoted`."""
 
 
 class ColourGameError(Exception):
@@ -17,6 +18,12 @@ class ProtocolError(ColourGameError):
 class InternalConsistencyError(ColourGameError):
     """An agent-internal structure was addressed with a stale or unknown
     identifier; indicates a bug in the calling code, not bad user input."""
+
+
+def is_int(value: object) -> bool:
+    """Whether `value` is an int and not a bool, which is an int that would
+    play as 0 or 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def quoted(value: object) -> str:

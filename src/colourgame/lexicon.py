@@ -6,31 +6,9 @@ and comprehension pick the strongest match; successful games reward the used
 construction and laterally inhibit its competitors, failed games punish it.
 A construction whose score drops to zero disappears.
 
-An inventory indexes its constructions twice: `by_form` groups them by word
-form and `by_category` by category id, each bucket in the order its
-constructions were added, and no bucket is ever empty. There is no other list
-of them; `size` counts them. `add_construction` and `_remove`, the only
-methods that add or remove a construction, keep both indexes and the count in
-step, and bump `edits`. So every lookup reads the one bucket it needs and
-costs its matches, not the whole inventory, and a construction whose score
-reaches zero is removed from its two buckets alone.
-
-The same two methods note each `by_form` bucket they create (+1) or delete
-(-1) in `form_changes`, netted: a form whose bucket is created and deleted
-again before the notes are cleared leaves no entry. The series monitor
-applies the notes and clears them (see `monitors`), so it follows an agent's
-forms at the cost of the forms that changed, and the dict never holds more
-than the forms held now and those held when it was last cleared.
-
-Every score a method stores is rounded to 12 decimals by `_rounded`, which
-memoises `round` in a module-level dict. A run at the default increments
-sees a few dozen distinct scores, so nearly every call is one dict lookup.
-Only positive floats are memoised. A score at or below zero is pruned at
-once anyway, and a dict key cannot tell -0.0 from 0.0, nor 1.0 from the int
-1, which `round` keeps as they are. The dict is cleared whenever it reaches
-`_ROUNDED_MAX` entries, so its memory is bounded however long a run is, and
-`engine.run_experiment` clears it when a run starts, so what a run costs does
-not depend on what ran before it in the same process.
+Invariants, each explained where it is kept: an inventory's two indexes, its
+count, its edit count and its form notes agree (`ConstructionInventory`), and
+every stored score is rounded (`_rounded`).
 """
 from __future__ import annotations
 
@@ -50,12 +28,20 @@ SYLLABLES_PER_WORD = 3
 # exact 0.0 so the removal threshold is not defeated by float dust.
 _SCORE_DECIMALS = 12
 
-# score -> round(score, _SCORE_DECIMALS), for positive floats only.
 _ROUNDED: dict[float, float] = {}
 _ROUNDED_MAX = 4096
 
 
 def _rounded(score: float) -> float:
+    """`round(score, _SCORE_DECIMALS)`, the value every stored score takes,
+    memoised in `_ROUNDED`: a default run sees a few dozen distinct scores,
+    so nearly every call is one dict lookup. Only positive floats are
+    memoised: a score at or below zero is pruned at once anyway, and a dict
+    key cannot tell -0.0 from 0.0, nor 1.0 from the int 1, which `round`
+    keeps as they are. The dict is cleared at `_ROUNDED_MAX` entries, so its
+    memory is bounded, and when a run starts (`engine.run_experiment`), so
+    what a run costs does not depend on what ran before it in the process.
+    """
     if score.__class__ is float and score > 0.0:
         try:
             return _ROUNDED[score]
@@ -103,19 +89,28 @@ def invent_word_form(rng: random.Random, taken: Container[str] = frozenset()) ->
 
 
 class ConstructionInventory:
-    """An agent's private collection of scored constructions."""
+    """An agent's private collection of scored constructions.
+
+    It indexes its constructions twice: `by_form` groups them by word form
+    and `by_category` by category id, each bucket in the order its
+    constructions were added, and no bucket is ever empty. There is no other
+    list of them; `size` counts them. `add_construction` and `_remove`, the
+    only methods that add or remove a construction, keep both indexes and
+    the count in step, and bump `edits` and note `form_changes`. So every
+    lookup reads the one bucket it needs and costs its matches, not the
+    whole inventory, and a construction whose score reaches zero is removed
+    from its two buckets alone.
+    """
 
     def __init__(self) -> None:
         self.by_form: dict[str, list[Construction]] = {}
         self.by_category: dict[int, list[Construction]] = {}
         self.size = 0
-        # Bumped by every method that adds or removes a construction, so a
-        # monitor can tell an inventory whose form and category sets may
-        # have changed from one whose scores alone moved.
         self.edits = 0
         # form -> +1 for a `by_form` bucket created, -1 for one deleted,
         # since a monitor last drained it; a form created and deleted in
-        # between nets out and leaves no entry.
+        # between nets out and leaves no entry, so the dict never holds more
+        # than the forms held now and those held at the last drain.
         self.form_changes: dict[str, int] = {}
 
     def __len__(self) -> int:

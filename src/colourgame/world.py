@@ -1,27 +1,17 @@
 """Simulated environment: coloured objects, per-game scenes, noisy perception.
 
-The world is a fixed set of distinctly coloured objects, held as one
-object id -> true colour dict. Each game draws a scene, the tuple of the ids
-of a subset of the objects, and every participating agent perceives the
-scene through its own noisy sensors into a private world model: a dict from
-each scene object's id to its observed colour, in scene order. So no two
-agents ever record exactly the same channel values for the same object.
+A `World` is a fixed set of distinctly coloured objects. Each game draws a
+scene, the ids of some of them, and each agent perceives it through its own
+noisy sensors into a private world model (`perceive`).
 
-A colour is a plain (r, g, b) tuple (`RGB`): its channels are read by
-unpacking and its distances taken with `math.dist`. `check_separation`, which
-every palette passes on its way into a world, checks each palette colour
-through `Colour(r, g, b)`; `perceive` and `Ontology.shift_prototype` build
-theirs with `clipped`, in range by its clamps.
-
-Every random draw of a game is one of CPython's own algorithms, unrolled
-into the generator's primitive calls: `perceive` is `random.gauss`, three
-calls per scene object made in the loop that builds the object's colour,
-`draw_sample` is `random.sample` and `draw_index` is the index
-`random.choice` draws. Each makes the same `random()` or `getrandbits()`
-calls in the same order as the library method and leaves the generator in
-the same state, so a fixed config and seed give the same bytes as the
-library would. The three algorithms are the same in CPython 3.10 to 3.13,
-and `tests/test_world.py` pins each against the running interpreter's.
+Invariants, each explained where it is kept:
+- a colour is a plain (r, g, b) tuple with channels in [0, 255] (`RGB`),
+  checked where a palette enters a world (`check_separation`) and clamped
+  where perception or a prototype shift builds one (`clipped`);
+- every random draw of a game makes the generator calls of CPython's own
+  `random.gauss`, `random.sample` or `random.choice` in their order
+  (`perceive`, `draw_sample`, `draw_index`), so a fixed config and seed
+  give the bytes the library methods would.
 """
 from __future__ import annotations
 
@@ -31,7 +21,7 @@ import sys
 from collections.abc import Sequence
 from math import ceil as _ceil, cos as _cos, log as _log, sin as _sin, sqrt as _sqrt
 
-from .errors import ConfigurationError, quoted
+from .errors import ConfigurationError, is_int, quoted
 
 RGB = tuple[float, float, float]  # every colour a game builds or reads
 
@@ -74,8 +64,9 @@ RANDOM_PALETTE_DRAWS = 10_000
 
 # The constant `random.gauss` scales its uniform angle by.
 _TWOPI = 2.0 * math.pi
-# The largest float: noise above it, inf or an int too large to be a float
-# (which compares with it exactly), is refused.
+# The largest float. `0.0 <= v <= _FLOAT_MAX` refuses in one chain a negative,
+# NaN, an infinity and an int too large to be a float, which compares with it
+# exactly.
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -91,6 +82,10 @@ class World:
     __slots__ = ("true_colours", "objects_per_scene", "object_ids")
 
     def __init__(self, true_colours: dict[str, RGB], objects_per_scene: int) -> None:
+        if not is_int(objects_per_scene):
+            raise ConfigurationError(
+                f"objects_per_scene must be an integer, got {quoted(objects_per_scene)}"
+            )
         object_ids = tuple(true_colours)
         if not 1 <= objects_per_scene <= len(object_ids):
             raise ConfigurationError(
@@ -113,10 +108,8 @@ def make_world(
     objects_per_scene: int,
     min_separation: float = DEFAULT_MIN_SEPARATION,
 ) -> World:
-    """Build a world with one object per palette entry, ids in palette order.
-
-    Rejects palettes that fail check_separation; World checks the scene size.
-    """
+    """Build a world with one object per palette entry, ids in palette order,
+    from a palette that `check_separation` accepts."""
     if not palette:
         raise ConfigurationError("palette must not be empty")
     check_separation(palette, min_separation)
@@ -234,26 +227,21 @@ def draw_index(rng: random.Random, n: int) -> int:
 def perceive(
     world: World, scene: tuple[str, ...], noise_std: float, rng: random.Random
 ) -> dict[str, RGB]:
-    """Observe every scene object with i.i.d. Gaussian channel noise, clipped.
-
-    Returns the world model: each scene object's id mapped to its observed
+    """Observe every scene object with i.i.d. Gaussian channel noise, clipped,
+    into the world model: each scene object's id mapped to its observed
     colour, an exact tuple, in scene order.
 
-    Each object's three channel noises are drawn in the pass that builds its
-    colour, by CPython's `random.gauss` unrolled: Box-Muller pairs from
-    `rng.random()` calls, each pair's second value kept as a spare. The
-    spare is a local, read from `rng.gauss_next` on entry and written back
-    on exit, an empty scene included. An object with no spare pending draws
-    two pairs and keeps the last one's second value; an object with one
-    spends it and draws one pair. So a k-object scene makes the same
-    `rng.random()` calls in the same order as 3 * k
-    `rng.gauss(0.0, noise_std)` calls, and the observed colours and the
-    generator's state afterwards are exactly theirs, as every output
-    depends on. The algorithm is the same in CPython 3.10 to 3.13;
-    `tests/test_world.py::test_perceive_draws_exactly_what_gauss_draws`
-    pins it against `rng.gauss`.
+    An object's three channel noises are drawn in the pass that builds its
+    colour, by CPython's `random.gauss` unrolled (the same in 3.10 to 3.13):
+    Box-Muller pairs from `rng.random()` calls, each pair's second value
+    kept as a spare, read from `rng.gauss_next` on entry and written back on
+    exit, an empty scene included. An object with no spare pending
+    draws two pairs and keeps the last one's second value; one with a spare
+    spends it and draws one pair. So a k-object scene makes the
+    `rng.random()` calls of 3 * k `rng.gauss(0.0, noise_std)` calls, in
+    order, and leaves the colours and the generator's state exactly theirs
+    (`tests/test_world.py::test_perceive_draws_exactly_what_gauss_draws`).
     """
-    # One chain rejects negative, NaN, infinite and too large noise alike.
     if not 0.0 <= noise_std <= _FLOAT_MAX:
         raise ValueError(
             f"noise_std must be finite and >= 0, got {quoted(noise_std)}"

@@ -15,8 +15,11 @@ finds the objects an inventory holds. `oracle_series_csv` and
 `csv.writer`, the reference for the one `%` format per line of
 `monitors.export_run` and `monitors.export_aggregate`.
 `oracle_aggregate_rows` builds one dict per row with a fresh `math.fsum` and
-`_stdev` on every column, the reference for `monitors.aggregate_runs`' tuple
-rows, its one-run pass-through and its reuse of repeated columns.
+`stdev` on every column, the reference for `monitors.aggregate_runs`' tuple
+rows, its one-run pass-through and its reuse of repeated columns. `stdev`
+sums a column's values and squares afresh for `monitors._deviation`, the
+reference for the aggregate's folded sums and, against `statistics.stdev`,
+for `_deviation`'s rounding.
 Oracle comparisons should use integer-valued colours: squared distances are
 then exact integers and agree with the library's sqrt-based ordering.
 """
@@ -25,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import random
 
 from colourgame.embodiment import SimulatedBackend, register_backend
@@ -34,7 +38,7 @@ from colourgame.monitors import (
     SERIES_FIELDS,
     SERIES_HEADER,
     SeriesPoint,
-    _stdev,
+    _deviation,
 )
 from colourgame.world import RGB, Colour, World
 
@@ -151,6 +155,23 @@ def fmean(values) -> float:
     return math.fsum(values) / len(values)
 
 
+def stdev(values) -> float:
+    """Correctly rounded sample standard deviation of two or more finite
+    floats or ints, such as an int column of `distinct_forms_population`;
+    equal to `statistics.stdev` on CPython 3.11 and later."""
+    ratios = [v.as_integer_ratio() for v in values]
+    # Every denominator is a power of two; over the largest, 2**shift, every
+    # value is an integer.
+    unit = max([den for _, den in ratios])
+    scaled = [num * (unit // den) for num, den in ratios]
+    return _deviation(
+        len(values),
+        sum(scaled),
+        sum(map(operator.mul, scaled, scaled)),
+        unit.bit_length() - 1,
+    )
+
+
 def oracle_series_point(population, records, at: int, window: int) -> SeriesPoint:
     """Every monitored value at `at`, from a full rescan of the population.
 
@@ -229,7 +250,7 @@ def oracle_aggregate_rows(series_per_run) -> list[dict[str, float]]:
         row: dict[str, float] = {"interaction": interactions[0]}
         for field, column in zip(SERIES_FIELDS, columns):
             row[f"{field}_mean"] = math.fsum(column) / n
-            row[f"{field}_std"] = _stdev(column) if n > 1 else 0.0
+            row[f"{field}_std"] = stdev(column) if n > 1 else 0.0
         rows.append(row)
     return rows
 

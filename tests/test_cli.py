@@ -113,6 +113,13 @@ def test_parse_config_range_validation():
         parse_config(None, {"parallel": 0})
 
 
+def test_a_bad_config_value_is_quoted_as_the_config_holds_it():
+    # The engine checks the config's own list, not a tuple made from it.
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(None, {"snapshot_points": [0]})
+    assert str(err.value) == "snapshot_points must be integers >= 1, got [0]"
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("noise_std", "nan"), ("noise_std", "inf"), ("inc", "nan"),

@@ -42,6 +42,7 @@ from helpers import (
     oracle_aggregate_rows,
     oracle_series_csv,
     oracle_series_point,
+    stdev,
     windowed_success,
 )
 
@@ -705,7 +706,7 @@ def test_aggregate_runs_degenerate_and_two_run_cases():
 
 
 def stdev_vectors(count: int, seed: int) -> list[list[float]]:
-    """Seeded vectors of 2..30 finite floats of every kind `_stdev` must
+    """Seeded vectors of 2..30 finite floats of every kind `stdev` must
     round like `statistics.stdev`, then the fixed edge cases."""
     rng = random.Random(seed)
     vectors = []
@@ -760,7 +761,7 @@ def test_stdev_matches_statistics_stdev():
     mismatches = [
         (vector, got, want)
         for vector in stdev_vectors(3000, seed=20)
-        if (got := repr(monitors._stdev(vector)))
+        if (got := repr(stdev(vector)))
         != (want := repr(statistics.stdev(vector)))
     ]
     assert mismatches == [], f"{len(mismatches)} mismatches, first {mismatches[:3]}"
@@ -776,7 +777,7 @@ def test_stdev_of_equal_values_is_exactly_zero():
         [1e308] * 2,
         [2**60 + 1] * 3,
     ):
-        assert repr(monitors._stdev(values)) == "0.0", values
+        assert repr(stdev(values)) == "0.0", values
 
 
 def test_stdev_is_the_correctly_rounded_root_of_a_float_variance():
@@ -797,7 +798,7 @@ def test_stdev_is_the_correctly_rounded_root_of_a_float_variance():
         scale = 2.0 ** rng.randint(-60, 60)
         values = [v * scale for v in ints]
         expected = math.sqrt(float(variance) * scale * scale)
-        assert repr(monitors._stdev(values)) == repr(expected), ints
+        assert repr(stdev(values)) == repr(expected), ints
         checked += 1
     assert checked > 500
 

@@ -102,6 +102,13 @@ def test_make_world_rejects_bad_scene_size():
         make_world(DEFAULT_PALETTE, objects_per_scene=7)
     with pytest.raises(ConfigurationError):
         make_world([], objects_per_scene=1)
+    # A float would fail late in sample_scene, and a bool play as 1.
+    for not_an_int in (2.5, True):
+        with pytest.raises(ConfigurationError) as err:
+            make_world(DEFAULT_PALETTE, objects_per_scene=not_an_int)
+        assert str(err.value) == (
+            f"objects_per_scene must be an integer, got {not_an_int!r}"
+        )
     # An int past the int-to-str digit limit is quoted cut short.
     with pytest.raises(ConfigurationError) as err:
         make_world(DEFAULT_PALETTE, objects_per_scene=10**5000)

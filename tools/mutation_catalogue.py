@@ -50,6 +50,7 @@ MONITORS = "src/colourgame/monitors.py"
 CLI = "src/colourgame/cli.py"
 ENGINE = "src/colourgame/engine.py"
 WORLD = "src/colourgame/world.py"
+ERRORS = "src/colourgame/errors.py"
 PARITY_TEST = (
     "tests/test_cli_fuzz.py::"
     "test_validate_refuses_what_the_config_reader_refuses"
@@ -140,11 +141,11 @@ MUTANTS = (
     ),
     Mutant(
         "window-by-length-only",
-        "the windowed success is derived again only when the window's length "
-        "moves",
+        "the windowed success divides by the window's length, not by the "
+        "games in it, so it reads low until the window fills",
         MONITORS,
-        "    if window != monitor.success_from:\n",
-        "    if window[1] != monitor.success_from[1]:\n",
+        "    games = len(monitor._recent)\n",
+        "    games = monitor._recent.maxlen\n",
         ("tests/test_monitors.py",),
     ),
     Mutant(
@@ -203,14 +204,37 @@ MUTANTS = (
     ),
     Mutant(
         "int-field-takes-float",
-        "engine.is_int takes a float, so validate lets one into an int field, "
+        "errors.is_int takes a float, so validate lets one into an int field, "
         "where it rounds or raises a bare TypeError in play",
-        ENGINE,
+        ERRORS,
         "    return isinstance(value, int) and not isinstance(value, bool)\n",
         "    return isinstance(value, (int, float)) and not isinstance(value, bool)\n",
         (
             "tests/test_engine.py::"
             "test_params_validation_rejects_out_of_range_values",
+        ),
+    ),
+    Mutant(
+        "world-takes-bool",
+        "World takes a bool scene size, which plays one-object scenes",
+        WORLD,
+        "        if not is_int(objects_per_scene):\n",
+        "        if not isinstance(objects_per_scene, int):\n",
+        ("tests/test_world.py::test_make_world_rejects_bad_scene_size",),
+    ),
+    Mutant(
+        "game-params-converts",
+        "_game_params hands the engine a tuple for a config's list, so an "
+        "error quotes a value the config file does not hold",
+        CLI,
+        "    return ExperimentParams(**{key: getattr(config, key) "
+        "for key in GAME_DEFAULTS})\n",
+        "    values = {key: getattr(config, key) for key in GAME_DEFAULTS}\n"
+        "    values[\"snapshot_points\"] = tuple(config.snapshot_points)\n"
+        "    return ExperimentParams(**values)\n",
+        (
+            "tests/test_cli.py::"
+            "test_a_bad_config_value_is_quoted_as_the_config_holds_it",
         ),
     ),
     Mutant(
