@@ -32,22 +32,6 @@ class Ontology:
             return self.prototypes[category_id - 1]
         raise InternalConsistencyError(f"unknown category id {category_id}")
 
-    def closest_category(self, observation: RGB) -> tuple[int, float] | None:
-        """The id of the category nearest to `observation`, with its distance.
-
-        Returns None on an empty ontology. Exact distance ties go to the
-        smallest category id, which is the earliest-created category.
-        """
-        best: int | None = None
-        best_distance = 0.0
-        for category_id, prototype in enumerate(self.prototypes, 1):
-            d = dist(prototype, observation)
-            if best is None or d < best_distance:
-                best, best_distance = category_id, d
-        if best is None:
-            return None
-        return best, best_distance
-
     def invent_category(self, observed: RGB) -> int:
         """Create a category whose first prototype is the observed value, and
         return its id."""
@@ -58,9 +42,10 @@ class Ontology:
         """Id of a category that uniquely discriminates `topic_id` in `model`.
 
         The candidate is always the category closest to the topic's observed
-        colour; it qualifies only if every other object in the model is
-        strictly farther from its prototype. Returns None when the ontology is
-        empty or the closest category fails to discriminate.
+        colour, an exact distance tie going to the smallest id (the
+        earliest-created category); it qualifies only if every other object
+        in the model is strictly farther from its prototype. Returns None when
+        the ontology is empty or the closest category fails to discriminate.
         """
         try:
             topic = model[topic_id]
@@ -68,15 +53,19 @@ class Ontology:
             raise InternalConsistencyError(
                 f"topic {topic_id!r} is not part of the world model"
             ) from None
-        found = self.closest_category(topic)
-        if found is None:
+        best: int | None = None
+        topic_distance = 0.0
+        for category_id, prototype in enumerate(self.prototypes, 1):
+            d = dist(prototype, topic)
+            if best is None or d < topic_distance:
+                best, topic_distance = category_id, d
+        if best is None:
             return None
-        category_id, topic_distance = found
-        prototype = self.prototypes[category_id - 1]
+        prototype = self.prototypes[best - 1]
         for object_id, observed in model.items():
             if object_id != topic_id and dist(prototype, observed) <= topic_distance:
                 return None
-        return category_id
+        return best
 
     def interpret(self, category_id: int, model: dict[str, RGB]) -> str | None:
         """Id of the object in `model` closest to the category's prototype.

@@ -197,12 +197,6 @@ class Agent:
         self.ontology = Ontology()
         self.inventory = ConstructionInventory()
 
-    def __repr__(self) -> str:
-        return (
-            f"Agent({self.agent_id}, categories={len(self.ontology)}, "
-            f"constructions={len(self.inventory)})"
-        )
-
 
 class InteractionRecord(NamedTuple):
     """Outcome row for one game; the input to every monitor. A named tuple:

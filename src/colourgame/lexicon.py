@@ -13,9 +13,10 @@ every stored score is rounded (`_rounded`).
 from __future__ import annotations
 
 import random
+import sys
 from collections.abc import Container
 
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, quoted
 
 SPEAKER = "speaker"
 HEARER = "hearer"
@@ -27,6 +28,9 @@ SYLLABLES_PER_WORD = 3
 # Scores move in configured decrements; rounding keeps 0.5 - 5 * 0.1 at an
 # exact 0.0 so the removal threshold is not defeated by float dust.
 _SCORE_DECIMALS = 12
+
+# Bounds an update step's range chain, as `world._FLOAT_MAX` explains.
+_FLOAT_MAX = sys.float_info.max
 
 _ROUNDED: dict[float, float] = {}
 _ROUNDED_MAX = 4096
@@ -62,14 +66,6 @@ class Construction:
         self.form = form
         self.category_id = category_id
         self.score = score
-
-    def __eq__(self, other: object) -> bool:
-        # Field by field; defining __eq__ leaves the class unhashable.
-        if other.__class__ is not Construction:
-            return NotImplemented
-        return (self.form, self.category_id, self.score) == (
-            other.form, other.category_id, other.score
-        )
 
 
 def invent_word_form(rng: random.Random, taken: Container[str] = frozenset()) -> str:
@@ -184,8 +180,11 @@ class ConstructionInventory:
         """
         if role not in (SPEAKER, HEARER):
             raise ValueError(f"role must be {SPEAKER!r} or {HEARER!r}, got {role!r}")
-        if inc < 0 or inh < 0:
-            raise ValueError("inc and inh must be >= 0")
+        if not (0.0 <= inc <= _FLOAT_MAX and 0.0 <= inh <= _FLOAT_MAX):
+            raise ValueError(
+                f"inc and inh must be finite and >= 0, got {quoted(inc)} "
+                f"and {quoted(inh)}"
+            )
         # The competitors are the rest of `used`'s bucket, since a (form,
         # category) pair is held once. A bucket that does not hold `used`
         # itself means a foreign construction, which raises before any
@@ -194,10 +193,7 @@ class ConstructionInventory:
             bucket = self.by_category.get(used.category_id, ())
         else:
             bucket = self.by_form.get(used.form, ())
-        for other in bucket:
-            if other is used:
-                break
-        else:
+        if used not in bucket:
             raise _not_in_inventory(used)
         used.score = _rounded(min(1.0, used.score + inc))
         # Only an inhibited competitor can reach zero, since inc >= 0.
@@ -211,13 +207,9 @@ class ConstructionInventory:
 
     def punish(self, used: Construction, dec: float) -> None:
         """Decrease the used construction's score, removing it at zero."""
-        if dec < 0:
-            raise ValueError("dec must be >= 0")
-        # By identity: `in` would accept a field-equal foreign construction.
-        for c in self.by_form.get(used.form, ()):
-            if c is used:
-                break
-        else:
+        if not 0.0 <= dec <= _FLOAT_MAX:
+            raise ValueError(f"dec must be finite and >= 0, got {quoted(dec)}")
+        if used not in self.by_form.get(used.form, ()):
             raise _not_in_inventory(used)
         used.score = _rounded(used.score - dec)
         if used.score <= 0.0:

@@ -28,10 +28,11 @@ RGB = tuple[float, float, float]  # every colour a game builds or reads
 
 def Colour(r: float, g: float, b: float) -> RGB:
     """The colour (r, g, b), a plain tuple, after checking that every channel
-    lies in [0, 255]; raises ValueError for one that does not, NaN included."""
+    is a number in [0, 255]; raises ValueError for one that is not, NaN and a
+    bool, which would play as 0 or 1, included."""
     for name, value in (("r", r), ("g", g), ("b", b)):
-        if not 0.0 <= value <= 255.0:
-            raise ValueError(f"channel {name}={value!r} outside [0, 255]")
+        if isinstance(value, bool) or not 0.0 <= value <= 255.0:
+            raise ValueError(f"channel {name}={value!r} is not a number in [0, 255]")
     return (r, g, b)
 
 
@@ -146,8 +147,10 @@ def random_palette(
     min_separation: float = DEFAULT_MIN_SEPARATION,
 ) -> tuple[RGB, ...]:
     """Rejection-sample `size` colours that respect `min_separation`."""
+    if not is_int(size):
+        raise ConfigurationError(f"palette_size must be an integer, got {quoted(size)}")
     if size < 1:
-        raise ConfigurationError(f"palette size must be >= 1, got {quoted(size)}")
+        raise ConfigurationError(f"palette_size must be >= 1, got {quoted(size)}")
     accepted: list[RGB] = []
     for _ in range(RANDOM_PALETTE_DRAWS):
         candidate = (rng.uniform(0, 255), rng.uniform(0, 255), rng.uniform(0, 255))

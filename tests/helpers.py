@@ -10,7 +10,9 @@ comparison clamps and in-line noise draws. `oracle_produce` and
 `oracle_comprehend` filter, take the top score, then break ties, the
 reference for the lexicon's indexed lookups. `constructions_of` lists an
 inventory's constructions from its `by_form` index, which is where a test
-finds the objects an inventory holds. `oracle_series_csv` and
+finds the objects an inventory holds; a construction equals only itself, so
+`fields_of` is the value a test compares across copies or inventories.
+`oracle_series_csv` and
 `oracle_aggregate_csv` write each field with its own f-string through
 `csv.writer`, the reference for the one `%` format per line of
 `monitors.export_run` and `monitors.export_aggregate`.
@@ -116,6 +118,11 @@ def constructions_of(inventory) -> list:
     forms in the order they were first held, each bucket in the order its
     constructions were added."""
     return [c for bucket in inventory.by_form.values() for c in bucket]
+
+
+def fields_of(construction) -> tuple[str, int, float]:
+    """A construction's value: its (form, category_id, score)."""
+    return construction.form, construction.category_id, construction.score
 
 
 def oracle_produce(constructions, category_id: int):

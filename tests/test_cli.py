@@ -19,7 +19,7 @@ from colourgame.cli import (
     run_command,
 )
 from colourgame.engine import MAX_POPULATION
-from colourgame.errors import ConfigurationError
+from colourgame.errors import ConfigurationError, ProtocolError
 
 
 def small_args(out_dir, **extra):
@@ -425,6 +425,19 @@ def test_missing_config_file_exits_2_and_output_io_error_exits_1(
     blocker.write_text("occupied")
     assert main(small_args(blocker / "out")) == 1
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_a_game_error_exits_1_with_one_error_line(monkeypatch, tmp_path, capsys):
+    def refuse(config):
+        raise ProtocolError("pointed at an object outside the scene")
+
+    monkeypatch.setattr(cli, "run_command", refuse)
+    assert main(small_args(tmp_path / "out")) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: pointed at an object outside the scene"
+    ]
 
 
 # Every `run` flag: its value on the command line, the key it sets and the

@@ -8,7 +8,6 @@ from colourgame.errors import InternalConsistencyError
 from colourgame.world import DEFAULT_PALETTE, RGB, Colour, make_world, perceive
 
 from helpers import (
-    oracle_closest,
     oracle_conceptualise,
     oracle_interpret,
     random_int_colour,
@@ -28,28 +27,37 @@ def model_of(**colours: RGB) -> dict[str, RGB]:
 
 def test_closest_category_hand_computed_distance():
     ontology = ontology_with(Colour(7, 246, 9), Colour(200, 10, 10))
-    found = ontology.closest_category(Colour(5, 243, 2))
-    assert found is not None
-    category_id, distance = found
-    assert category_id == 1
-    assert distance == pytest.approx(math.sqrt(62))  # ~7.874
+    topic = Colour(5, 243, 2)
+    assert ontology.conceptualise("topic", model_of(topic=topic)) == 1
+    # The topic lies sqrt(62) (~7.874) from category 1's prototype, so an
+    # object at that distance from it keeps the category from
+    # discriminating, and one farther away does not.
+    assert ontology.conceptualise(
+        "topic", model_of(topic=topic, tied=Colour(9, 249, 16))
+    ) is None
+    assert ontology.conceptualise(
+        "topic", model_of(topic=topic, farther=Colour(9, 249, 17))
+    ) == 1
 
 
 def test_closest_category_empty_ontology():
-    assert Ontology().closest_category(Colour(0, 0, 0)) is None
+    assert Ontology().conceptualise("topic", model_of(topic=Colour(0, 0, 0))) is None
 
 
 def test_closest_category_exact_prototype_match():
     ontology = ontology_with(Colour(50, 60, 70))
-    category_id, distance = ontology.closest_category(Colour(50, 60, 70))
-    assert distance == 0.0
+    topic = Colour(50, 60, 70)
+    category_id = ontology.conceptualise("topic", model_of(topic=topic))
     assert ontology.get(category_id) == Colour(50, 60, 70)
+    # At distance 0.0, any object off the prototype is strictly farther.
+    assert ontology.conceptualise(
+        "topic", model_of(topic=topic, near=Colour(50, 60, 70.001))
+    ) == category_id
 
 
 def test_closest_category_tie_goes_to_smallest_id():
     ontology = ontology_with(Colour(90, 0, 0), Colour(110, 0, 0))
-    category_id, _ = ontology.closest_category(Colour(100, 0, 0))
-    assert category_id == 1
+    assert ontology.conceptualise("topic", model_of(topic=Colour(100, 0, 0))) == 1
 
 
 GREEN, RED, BLUE = Colour(5, 243, 2), Colour(250, 5, 5), Colour(10, 10, 240)
@@ -234,13 +242,11 @@ def test_oracle_equivalence_on_random_instances():
     rng = random.Random(31337)
     for _ in range(2000):
         ontology, model = _random_instance(rng)
-        observation = random_int_colour(rng)
-        expected = oracle_closest(ontology.prototypes, observation)
-        found = ontology.closest_category(observation)
-        if expected is None:
-            assert found is None
-        else:
-            assert found is not None and found[0] == expected
+        # Alone in its model, an observation gets its closest category.
+        alone = {"probe": random_int_colour(rng)}
+        assert ontology.conceptualise("probe", alone) == oracle_conceptualise(
+            ontology.prototypes, "probe", alone
+        )
 
         topic_id = rng.choice(tuple(model))
         found_id = ontology.conceptualise(topic_id, model)

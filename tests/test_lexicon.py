@@ -16,7 +16,7 @@ from colourgame.lexicon import (
     invent_word_form,
 )
 
-from helpers import constructions_of, oracle_comprehend, oracle_produce
+from helpers import constructions_of, fields_of, oracle_comprehend, oracle_produce
 
 WORD_SHAPE = re.compile(f"^([{CONSONANTS}][{VOWELS}]){{3}}$")
 
@@ -195,11 +195,38 @@ def test_punish_rejects_a_field_equal_foreign_construction():
     inventory = ConstructionInventory()
     used = inventory.add_construction("fusemo", 1, 0.5)
     foreign = ConstructionInventory().add_construction("fusemo", 1, 0.5)
-    assert foreign == used and foreign is not used
+    assert fields_of(foreign) == fields_of(used) and foreign is not used
     with pytest.raises(InternalConsistencyError):
         inventory.punish(foreign, 0.1)
     assert constructions_of(inventory) == [used]
     assert used.score == 0.5 and foreign.score == 0.5
+
+
+@pytest.mark.parametrize(
+    "bad", [-0.1, math.nan, math.inf], ids=["negative", "nan", "inf"]
+)
+def test_updates_refuse_a_negative_or_non_finite_step(bad):
+    # A NaN step would leave a score at NaN, which is never pruned, and a
+    # NaN or infinite increment would set it to 1.0.
+    inventory = ConstructionInventory()
+    used = inventory.add_construction("fusemo", 1, 0.5)
+    inventory.add_construction("fusemo", 2, 0.5)  # the hearer's competitor
+    inventory.add_construction("sobele", 1, 0.5)  # the speaker's competitor
+    held = constructions_of(inventory)
+    before = list(map(fields_of, held))
+    edits = inventory.edits
+    updates = (
+        lambda: inventory.reward_and_inhibit(used, SPEAKER, bad, 0.05),
+        lambda: inventory.reward_and_inhibit(used, SPEAKER, 0.15, bad),
+        lambda: inventory.reward_and_inhibit(used, HEARER, 0.15, bad),
+        lambda: inventory.punish(used, bad),
+    )
+    for update in updates:
+        with pytest.raises(ValueError, match=r"must be finite and >= 0, got "):
+            update()
+        assert constructions_of(inventory) == held
+        assert list(map(fields_of, held)) == before
+        assert inventory.edits == edits
 
 
 @pytest.mark.parametrize("score,dec", [(0.5, 0.1), (0.5, 0.2), (1.0, 0.3)])
@@ -368,7 +395,8 @@ def test_index_follows_every_add_reward_punish_and_prune():
                 outsider = ConstructionInventory().add_construction(
                     twin.form, twin.category_id, twin.score
                 )
-                assert outsider == twin and outsider is not twin
+                assert fields_of(outsider) == fields_of(twin)
+                assert outsider is not twin
                 held_scores = [c.score for c in model]
                 with pytest.raises(InternalConsistencyError):
                     if rng.random() < 0.5:

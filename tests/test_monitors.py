@@ -845,6 +845,14 @@ def test_aggregate_runs_matches_the_dict_oracle():
     )
     # One run: -0.0 and ints pass through as fsum([v]) / 1 spells them.
     cases.append([[SeriesPoint(1, -0.0, 6, 0.0, 7, -0.0, 2**60 + 1)]])
+    # A finer denominator arriving while an int past 2**53 has an extra
+    # pending: the extra is refined with the sums.
+    cases.append(
+        [
+            [SeriesPoint(1, 0.5, 6, 1.5, 2**60 + 1, 1, 1)],
+            [SeriesPoint(1, 0.5, 6, 1.5, 0.5, 1, 1)],
+        ]
+    )
     repeated = 0
     for series_per_run in cases:
         rows = list(aggregate_runs(series_per_run))

@@ -25,7 +25,7 @@ from helpers import oracle_perceive
 
 
 def test_colour_rejects_out_of_range_channels():
-    for channels in ((-1, 0, 0), (0, 256, 0), (0, 0, math.nan)):
+    for channels in ((-1, 0, 0), (0, 256, 0), (0, 0, math.nan), (True, 0, 0)):
         with pytest.raises(ValueError):
             Colour(*channels)
     assert type(Colour(1, 2, 3)) is tuple
@@ -409,3 +409,18 @@ def test_random_palette_determinism_and_impossible_request():
     )
     with pytest.raises(ConfigurationError):
         random_palette(random.Random(5), 50, 200.0)
+
+
+@pytest.mark.parametrize(
+    "size,words",
+    [(2.5, "an integer, got 2.5"), (True, "an integer, got True"), (0, ">= 1, got 0")],
+)
+def test_random_palette_refuses_a_size_that_is_not_a_positive_int(size, words):
+    # Before any draw: a float would spend every draw before failing, and a
+    # bool would place one colour.
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ConfigurationError) as err:
+        random_palette(rng, size)
+    assert str(err.value) == f"palette_size must be {words}"
+    assert rng.getstate() == state

@@ -6,9 +6,9 @@
 
 Several parts of the package are right only because some test catches the
 faults one could plant in them: the form notes behind the series monitor,
-the exact-sum aggregate, the inventory's edit count, the exact standard
-deviation, the stretch formatter, the colour clamps, the config checks, the
-unrolled random draws.
+the exact-sum aggregate, the inventory's edit count and identity checks,
+the exact standard deviation, the stretch formatter, the colour clamps, the
+config checks, the unrolled random draws.
 Each entry of MUTANTS names a file, an exact text in it, the text to put in
 its place and the tests that must catch the change. For each mutant the
 script copies `src/`, `tests/` and `pyproject.toml` to a temporary
@@ -212,6 +212,54 @@ MUTANTS = (
         (
             "tests/test_engine.py::"
             "test_params_validation_rejects_out_of_range_values",
+        ),
+    ),
+    Mutant(
+        "construction-equal-by-value",
+        "a construction equals any with the same fields, so the inventory's "
+        "`in` checks let punish move a field-equal foreign construction",
+        LEXICON,
+        "        self.score = score\n",
+        "        self.score = score\n\n"
+        "    def __eq__(self, other):\n"
+        "        return (self.form, self.category_id, self.score) == (\n"
+        "            other.form, other.category_id, other.score\n"
+        "        )\n",
+        (
+            "tests/test_lexicon.py::"
+            "test_punish_rejects_a_field_equal_foreign_construction",
+        ),
+    ),
+    Mutant(
+        "update-takes-nan",
+        "punish refuses only a negative step, so a NaN one leaves a score at "
+        "NaN that is never pruned",
+        LEXICON,
+        "        if not 0.0 <= dec <= _FLOAT_MAX:\n",
+        "        if dec < 0:\n",
+        (
+            "tests/test_lexicon.py::"
+            "test_updates_refuse_a_negative_or_non_finite_step",
+        ),
+    ),
+    Mutant(
+        "colour-takes-bool",
+        "Colour takes a bool channel, so validate lets a palette through that "
+        "the config reader refuses",
+        WORLD,
+        "        if isinstance(value, bool) or not 0.0 <= value <= 255.0:\n",
+        "        if not 0.0 <= value <= 255.0:\n",
+        ("tests/test_world.py::test_colour_rejects_out_of_range_channels",),
+    ),
+    Mutant(
+        "random-palette-takes-bool",
+        "random_palette takes a bool size, which places one colour",
+        WORLD,
+        "    if not is_int(size):\n",
+        "    if not isinstance(size, int):\n",
+        (
+            "tests/test_world.py::"
+            "test_random_palette_refuses_a_size_that_is_not_a_positive_int",
         ),
     ),
     Mutant(
