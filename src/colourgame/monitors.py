@@ -7,11 +7,11 @@
 series field across its runs (`export_aggregate`).
 
 Invariants, each explained where it is kept: a series row costs what changed
-since the last one (`PopulationMonitor`); every mean is `math.fsum` of its
-values over their count, bit for bit, in any order of agents or runs
-(`_RATIO_UNIT`, `_RunSums`); every deviation is correctly rounded
-(`_deviation`); and no memory grows with a batch's run count
-(`aggregate_runs`) or a file's length (`_write_rows`).
+since the last one (`PopulationMonitor`); every mean of the values a run
+makes (`SeriesPoint`) is `math.fsum` of them over their count, bit for bit,
+in any order of agents or runs (`_RATIO_UNIT`, `_RunSums`); every deviation
+is correctly rounded (`_deviation`); and no memory grows with a batch's run
+count (`aggregate_runs`) or a file's length (`_write_rows`).
 """
 from __future__ import annotations
 
@@ -38,7 +38,12 @@ AGGREGATE_CSV = "aggregate.csv"
 class SeriesPoint(NamedTuple):
     """All monitored values at one interaction, in series.csv's order. The
     windowed success reads 0 before any game, and the two ratio fields
-    while no agent holds a construction."""
+    while no agent holds a construction. These values, the only ones the
+    exporters take, are of one kind whatever the body backend: the
+    interaction and the form count are ints below 2**53, and every other
+    field is a finite float >= 0, never -0.0 (an int / int quotient of
+    counts, `_RATIO_UNIT`s over a count, or 0.0). So is each value of an
+    aggregate row: a mean of such floats, or a deviation (`_RunSums`)."""
 
     interaction: int
     success_window_avg: float
@@ -250,33 +255,22 @@ def take_snapshot(agent: "Agent", at: int) -> LexiconSnapshot:
 _SERIES_TAIL = ",%.6f,%.6f,%.6f,%d,%.6f,%.6f\n"
 _AGGREGATE_TAIL = ",%.6f" * 2 * len(SERIES_FIELDS) + "\n"
 _ONE_RUN_TAIL = ",%.6f,0.000000" * len(SERIES_FIELDS) + "\n"
-_ZEROS = (0.0,) * len(SERIES_FIELDS)
 # A row's values after its interaction number.
 _REST = operator.itemgetter(slice(1, None))
 
 
-def _write_rows(
-    fh, rows: Iterable[Sequence], tail: str, plus_zero: bool = False
-) -> None:
+def _write_rows(fh, rows: Iterable[Sequence], tail: str) -> None:
     """Write each row as its interaction number through `%d`, then `tail`
-    formatted with the rest of its values (each plus 0.0 if `plus_zero`).
+    formatted with the rest of its values.
 
     Consecutive rows often repeat every value but the interaction (80% of
     the rows of the default 20-run ensemble, 43% at pop 50), so the rest is
-    formatted once for each stretch of rows that repeat it. Values that are
-    == print alike but for 0.0 and -0.0, so unless 0.0 is added, a stretch
-    holding a zero is formatted row by row. Lines are written one at a time
-    and no text outlives its stretch, so no memory grows with the file.
+    formatted once for each stretch of rows that repeat it: the values a
+    run makes (`SeriesPoint`) print alike when ==. Lines are written one at
+    a time, and no text outlives its stretch or grows with the file.
     """
     write = fh.write
     for values, stretch in groupby(rows, _REST):
-        if 0.0 in values:
-            if not plus_zero:
-                fh.writelines(map(("%d" + tail).__mod__, stretch))
-                continue
-            # Of all the values, adding 0.0 changes the text of -0.0 alone:
-            # `%.6f` reads an int as the float that int + 0.0 is.
-            values = tuple(map(operator.add, values, _ZEROS))
         # Formatted numbers hold no %, so the text is a format of its own.
         line = "%d" + tail % values
         for row in stretch:
@@ -458,25 +452,20 @@ AGGREGATE_HEADER = ("interaction",) + tuple(
     f"{field}_{stat}" for field in SERIES_FIELDS for stat in ("mean", "std")
 )
 
-# Every int up to this size is a float exactly. `math.fsum` reads a larger
-# one as the nearest float, while `_deviation`'s sums read it exactly.
-_FLOAT_EXACT = 1 << sys.float_info.mant_dig
-
 
 class _RunSums:
     """Runs' values folded into exact integer sums, field by field, so no
     order in which the runs arrive can move a result.
 
-    Every float is a dyadic rational, so a field's values are integers i
-    over one denominator 2**shift, the finest any of its values has needed
-    so far; a value that needs a finer one shifts the field's sums left.
-    Per row, `totals` sums i and `squares` i*i over the runs, and `extras`
-    what the mean's sum adds to i where fsum reads an int as float(v). Each
-    is a difference array: a row's entry is its sum minus the previous
-    row's. So a run adds to a row only where its value is != its value at
-    the row before (in the default 20-run ensemble at seeds 0-19, 62% of
-    the 6,000 columns repeat the row before); == values are the same
-    integer, signed zeros and int/float spellings included.
+    Every value a run makes (`SeriesPoint`) is a dyadic rational, so a
+    field's values are integers i over one denominator 2**shift, the finest
+    any of its values has needed so far; a value that needs a finer one
+    shifts the field's sums left. Per row, `totals` sums i and `squares`
+    i*i over the runs. Each is a difference array: a row's entry is its sum
+    minus the previous row's. So a run adds to a row only where its value
+    is != its value at the row before (in the default 20-run ensemble at
+    seeds 0-19, 62% of the 6,000 columns repeat the row before); == values,
+    an int and the equal float included, are the same integer.
     """
 
     def __init__(self, length: int) -> None:
@@ -485,8 +474,6 @@ class _RunSums:
         self.shifts = [0 for _ in fields]
         self.totals = [[0] * length for _ in fields]
         self.squares = [[0] * length for _ in fields]
-        # Mostly empty: row -> entry, for the rows that have one.
-        self.extras: list[dict[int, int]] = [{} for _ in fields]
 
     def add(self, columns: Sequence[Sequence[float]]) -> None:
         """Fold one run, given as one column of values per field."""
@@ -500,51 +487,35 @@ class _RunSums:
                 self._refine(field, finer - self.shifts[field])
             shift = self.shifts[field]
             totals, squares = self.totals[field], self.squares[field]
-            extras = self.extras[field]
-            old = old_square = old_extra = 0
+            old = old_square = 0
             for k, (num, den) in zip(rows, ratios):
                 i = num << shift + 1 - den.bit_length()
                 square = i * i
                 totals[k] += i - old
                 squares[k] += square - old_square
                 old, old_square = i, square
-                extra = 0
-                if den == 1 and not -_FLOAT_EXACT <= num <= _FLOAT_EXACT:
-                    extra = (int(float(num)) - num) << shift
-                if extra != old_extra:
-                    extras[k] = extras.get(k, 0) + extra - old_extra
-                    old_extra = extra
 
     def _refine(self, field: int, bits: int) -> None:
         """Put a field's sums over a denominator 2**bits times finer."""
         self.shifts[field] += bits
         self.totals[field][:] = [t << bits for t in self.totals[field]]
         self.squares[field][:] = [q << 2 * bits for q in self.squares[field]]
-        extras = self.extras[field]
-        for k in extras:
-            extras[k] <<= bits
 
     def _stats(self, field: int) -> Iterator[tuple[float, float]]:
         """A field's (mean, deviation), row by row, summing down the rows;
         a row whose sums did not move keeps the previous row's pair."""
         n, shift = self.runs, self.shifts[field]
         unit = 1 << shift
-        extras = self.extras[field].get
-        total = square = extra = 0
+        total = square = 0
         stats = None
-        for k, (d_total, d_square) in enumerate(
-            zip(self.totals[field], self.squares[field])
-        ):
-            d_extra = extras(k, 0)
-            if d_total or d_square or d_extra or stats is None:
+        for d_total, d_square in zip(self.totals[field], self.squares[field]):
+            if d_total or d_square or stats is None:
                 total += d_total
                 square += d_square
-                extra += d_extra
-                # One correctly rounded division gives the exact sum of the
-                # float(v) rounded once, which is what math.fsum returns (0.0
-                # for any mix of signed zeros); over n it is fsum's mean.
+                # The exact sum rounded once, as math.fsum returns it; over
+                # n, fsum's mean.
                 stats = (
-                    (total + extra) / unit / n,
+                    total / unit / n,
                     _deviation(n, total, square, shift) if n > 1 else 0.0,
                 )
             yield stats
@@ -611,10 +582,10 @@ def export_aggregate(
     """Write the runs' aggregated series as aggregate.csv in `out_dir`: any
     number of runs but one row by row from `aggregate_runs`, which reads and
     checks every run before any write. A single run aggregates to itself
-    with zero deviation, each value as `fsum([v]) / 1` spells it, `v + 0.0`
-    (0.0 for -0.0). The fold gives exactly that at several times the cost,
-    so one run is written straight from its points: the values plus 0.0,
-    and the deviations as the literal text 0.000000.
+    with zero deviation, each value as `fsum([v]) / 1` spells it, which for
+    the values a run makes (`SeriesPoint`) prints as `v`. The fold gives
+    exactly that at several times the cost, so one run is written straight
+    from its points, the deviations as the literal text 0.000000.
     """
     runs = iter(series_per_run)
     head = list(islice(runs, 2))
@@ -630,6 +601,5 @@ def export_aggregate(
     path = out / AGGREGATE_CSV
     with path.open("w", newline="") as fh:
         fh.write(",".join(AGGREGATE_HEADER) + "\n")
-        tail = _ONE_RUN_TAIL if one_run else _AGGREGATE_TAIL
-        _write_rows(fh, rows, tail, plus_zero=one_run)
+        _write_rows(fh, rows, _ONE_RUN_TAIL if one_run else _AGGREGATE_TAIL)
     return path

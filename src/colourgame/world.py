@@ -118,11 +118,21 @@ def make_world(
     return World(true_colours=true_colours, objects_per_scene=objects_per_scene)
 
 
+def _check_min_separation(min_separation: float) -> None:
+    """Refuse a separation that is negative or NaN, which every pair of
+    colours would pass, or infinite, which none could."""
+    if not 0.0 <= min_separation <= _FLOAT_MAX:
+        raise ConfigurationError(
+            f"min_separation must be finite and >= 0, got {quoted(min_separation)}"
+        )
+
+
 def check_separation(palette: Sequence[RGB], min_separation: float) -> None:
-    """Reject a palette with a colour that is not three channels in [0, 255],
-    as `Colour` checks them, or with two colours closer than
-    `min_separation`, so that scenes stay discriminable well above the
-    perception noise level."""
+    """Reject a separation `_check_min_separation` refuses, a palette with a
+    colour that is not three channels in [0, 255], as `Colour` checks them,
+    or with two colours closer than `min_separation`, so that scenes stay
+    discriminable well above the perception noise level."""
+    _check_min_separation(min_separation)
     for i, colour in enumerate(palette):
         try:
             Colour(*colour)
@@ -146,7 +156,9 @@ def random_palette(
     size: int,
     min_separation: float = DEFAULT_MIN_SEPARATION,
 ) -> tuple[RGB, ...]:
-    """Rejection-sample `size` colours that respect `min_separation`."""
+    """Rejection-sample `size` colours that respect `min_separation`, after
+    refusing a size or a separation no draw could serve."""
+    _check_min_separation(min_separation)
     if not is_int(size):
         raise ConfigurationError(f"palette_size must be an integer, got {quoted(size)}")
     if size < 1:

@@ -200,7 +200,11 @@ def test_huge_population_exits_2_before_writing(tmp_path, capsys):
 
 def test_huge_runs_exits_2_before_writing(tmp_path, capsys):
     # Without a bound, run_command would write config.json and then list one
-    # job per run until memory ran out.
+    # job per run until memory ran out, so the bound is checked first. The
+    # largest batch the bound allows is accepted, not run.
+    assert parse_config(None, {"runs": MAX_RUNS}).runs == MAX_RUNS
+    with pytest.raises(ConfigurationError):
+        parse_config(None, {"runs": MAX_RUNS + 1})
     config_file = tmp_path / "config.json"
     config_file.write_text(json.dumps({"runs": 10**20, "num_interactions": 1}))
     out_dir = tmp_path / "out"
@@ -212,10 +216,6 @@ def test_huge_runs_exits_2_before_writing(tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("configuration error: runs")
     assert not out_dir.exists()
-    # The largest batch the bound allows is accepted, not run.
-    assert parse_config(None, {"runs": MAX_RUNS}).runs == MAX_RUNS
-    with pytest.raises(ConfigurationError):
-        parse_config(None, {"runs": MAX_RUNS + 1})
 
 
 def test_crowded_fixed_palette_exits_2_before_writing(tmp_path, capsys):

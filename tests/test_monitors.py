@@ -424,10 +424,10 @@ def test_export_run_writes_csv_json_and_html(tmp_path):
     assert "fusemo" in html and "0.50" in html
 
 
-# Values whose six-decimal text is easy to get wrong: a negative zero, a sum
-# off its decimal, ties and near-ties at the sixth decimal, a float past 2**53,
-# and ints where the columns hold floats.
-CSV_FLOATS = (-0.0, 0.1 + 0.2, 5e-7, 2.5e-7, 1.5e-6, 1e16, 1 / 3, 0, 6, 10**6)
+# Values whose six-decimal text is easy to get wrong: a zero, a sum off its
+# decimal, ties and near-ties at the sixth decimal, a float past 2**53, and
+# ints where the columns hold floats.
+CSV_FLOATS = (0.0, 0.1 + 0.2, 5e-7, 2.5e-7, 1.5e-6, 1e16, 1 / 3, 0, 6, 10**6)
 CSV_INTS = (0, 1, 7, 999_999, 10**6)
 
 
@@ -435,8 +435,8 @@ def stretches(first: tuple, int_columns=()) -> list[tuple]:
     """Rows that repeat every value after the interaction number, three at a
     time, with each stretch changing one column of the last: in turn, each
     column to a value one ulp away (an int column to the next int), and each
-    float column to 0.0, then the int 0, then -0.0, zeros that are == but
-    need not print alike (an int column to the int 0)."""
+    float column to 0.0, then the int 0, zeros that are == and must print
+    alike (an int column to the int 0)."""
     rows = []
     values = list(first)
     changes = [
@@ -447,7 +447,7 @@ def stretches(first: tuple, int_columns=()) -> list[tuple]:
     changes += [
         (k, zero)
         for k in range(len(values))
-        for zero in ((0,) if k in int_columns else (0.0, 0, -0.0))
+        for zero in ((0,) if k in int_columns else (0.0, 0))
     ]
     for k, value in changes:
         values[k] = value
@@ -471,7 +471,7 @@ def test_csv_lines_match_the_csv_module_oracle(tmp_path):
     ]
     series += [
         SeriesPoint(*row)
-        for row in stretches((0.25, -0.0, 6.5, 7, 1 / 3, 1.0), int_columns={3})
+        for row in stretches((0.25, 0.0, 6.5, 7, 1 / 3, 1.0), int_columns={3})
     ]
     series_path = export_run(series, [], tmp_path)[0]
     assert series_path.read_bytes() == oracle_series_csv(series).encode()
@@ -501,13 +501,12 @@ def test_csv_lines_match_the_csv_module_oracle(tmp_path):
 
 def test_one_run_aggregate_csv_matches_the_oracle(tmp_path):
     # A single run's aggregate.csv is written from its points: every value
-    # spelt as fsum([v]) / 1 spells it (so -0.0 as 0.0, and an int past
-    # 2**53 as the nearest float), and each deviation 0.0. The points hold
-    # stretches that repeat all values after the interaction, one column
-    # moving by an ulp or to a zero of either sign at a time.
-    first = (-0.0, 2**60 + 1, 0.1 + 0.2, 7, 2.0**60, 1 / 3)
+    # spelt as fsum([v]) / 1 spells it (an int as the equal float), and each
+    # deviation 0.0. The points hold stretches that repeat all values after
+    # the interaction, one column moving by an ulp or to a zero at a time.
+    first = (0.0, 2**53 - 1, 0.1 + 0.2, 7, 2.0**60, 1 / 3)
     series = [SeriesPoint(*row) for row in stretches(first)]
-    series.append(SeriesPoint(len(series) + 1, 2**60 + 1, *first[1:]))
+    series.append(SeriesPoint(len(series) + 1, 2**53 - 1, *first[1:]))
     expected = [
         tuple(row[key] for key in AGGREGATE_HEADER)
         for row in oracle_aggregate_rows([series])
@@ -519,7 +518,7 @@ def test_one_run_aggregate_csv_matches_the_oracle(tmp_path):
 def test_a_single_run_aggregate_is_written_without_folding(tmp_path, monkeypatch):
     # A single run's aggregate.csv is written straight from its points,
     # which costs a fraction of folding it; the fold gives the same rows.
-    first = (-0.0, 2**60 + 1, 0.1 + 0.2, 7, 2.0**60, 1 / 3)
+    first = (0.0, 2**53 - 1, 0.1 + 0.2, 7, 2.0**60, 1 / 3)
     series = [SeriesPoint(*row) for row in stretches(first)]
     expected = [
         tuple(row[key] for key in AGGREGATE_HEADER)
@@ -843,16 +842,9 @@ def test_aggregate_runs_matches_the_dict_oracle():
             ],
         ]
     )
-    # One run: -0.0 and ints pass through as fsum([v]) / 1 spells them.
+    # One run: a mean over n = 1 rounds each value once, as fsum([v]) / 1
+    # does, so even -0.0 and an int past 2**53 come out as fsum spells them.
     cases.append([[SeriesPoint(1, -0.0, 6, 0.0, 7, -0.0, 2**60 + 1)]])
-    # A finer denominator arriving while an int past 2**53 has an extra
-    # pending: the extra is refined with the sums.
-    cases.append(
-        [
-            [SeriesPoint(1, 0.5, 6, 1.5, 2**60 + 1, 1, 1)],
-            [SeriesPoint(1, 0.5, 6, 1.5, 0.5, 1, 1)],
-        ]
-    )
     repeated = 0
     for series_per_run in cases:
         rows = list(aggregate_runs(series_per_run))
@@ -872,31 +864,29 @@ def test_aggregate_runs_matches_the_dict_oracle():
 
 
 def test_aggregate_runs_folds_runs_handed_over_one_at_a_time():
-    # Ints past 2**53, which the mean reads as fsum does (the nearest
-    # float) and the deviation exactly; a denominator finer than any before
-    # it arriving with the last run; and a row where two runs swap sums, so
-    # that the total stays put while the sum of squares moves. At row 4,
-    # three times 2**53 + 1 sums to 3 * 2**53 + 3 exactly, which rounds to
-    # another float than the 3 * 2**53 that fsum sums.
-    big = 2**60 + 1
+    # Ints just below 2**53, whose sums pass it and are rounded once, as
+    # fsum rounds them; a denominator finer than any before it arriving
+    # with the last run; and a row where two runs swap sums, so that the
+    # total stays put while the sum of squares moves.
+    big = 2**53 - 1
     batch = [
         [
-            SeriesPoint(1, 1.0, big, 3, 7, 0.5, -(2**55) - 3),
+            SeriesPoint(1, 1.0, big, 3, 7, 0.5, big - 4),
             SeriesPoint(2, 2.0, big, 3, 7, 0.5, 1),
-            SeriesPoint(3, 2.0, big + 2, 3, 8, 0.5, 1),
-            SeriesPoint(4, 2.0, big + 2, 3, 2**53 + 1, 0.5, 1),
+            SeriesPoint(3, 2.0, big - 2, 3, 8, 0.5, 1),
+            SeriesPoint(4, 2.0, big - 2, 3, 2**52 + 1, 0.5, 1),
         ],
         [
-            SeriesPoint(1, 3.0, 2**53 + 1, 3, 8, 0.5, -(2**55) - 3),
-            SeriesPoint(2, 2.0, 2**53 + 1, 6.0, 8, 0.1, 2),
-            SeriesPoint(3, 2.0, big, 6, 8.0, 0.1, 2**60),
-            SeriesPoint(4, 2.0, big, 6, 2**53 + 1, 0.1, 2**60),
+            SeriesPoint(1, 3.0, 2**52 + 1, 3, 8, 0.5, big - 4),
+            SeriesPoint(2, 2.0, 2**52 + 1, 6.0, 8, 0.1, 2),
+            SeriesPoint(3, 2.0, big, 6, 8.0, 0.1, 2**52),
+            SeriesPoint(4, 2.0, big, 6, 2**52 + 1, 0.1, 2**52),
         ],
         [
             SeriesPoint(1, 0.25, 7, 3.0, 7, 0.5, 0),
-            SeriesPoint(2, 0.25, 7, 3.0, 7, 5e-324, -0.0),
-            SeriesPoint(3, 0.25, -big, 3.0, 7, 5e-324, 0.0),
-            SeriesPoint(4, 0.25, -big, 3.0, 2**53 + 1, 5e-324, 0.0),
+            SeriesPoint(2, 0.25, 7, 3.0, 7, 5e-324, 0.0),
+            SeriesPoint(3, 0.25, 0, 3.0, 7, 5e-324, 0.0),
+            SeriesPoint(4, 0.25, 0, 3.0, 2**52 + 1, 5e-324, 0.0),
         ],
     ]
     handed = iter(batch)
@@ -906,6 +896,48 @@ def test_aggregate_runs_folds_runs_handed_over_one_at_a_time():
         repr(tuple(row[key] for key in AGGREGATE_HEADER))
         for row in oracle_aggregate_rows(batch)
     ]
+
+
+def is_plus_finite_float(value) -> bool:
+    """Whether `value` is a float that is finite, >= 0 and not -0.0."""
+    return type(value) is float and math.isfinite(value) and (
+        math.copysign(1.0, value) == 1.0
+    )
+
+
+def test_a_run_makes_only_the_values_the_exporters_take():
+    # The kind of value SeriesPoint documents, on which the exporters rely:
+    # ints below 2**53 for the interaction and the form count, and finite
+    # floats >= 0, never -0.0, for every other field and aggregate value.
+    configs = [
+        ExperimentParams(),
+        ExperimentParams(noise_std=0.0),
+        ExperimentParams(noise_std=60.0),
+        ExperimentParams(population_size=50, num_interactions=2000),
+        ExperimentParams(
+            random_palette=True, palette_size=12, min_separation=60.0,
+            noise_std=30.0,
+        ),
+        ExperimentParams(series_interval=7, window=1),
+        ExperimentParams(num_interactions=0),
+    ]
+    points = 0
+    for params in configs:
+        runs = [run_experiment(params, seed).series for seed in range(3)]
+        for series in runs:
+            for point in series:
+                points += 1
+                assert type(point.interaction) is int, point
+                forms = point.distinct_forms_population
+                assert type(forms) is int and 0 <= forms < 2**53, point
+                assert all(
+                    is_plus_finite_float(getattr(point, field))
+                    for field in SERIES_FIELDS
+                    if field != "distinct_forms_population"
+                ), point
+        for row in aggregate_runs(runs):
+            assert all(map(is_plus_finite_float, row[1:])), row
+    assert points > 3 * 5000
 
 
 def test_export_aggregate_keeps_no_run_it_has_folded(tmp_path):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "tools" / "mutation_catalogue.py"
-REPLAYED = ("note-not-netted", "first-count-reads-notes", "mean-folds-exact-int")
+REPLAYED = ("note-not-netted", "first-count-reads-notes", "fold-skips-a-change")
 
 
 def load_catalogue():

@@ -424,3 +424,19 @@ def test_random_palette_refuses_a_size_that_is_not_a_positive_int(size, words):
         random_palette(rng, size)
     assert str(err.value) == f"palette_size must be {words}"
     assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("separation", [math.nan, -1, math.inf])
+def test_a_separation_that_is_negative_or_not_finite_is_refused(separation):
+    # A NaN or negative separation lets two identical colours through, and
+    # a NaN one spent every draw of random_palette before failing.
+    words = f"min_separation must be finite and >= 0, got {separation!r}"
+    with pytest.raises(ConfigurationError) as err:
+        make_world([(0, 0, 0), (0, 0, 0)], 2, min_separation=separation)
+    assert str(err.value) == words
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ConfigurationError) as err:
+        random_palette(rng, 3, separation)
+    assert str(err.value) == words
+    assert rng.getstate() == state

@@ -6,9 +6,9 @@
 
 Several parts of the package are right only because some test catches the
 faults one could plant in them: the form notes behind the series monitor,
-the exact-sum aggregate, the inventory's edit count and identity checks,
-the exact standard deviation, the stretch formatter, the colour clamps, the
-config checks, the unrolled random draws.
+the kind of value a run makes, the exact-sum aggregate, the inventory's
+edit count and identity checks, the exact standard deviation, the colour
+clamps, the config and batch checks, the unrolled random draws.
 Each entry of MUTANTS names a file, an exact text in it, the text to put in
 its place and the tests that must catch the change. For each mutant the
 script copies `src/`, `tests/` and `pyproject.toml` to a temporary
@@ -90,14 +90,6 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "mean-folds-exact-int",
-        "the mean sums an int past 2**53 exactly, where fsum reads float(v)",
-        MONITORS,
-        "                    extra = (int(float(num)) - num) << shift\n",
-        "                    extra = 0\n",
-        (FOLD_TEST,),
-    ),
-    Mutant(
         "fold-skips-a-change",
         "the last change of each run's column is never folded",
         MONITORS,
@@ -110,8 +102,8 @@ MUTANTS = (
         "a row whose total stays put keeps the previous row's deviation even "
         "though its sum of squares moved",
         MONITORS,
-        "            if d_total or d_square or d_extra or stats is None:\n",
-        "            if d_total or d_extra or stats is None:\n",
+        "            if d_total or d_square or stats is None:\n",
+        "            if d_total or stats is None:\n",
         (FOLD_TEST,),
     ),
     Mutant(
@@ -149,13 +141,16 @@ MUTANTS = (
         ("tests/test_monitors.py",),
     ),
     Mutant(
-        "stretch-zero-unchecked",
-        "a stretch holding a zero gets its text once, so -0.0 and 0.0 print "
-        "alike, and a one-run aggregate keeps -0.0",
+        "zero-success-signed",
+        "a windowed success of zero comes out as -0.0, which series.csv "
+        "prints as -0.000000",
         MONITORS,
-        "        if 0.0 in values:\n",
-        "        if False:\n",
-        ("tests/test_monitors.py::test_csv_lines_match_the_csv_module_oracle",),
+        "    success = monitor._successes / games if games else 0.0\n",
+        "    success = monitor._successes / games or -0.0 if games else 0.0\n",
+        (
+            "tests/test_monitors.py::"
+            "test_a_run_makes_only_the_values_the_exporters_take",
+        ),
     ),
     Mutant(
         "one-run-folded",
@@ -263,6 +258,18 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "separation-takes-nan",
+        "the separation check refuses only a negative value, so a NaN one "
+        "lets two identical colours into a world",
+        WORLD,
+        "    if not 0.0 <= min_separation <= _FLOAT_MAX:\n",
+        "    if min_separation < 0:\n",
+        (
+            "tests/test_world.py::"
+            "test_a_separation_that_is_negative_or_not_finite_is_refused",
+        ),
+    ),
+    Mutant(
         "world-takes-bool",
         "World takes a bool scene size, which plays one-object scenes",
         WORLD,
@@ -283,6 +290,27 @@ MUTANTS = (
         (
             "tests/test_cli.py::"
             "test_a_bad_config_value_is_quoted_as_the_config_holds_it",
+        ),
+    ),
+    Mutant(
+        "runs-unbounded",
+        "the run count has no upper bound, so a mistyped one lists a job per "
+        "run until memory runs out",
+        CLI,
+        "lambda v: 1 <= v <= MAX_RUNS",
+        "lambda v: 1 <= v",
+        ("tests/test_cli.py::test_huge_runs_exits_2_before_writing",),
+    ),
+    Mutant(
+        "out-dir-takes-null-byte",
+        "out_dir takes a null byte, on which Path.mkdir raises a bare "
+        "ValueError in place of exit status 2",
+        CLI,
+        'lambda v: "\\0" not in v',
+        "lambda v: True",
+        (
+            "tests/test_cli.py::"
+            "test_out_dir_with_a_null_byte_exits_2_before_writing",
         ),
     ),
     Mutant(
