@@ -12,7 +12,6 @@ imports the process pool.
 """
 from __future__ import annotations
 
-import copy
 import json
 import os
 import random
@@ -21,15 +20,18 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
 
-from .engine import (
-    FIELD_TYPES,
-    SNAPSHOT_ALL,
+from .engine import FIELD_TYPES, SNAPSHOT_ALL, ExperimentParams, run_experiment
+from .errors import (
+    AT_LEAST_ONE,
+    AT_LEAST_ZERO,
     TYPE_RULES,
-    ExperimentParams,
+    ColourGameError,
+    ConfigurationError,
     Rule,
-    run_experiment,
+    is_int,
+    quoted,
+    within,
 )
-from .errors import ColourGameError, ConfigurationError, is_int, quoted
 from .monitors import SeriesPoint, export_aggregate, export_run
 from .world import random_palette
 
@@ -79,9 +81,9 @@ _KEY_TYPES["palette"] = Rule(
 # What each batch key's value must be once its type holds, in the order
 # `parse_config` checks them.
 _BATCH_RANGES = {
-    "runs": Rule(f"in [1, {MAX_RUNS}]", lambda v: 1 <= v <= MAX_RUNS),
-    "seed": Rule(">= 0", lambda v: v >= 0),
-    "parallel": Rule(">= 1", lambda v: v >= 1),
+    "runs": within(1, MAX_RUNS),
+    "seed": AT_LEAST_ZERO,
+    "parallel": AT_LEAST_ONE,
     # The OS takes no path with a null byte; Path.mkdir would raise ValueError.
     "out_dir": Rule("a path without a null byte", lambda v: "\0" not in v),
 }
@@ -92,9 +94,9 @@ def parse_config(
 ) -> SimpleNamespace:
     """Resolve defaults, config file and flag overrides into one config:
     a namespace with one attribute per key of DEFAULT_CONFIG."""
-    # A deep copy: the palette and snapshot_points lists of a resolved config
-    # must not be the defaults' own.
-    resolved = copy.deepcopy(DEFAULT_CONFIG)
+    # Through JSON text, as GAME_DEFAULTS is made: the palette and
+    # snapshot_points lists of a resolved config must not be the defaults' own.
+    resolved = json.loads(json.dumps(DEFAULT_CONFIG))
 
     env_out_dir = os.environ.get(OUT_DIR_ENV_VAR)
     if env_out_dir:

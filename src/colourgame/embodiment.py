@@ -10,10 +10,9 @@ ships with the package. Two bodies share nothing but the utterance, which
 from __future__ import annotations
 
 import random
-import sys
 from typing import Callable, Protocol
 
-from .errors import ConfigurationError, ProtocolError, quoted
+from .errors import FINITE, ConfigurationError, ProtocolError
 from .world import RGB, World, perceive
 
 SIMULATED = "simulated"
@@ -47,11 +46,7 @@ class SimulatedBackend:
     kind = SIMULATED
 
     def __init__(self, identity: str, noise_std: float) -> None:
-        # Refuses NaN and too large an int as well (see `world._FLOAT_MAX`).
-        if not 0.0 <= noise_std <= sys.float_info.max:
-            raise ConfigurationError(
-                f"noise_std must be finite and >= 0, got {quoted(noise_std)}"
-            )
+        FINITE.require("noise_std", noise_std)
         self.identity = identity
         self.noise_std = noise_std
         self._scene: tuple[str, ...] | None = None

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 import sys
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import monitors
 from .conceptual import Ontology
@@ -30,7 +30,15 @@ from .embodiment import (
     point,
     speak,
 )
-from .errors import ConfigurationError, is_int, quoted
+from .errors import (
+    AT_LEAST_ONE,
+    AT_LEAST_ZERO,
+    FINITE,
+    TYPE_RULES,
+    Rule,
+    is_int,
+    within,
+)
 from .lexicon import (
     _ROUNDED,
     HEARER,
@@ -67,32 +75,6 @@ MAX_POPULATION = 100_000
 # Builds a named tuple from a tuple of all its fields without the Python
 # frame of the class's generated __new__; one record is built per game.
 _new_tuple = tuple.__new__
-
-
-class Rule:
-    """What a value must be: the `words` an error gives, and the `check`
-    that tells whether a value is that. A plain class: a named tuple costs
-    more to create at import."""
-
-    def __init__(self, words: str, check: Callable[[object], bool]) -> None:
-        self.words = words
-        self.check = check
-
-    def require(self, name: str, value: object) -> None:
-        """Raise ConfigurationError unless `value`, given for `name`, passes."""
-        if not self.check(value):
-            raise ConfigurationError(
-                f"{name} must be {self.words}, got {quoted(value)}"
-            )
-
-
-# What a value must be, by the type of its default.
-TYPE_RULES = {
-    bool: Rule("a boolean", lambda v: isinstance(v, bool)),
-    int: Rule("an integer", is_int),
-    float: Rule("a number", lambda v: is_int(v) or isinstance(v, float)),
-    str: Rule("a string", lambda v: isinstance(v, str)),
-}
 
 
 class ExperimentParams(NamedTuple):
@@ -154,34 +136,26 @@ def _range_rules(params: ExperimentParams) -> Iterator[tuple[str, Rule]]:
     """Each field and the range its value must be in, in the order `validate`
     checks them once every type holds. A bound taken from another field is
     read only after that field has passed."""
-    yield "population_size", Rule(
-        f"in [2, {MAX_POPULATION}]", lambda v: 2 <= v <= MAX_POPULATION
-    )
-    yield "palette_size", Rule(">= 1", lambda v: v >= 1 or not params.random_palette)
+    yield "population_size", within(2, MAX_POPULATION)
+    if params.random_palette:
+        yield "palette_size", AT_LEAST_ONE
     scene_max = params.palette_size if params.random_palette else len(params.palette)
-    # A random palette's size has no upper bound, so it is quoted.
-    yield "objects_per_scene", Rule(
-        f"in [1, {quoted(scene_max)}]", lambda v: 1 <= v <= scene_max
-    )
-    yield "num_interactions", Rule(">= 0", lambda v: v >= 0)
+    yield "objects_per_scene", within(1, scene_max)
+    yield "num_interactions", AT_LEAST_ZERO
     # Scores are stored rounded, and one that rounds to 0 is pruned.
     yield "initial_score", Rule(
         "in (0, 1] and not round to 0", lambda v: 0.0 < v <= 1.0 and _rounded(v) > 0.0
     )
-    # Refuses NaN and too large an int as well (see `world._FLOAT_MAX`).
-    finite = Rule("finite and >= 0", lambda v: 0.0 <= v <= sys.float_info.max)
-    yield "noise_std", finite
-    yield "min_separation", finite
-    yield "inc", finite
-    yield "inh", finite
-    yield "dec", finite
-    yield "shift_rate", Rule("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+    yield "noise_std", FINITE
+    yield "min_separation", FINITE
+    yield "inc", FINITE
+    yield "inh", FINITE
+    yield "dec", FINITE
+    yield "shift_rate", within(0, 1)
     # The success window is a deque, whose length is a C ssize_t.
-    yield "window", Rule(
-        ">= 1" if params.window < 1 else f"<= {sys.maxsize}",
-        lambda v: 1 <= v <= sys.maxsize,
-    )
-    yield "series_interval", Rule(">= 1", lambda v: v >= 1)
+    yield "window", AT_LEAST_ONE
+    yield "window", Rule(f"<= {sys.maxsize}", lambda v: v <= sys.maxsize)
+    yield "series_interval", AT_LEAST_ONE
     yield "snapshot_points", Rule("integers >= 1", lambda v: all(p >= 1 for p in v))
     yield "snapshot_agent", Rule(
         f"'all' or an index in [0, {params.population_size - 1}]",

@@ -1,5 +1,11 @@
-"""Exception hierarchy shared by all simulator modules, and the two helpers
-their checks share: `is_int` and `quoted`."""
+"""Exception hierarchy shared by all simulator modules, and the rules every
+check of a run's values refuses through (`Rule`), so each door that checks a
+value gives `ExperimentParams.validate`'s message for it."""
+from __future__ import annotations
+
+import reprlib
+import sys
+from typing import Callable
 
 
 class ColourGameError(Exception):
@@ -30,8 +36,6 @@ def quoted(value: object) -> str:
     """The repr of a bad value, cut to a bounded size for a one-line error.
     An int past `sys.get_int_max_str_digits()`, which has no decimal repr,
     is told by its bit count."""
-    import reprlib  # on the error path only
-
     cut = reprlib.Repr()
     spell_int = cut.repr_int
 
@@ -43,3 +47,45 @@ def quoted(value: object) -> str:
 
     cut.repr_int = repr_int
     return cut.repr(value)
+
+
+# The largest float. `0.0 <= v <= FLOAT_MAX` refuses in one chain a negative,
+# NaN, an infinity and an int too large to be a float, which compares with it
+# exactly. The guards that run in every game (`world.perceive` and the
+# lexicon's updates) spell the chain inline: a `Rule.require` call costs more.
+FLOAT_MAX = sys.float_info.max
+
+
+class Rule:
+    """What a value must be: the `words` an error gives, and the `check`
+    that tells whether a value is that. A plain class: a named tuple costs
+    more to create at import."""
+
+    def __init__(self, words: str, check: Callable[[object], bool]) -> None:
+        self.words = words
+        self.check = check
+
+    def require(self, name: str, value: object) -> None:
+        """Raise ConfigurationError unless `value`, given for `name`, passes."""
+        if not self.check(value):
+            raise ConfigurationError(
+                f"{name} must be {self.words}, got {quoted(value)}"
+            )
+
+
+# What a value must be, by the type of its default.
+TYPE_RULES = {
+    bool: Rule("a boolean", lambda v: isinstance(v, bool)),
+    int: Rule("an integer", is_int),
+    float: Rule("a number", lambda v: is_int(v) or isinstance(v, float)),
+    str: Rule("a string", lambda v: isinstance(v, str)),
+}
+# The ranges of a number of any size, each checked after its type.
+FINITE = Rule("finite and >= 0", lambda v: 0.0 <= v <= FLOAT_MAX)
+AT_LEAST_ZERO = Rule(">= 0", lambda v: v >= 0)
+AT_LEAST_ONE = Rule(">= 1", lambda v: v >= 1)
+
+
+def within(low: int, high: int) -> Rule:
+    """The rule `in [low, high]`; `high` is quoted, as it may be any int."""
+    return Rule(f"in [{low}, {quoted(high)}]", lambda v: low <= v <= high)

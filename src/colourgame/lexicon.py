@@ -13,10 +13,9 @@ every stored score is rounded (`_rounded`).
 from __future__ import annotations
 
 import random
-import sys
 from collections.abc import Container
 
-from .errors import InternalConsistencyError, quoted
+from .errors import FLOAT_MAX, InternalConsistencyError, quoted
 
 SPEAKER = "speaker"
 HEARER = "hearer"
@@ -28,9 +27,6 @@ SYLLABLES_PER_WORD = 3
 # Scores move in configured decrements; rounding keeps 0.5 - 5 * 0.1 at an
 # exact 0.0 so the removal threshold is not defeated by float dust.
 _SCORE_DECIMALS = 12
-
-# Bounds an update step's range chain, as `world._FLOAT_MAX` explains.
-_FLOAT_MAX = sys.float_info.max
 
 _ROUNDED: dict[float, float] = {}
 _ROUNDED_MAX = 4096
@@ -180,7 +176,7 @@ class ConstructionInventory:
         """
         if role not in (SPEAKER, HEARER):
             raise ValueError(f"role must be {SPEAKER!r} or {HEARER!r}, got {role!r}")
-        if not (0.0 <= inc <= _FLOAT_MAX and 0.0 <= inh <= _FLOAT_MAX):
+        if not (0.0 <= inc <= FLOAT_MAX and 0.0 <= inh <= FLOAT_MAX):
             raise ValueError(
                 f"inc and inh must be finite and >= 0, got {quoted(inc)} "
                 f"and {quoted(inh)}"
@@ -207,7 +203,7 @@ class ConstructionInventory:
 
     def punish(self, used: Construction, dec: float) -> None:
         """Decrease the used construction's score, removing it at zero."""
-        if not 0.0 <= dec <= _FLOAT_MAX:
+        if not 0.0 <= dec <= FLOAT_MAX:
             raise ValueError(f"dec must be finite and >= 0, got {quoted(dec)}")
         if used not in self.by_form.get(used.form, ()):
             raise _not_in_inventory(used)

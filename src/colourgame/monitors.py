@@ -307,11 +307,13 @@ _NON_FINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}
 
 
 def _json_number(value: float) -> str:
-    """A float or int as `json.dumps` spells it."""
+    """A float, int or bool as `json.dumps` spells it."""
     if isinstance(value, float):
         if value != value:
             return "NaN"
         return _NON_FINITE.get(value) or float.__repr__(value)
+    if value is True or value is False:
+        return "true" if value else "false"
     return int.__repr__(value)
 
 

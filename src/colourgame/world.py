@@ -17,11 +17,18 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from collections.abc import Sequence
 from math import ceil as _ceil, cos as _cos, log as _log, sin as _sin, sqrt as _sqrt
 
-from .errors import ConfigurationError, is_int, quoted
+from .errors import (
+    AT_LEAST_ONE,
+    FINITE,
+    FLOAT_MAX,
+    TYPE_RULES,
+    ConfigurationError,
+    quoted,
+    within,
+)
 
 RGB = tuple[float, float, float]  # every colour a game builds or reads
 
@@ -65,10 +72,6 @@ RANDOM_PALETTE_DRAWS = 10_000
 
 # The constant `random.gauss` scales its uniform angle by.
 _TWOPI = 2.0 * math.pi
-# The largest float. `0.0 <= v <= _FLOAT_MAX` refuses in one chain a negative,
-# NaN, an infinity and an int too large to be a float, which compares with it
-# exactly.
-_FLOAT_MAX = sys.float_info.max
 
 
 class World:
@@ -83,16 +86,9 @@ class World:
     __slots__ = ("true_colours", "objects_per_scene", "object_ids")
 
     def __init__(self, true_colours: dict[str, RGB], objects_per_scene: int) -> None:
-        if not is_int(objects_per_scene):
-            raise ConfigurationError(
-                f"objects_per_scene must be an integer, got {quoted(objects_per_scene)}"
-            )
+        TYPE_RULES[int].require("objects_per_scene", objects_per_scene)
         object_ids = tuple(true_colours)
-        if not 1 <= objects_per_scene <= len(object_ids):
-            raise ConfigurationError(
-                f"objects_per_scene={quoted(objects_per_scene)} outside "
-                f"[1, {len(object_ids)}]"
-            )
+        within(1, len(object_ids)).require("objects_per_scene", objects_per_scene)
         object.__setattr__(self, "true_colours", true_colours)
         object.__setattr__(self, "objects_per_scene", objects_per_scene)
         object.__setattr__(self, "object_ids", object_ids)
@@ -111,28 +107,18 @@ def make_world(
 ) -> World:
     """Build a world with one object per palette entry, ids in palette order,
     from a palette that `check_separation` accepts."""
-    if not palette:
-        raise ConfigurationError("palette must not be empty")
     check_separation(palette, min_separation)
     true_colours = {f"obj-{i}": tuple(colour) for i, colour in enumerate(palette)}
     return World(true_colours=true_colours, objects_per_scene=objects_per_scene)
 
 
-def _check_min_separation(min_separation: float) -> None:
-    """Refuse a separation that is negative or NaN, which every pair of
-    colours would pass, or infinite, which none could."""
-    if not 0.0 <= min_separation <= _FLOAT_MAX:
-        raise ConfigurationError(
-            f"min_separation must be finite and >= 0, got {quoted(min_separation)}"
-        )
-
-
 def check_separation(palette: Sequence[RGB], min_separation: float) -> None:
-    """Reject a separation `_check_min_separation` refuses, a palette with a
-    colour that is not three channels in [0, 255], as `Colour` checks them,
-    or with two colours closer than `min_separation`, so that scenes stay
-    discriminable well above the perception noise level."""
-    _check_min_separation(min_separation)
+    """Reject a separation that is negative or NaN, which every pair of
+    colours would pass, or infinite, which none could; a palette with a
+    colour that is not three channels in [0, 255], as `Colour` checks them;
+    or one with two colours closer than `min_separation`, so that scenes
+    stay discriminable well above the perception noise level."""
+    FINITE.require("min_separation", min_separation)
     for i, colour in enumerate(palette):
         try:
             Colour(*colour)
@@ -158,11 +144,9 @@ def random_palette(
 ) -> tuple[RGB, ...]:
     """Rejection-sample `size` colours that respect `min_separation`, after
     refusing a size or a separation no draw could serve."""
-    _check_min_separation(min_separation)
-    if not is_int(size):
-        raise ConfigurationError(f"palette_size must be an integer, got {quoted(size)}")
-    if size < 1:
-        raise ConfigurationError(f"palette_size must be >= 1, got {quoted(size)}")
+    FINITE.require("min_separation", min_separation)
+    TYPE_RULES[int].require("palette_size", size)
+    AT_LEAST_ONE.require("palette_size", size)
     accepted: list[RGB] = []
     for _ in range(RANDOM_PALETTE_DRAWS):
         candidate = (rng.uniform(0, 255), rng.uniform(0, 255), rng.uniform(0, 255))
@@ -257,7 +241,7 @@ def perceive(
     order, and leaves the colours and the generator's state exactly theirs
     (`tests/test_world.py::test_perceive_draws_exactly_what_gauss_draws`).
     """
-    if not 0.0 <= noise_std <= _FLOAT_MAX:
+    if not 0.0 <= noise_std <= FLOAT_MAX:
         raise ValueError(
             f"noise_std must be finite and >= 0, got {quoted(noise_std)}"
         )

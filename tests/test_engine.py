@@ -26,6 +26,7 @@ from colourgame.monitors import SeriesPoint
 from colourgame.world import (
     DEFAULT_PALETTE,
     Colour,
+    check_separation,
     draw_index,
     draw_sample,
     make_world,
@@ -541,6 +542,33 @@ def test_params_validation_rejects_out_of_range_values():
     ):
         with pytest.raises(ConfigurationError, match=re.escape(message)):
             params.validate()
+
+
+def test_each_door_refuses_a_value_with_the_words_of_validate():
+    # A caller may build a world, a palette or a body without validate; each
+    # door refuses a bad value of its field exactly as validate does.
+    negative_or_not_finite = (-1, math.nan, math.inf, 10**400)
+    cases = (
+        ("objects_per_scene", (0, 7, 2.5, True), {},
+         lambda v: make_world(DEFAULT_PALETTE, v)),
+        ("palette", ((),), {"objects_per_scene": 1},
+         lambda v: make_world(v, 1)),
+        ("palette_size", (0, 2.5, True), {"random_palette": True},
+         lambda v: random_palette(random.Random(0), v)),
+        ("min_separation", negative_or_not_finite, {},
+         lambda v: check_separation(DEFAULT_PALETTE, v)),
+        ("min_separation", negative_or_not_finite, {"random_palette": True},
+         lambda v: random_palette(random.Random(0), 3, v)),
+        ("noise_std", negative_or_not_finite, {},
+         lambda v: make_body("simulated", "body-a", noise_std=v)),
+    )
+    for field, values, context, door in cases:
+        for value in values:
+            with pytest.raises(ConfigurationError) as by_validate:
+                ExperimentParams(**context, **{field: value}).validate()
+            with pytest.raises(ConfigurationError) as by_door:
+                door(value)
+            assert str(by_door.value) == str(by_validate.value), (field, value)
 
 
 @pytest.mark.skipif(

@@ -621,7 +621,13 @@ def test_snapshot_writer_matches_json_dump_byte_for_byte(tmp_path):
             },
         ),
     )
+    # A registered backend may observe a bool channel, which json spells
+    # true or false.
+    boolean = monitors.LexiconSnapshot(
+        6, 3, ({"category_id": 1, "prototype": [True, False, 0.5], "forms": []},)
+    )
     cases = [[], [empty_agent], [formless], [empty_agent, formless], [scored]]
+    cases.append([boolean])
     cases += [seeded_snapshots(rng, rng.randint(1, 6)) for _ in range(200)]
     played = run_experiment(ExperimentParams(num_interactions=120), 5)
     cases.append(played.snapshots)

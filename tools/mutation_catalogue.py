@@ -230,7 +230,7 @@ MUTANTS = (
         "punish refuses only a negative step, so a NaN one leaves a score at "
         "NaN that is never pruned",
         LEXICON,
-        "        if not 0.0 <= dec <= _FLOAT_MAX:\n",
+        "        if not 0.0 <= dec <= FLOAT_MAX:\n",
         "        if dec < 0:\n",
         (
             "tests/test_lexicon.py::"
@@ -250,8 +250,8 @@ MUTANTS = (
         "random-palette-takes-bool",
         "random_palette takes a bool size, which places one colour",
         WORLD,
-        "    if not is_int(size):\n",
-        "    if not isinstance(size, int):\n",
+        '    TYPE_RULES[int].require("palette_size", size)\n',
+        '    TYPE_RULES[int].require("palette_size", +size)\n',
         (
             "tests/test_world.py::"
             "test_random_palette_refuses_a_size_that_is_not_a_positive_int",
@@ -259,11 +259,11 @@ MUTANTS = (
     ),
     Mutant(
         "separation-takes-nan",
-        "the separation check refuses only a negative value, so a NaN one "
+        "the finite rule refuses only a negative value, so a NaN separation "
         "lets two identical colours into a world",
-        WORLD,
-        "    if not 0.0 <= min_separation <= _FLOAT_MAX:\n",
-        "    if min_separation < 0:\n",
+        ERRORS,
+        "lambda v: 0.0 <= v <= FLOAT_MAX)",
+        "lambda v: not v < 0)",
         (
             "tests/test_world.py::"
             "test_a_separation_that_is_negative_or_not_finite_is_refused",
@@ -273,8 +273,8 @@ MUTANTS = (
         "world-takes-bool",
         "World takes a bool scene size, which plays one-object scenes",
         WORLD,
-        "        if not is_int(objects_per_scene):\n",
-        "        if not isinstance(objects_per_scene, int):\n",
+        '        TYPE_RULES[int].require("objects_per_scene", objects_per_scene)\n',
+        '        TYPE_RULES[int].require("objects_per_scene", +objects_per_scene)\n',
         ("tests/test_world.py::test_make_world_rejects_bad_scene_size",),
     ),
     Mutant(
@@ -297,8 +297,8 @@ MUTANTS = (
         "the run count has no upper bound, so a mistyped one lists a job per "
         "run until memory runs out",
         CLI,
-        "lambda v: 1 <= v <= MAX_RUNS",
-        "lambda v: 1 <= v",
+        '"runs": within(1, MAX_RUNS),',
+        '"runs": AT_LEAST_ONE,',
         ("tests/test_cli.py::test_huge_runs_exits_2_before_writing",),
     ),
     Mutant(
@@ -358,6 +358,19 @@ MUTANTS = (
         "",
         (
             "tests/test_world.py::test_perceive_draws_exactly_what_gauss_draws",
+        ),
+    ),
+    Mutant(
+        "json-bool-as-int",
+        "snapshots.json spells a bool prototype channel as 1 or 0, where "
+        "json.dump writes true or false",
+        MONITORS,
+        "    if value is True or value is False:\n"
+        '        return "true" if value else "false"\n',
+        "",
+        (
+            "tests/test_monitors.py::"
+            "test_snapshot_writer_matches_json_dump_byte_for_byte",
         ),
     ),
 )
