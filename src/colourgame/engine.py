@@ -34,6 +34,7 @@ from .errors import (
     AT_LEAST_ONE,
     AT_LEAST_ZERO,
     FINITE,
+    NON_EMPTY,
     TYPE_RULES,
     Rule,
     is_int,
@@ -139,6 +140,8 @@ def _range_rules(params: ExperimentParams) -> Iterator[tuple[str, Rule]]:
     yield "population_size", within(2, MAX_POPULATION)
     if params.random_palette:
         yield "palette_size", AT_LEAST_ONE
+    else:
+        yield "palette", NON_EMPTY
     scene_max = params.palette_size if params.random_palette else len(params.palette)
     yield "objects_per_scene", within(1, scene_max)
     yield "num_interactions", AT_LEAST_ZERO
@@ -151,7 +154,7 @@ def _range_rules(params: ExperimentParams) -> Iterator[tuple[str, Rule]]:
     yield "inc", FINITE
     yield "inh", FINITE
     yield "dec", FINITE
-    yield "shift_rate", within(0, 1)
+    yield "shift_rate", Rule("in [0, 1]", lambda v: 0 <= v <= 1, float)
     # The success window is a deque, whose length is a C ssize_t.
     yield "window", AT_LEAST_ONE
     yield "window", Rule(f"<= {sys.maxsize}", lambda v: v <= sys.maxsize)

@@ -57,16 +57,23 @@ FLOAT_MAX = sys.float_info.max
 
 
 class Rule:
-    """What a value must be: the `words` an error gives, and the `check`
-    that tells whether a value is that. A plain class: a named tuple costs
-    more to create at import."""
+    """What a value must be: the `words` an error gives, the `check` that
+    tells whether a value is that, and the `kind` of value the check
+    presumes, if any, whose `TYPE_RULES` rule is checked first. A plain
+    class: a named tuple costs more to create at import."""
 
-    def __init__(self, words: str, check: Callable[[object], bool]) -> None:
+    def __init__(
+        self, words: str, check: Callable[[object], bool], kind: type | None = None
+    ) -> None:
         self.words = words
         self.check = check
+        self.kind = kind
 
     def require(self, name: str, value: object) -> None:
-        """Raise ConfigurationError unless `value`, given for `name`, passes."""
+        """Raise ConfigurationError unless `value`, given for `name`, is of
+        the rule's kind and passes its check."""
+        if self.kind is not None:
+            TYPE_RULES[self.kind].require(name, value)
         if not self.check(value):
             raise ConfigurationError(
                 f"{name} must be {self.words}, got {quoted(value)}"
@@ -80,12 +87,19 @@ TYPE_RULES = {
     float: Rule("a number", lambda v: is_int(v) or isinstance(v, float)),
     str: Rule("a string", lambda v: isinstance(v, str)),
 }
-# The ranges of a number of any size, each checked after its type.
-FINITE = Rule("finite and >= 0", lambda v: 0.0 <= v <= FLOAT_MAX)
-AT_LEAST_ZERO = Rule(">= 0", lambda v: v >= 0)
-AT_LEAST_ONE = Rule(">= 1", lambda v: v >= 1)
+# The ranges of a number of any size, each checked after its type, so a
+# door that checks a value with one of them alone refuses a bool or a string
+# in `validate`'s words, not with a bare TypeError.
+FINITE = Rule("finite and >= 0", lambda v: 0.0 <= v <= FLOAT_MAX, float)
+AT_LEAST_ZERO = Rule(">= 0", lambda v: v >= 0, int)
+AT_LEAST_ONE = Rule(">= 1", lambda v: v >= 1, int)
 
 
 def within(low: int, high: int) -> Rule:
-    """The rule `in [low, high]`; `high` is quoted, as it may be any int."""
-    return Rule(f"in [{low}, {quoted(high)}]", lambda v: low <= v <= high)
+    """The integer rule `in [low, high]`; `high` is quoted, as it may be any
+    int."""
+    return Rule(f"in [{low}, {quoted(high)}]", lambda v: low <= v <= high, int)
+
+
+# A palette needs a colour before a scene size can be in range for it.
+NON_EMPTY = Rule("non-empty", bool)

@@ -24,7 +24,7 @@ from .errors import (
     AT_LEAST_ONE,
     FINITE,
     FLOAT_MAX,
-    TYPE_RULES,
+    NON_EMPTY,
     ConfigurationError,
     quoted,
     within,
@@ -86,7 +86,6 @@ class World:
     __slots__ = ("true_colours", "objects_per_scene", "object_ids")
 
     def __init__(self, true_colours: dict[str, RGB], objects_per_scene: int) -> None:
-        TYPE_RULES[int].require("objects_per_scene", objects_per_scene)
         object_ids = tuple(true_colours)
         within(1, len(object_ids)).require("objects_per_scene", objects_per_scene)
         object.__setattr__(self, "true_colours", true_colours)
@@ -113,11 +112,13 @@ def make_world(
 
 
 def check_separation(palette: Sequence[RGB], min_separation: float) -> None:
-    """Reject a separation that is negative or NaN, which every pair of
-    colours would pass, or infinite, which none could; a palette with a
-    colour that is not three channels in [0, 255], as `Colour` checks them;
-    or one with two colours closer than `min_separation`, so that scenes
-    stay discriminable well above the perception noise level."""
+    """Reject an empty palette; a separation that is negative or NaN, which
+    every pair of colours would pass, or infinite, which none could; a
+    palette with a colour that is not three channels in [0, 255], as
+    `Colour` checks them; or one with two colours closer than
+    `min_separation`, so that scenes stay discriminable well above the
+    perception noise level."""
+    NON_EMPTY.require("palette", palette)
     FINITE.require("min_separation", min_separation)
     for i, colour in enumerate(palette):
         try:
@@ -145,7 +146,6 @@ def random_palette(
     """Rejection-sample `size` colours that respect `min_separation`, after
     refusing a size or a separation no draw could serve."""
     FINITE.require("min_separation", min_separation)
-    TYPE_RULES[int].require("palette_size", size)
     AT_LEAST_ONE.require("palette_size", size)
     accepted: list[RGB] = []
     for _ in range(RANDOM_PALETTE_DRAWS):

@@ -546,8 +546,10 @@ def test_params_validation_rejects_out_of_range_values():
 
 def test_each_door_refuses_a_value_with_the_words_of_validate():
     # A caller may build a world, a palette or a body without validate; each
-    # door refuses a bad value of its field exactly as validate does.
+    # door refuses a bad value of its field exactly as validate does, naming
+    # the field, a bool or a string for a number included.
     negative_or_not_finite = (-1, math.nan, math.inf, 10**400)
+    not_a_number = (True, "3")
     cases = (
         ("objects_per_scene", (0, 7, 2.5, True), {},
          lambda v: make_world(DEFAULT_PALETTE, v)),
@@ -555,11 +557,12 @@ def test_each_door_refuses_a_value_with_the_words_of_validate():
          lambda v: make_world(v, 1)),
         ("palette_size", (0, 2.5, True), {"random_palette": True},
          lambda v: random_palette(random.Random(0), v)),
-        ("min_separation", negative_or_not_finite, {},
+        ("min_separation", negative_or_not_finite + not_a_number, {},
          lambda v: check_separation(DEFAULT_PALETTE, v)),
-        ("min_separation", negative_or_not_finite, {"random_palette": True},
+        ("min_separation", negative_or_not_finite + not_a_number,
+         {"random_palette": True},
          lambda v: random_palette(random.Random(0), 3, v)),
-        ("noise_std", negative_or_not_finite, {},
+        ("noise_std", negative_or_not_finite + not_a_number, {},
          lambda v: make_body("simulated", "body-a", noise_std=v)),
     )
     for field, values, context, door in cases:
@@ -569,6 +572,7 @@ def test_each_door_refuses_a_value_with_the_words_of_validate():
             with pytest.raises(ConfigurationError) as by_door:
                 door(value)
             assert str(by_door.value) == str(by_validate.value), (field, value)
+            assert str(by_door.value).startswith(f"{field} must be "), value
 
 
 @pytest.mark.skipif(

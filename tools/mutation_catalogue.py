@@ -51,6 +51,7 @@ CLI = "src/colourgame/cli.py"
 ENGINE = "src/colourgame/engine.py"
 WORLD = "src/colourgame/world.py"
 ERRORS = "src/colourgame/errors.py"
+CONCEPTUAL = "src/colourgame/conceptual.py"
 PARITY_TEST = (
     "tests/test_cli_fuzz.py::"
     "test_validate_refuses_what_the_config_reader_refuses"
@@ -58,6 +59,10 @@ PARITY_TEST = (
 DRAW_TEST = (
     "tests/test_world.py::"
     "test_draw_sample_and_draw_index_draw_what_sample_and_choice_draw"
+)
+DOOR_TEST = (
+    "tests/test_engine.py::"
+    "test_each_door_refuses_a_value_with_the_words_of_validate"
 )
 FOLD_TEST = (
     "tests/test_monitors.py::"
@@ -250,8 +255,8 @@ MUTANTS = (
         "random-palette-takes-bool",
         "random_palette takes a bool size, which places one colour",
         WORLD,
-        '    TYPE_RULES[int].require("palette_size", size)\n',
-        '    TYPE_RULES[int].require("palette_size", +size)\n',
+        '    AT_LEAST_ONE.require("palette_size", size)\n',
+        '    AT_LEAST_ONE.require("palette_size", +size)\n',
         (
             "tests/test_world.py::"
             "test_random_palette_refuses_a_size_that_is_not_a_positive_int",
@@ -262,8 +267,8 @@ MUTANTS = (
         "the finite rule refuses only a negative value, so a NaN separation "
         "lets two identical colours into a world",
         ERRORS,
-        "lambda v: 0.0 <= v <= FLOAT_MAX)",
-        "lambda v: not v < 0)",
+        "lambda v: 0.0 <= v <= FLOAT_MAX, float)",
+        "lambda v: not v < 0, float)",
         (
             "tests/test_world.py::"
             "test_a_separation_that_is_negative_or_not_finite_is_refused",
@@ -273,9 +278,60 @@ MUTANTS = (
         "world-takes-bool",
         "World takes a bool scene size, which plays one-object scenes",
         WORLD,
-        '        TYPE_RULES[int].require("objects_per_scene", objects_per_scene)\n',
-        '        TYPE_RULES[int].require("objects_per_scene", +objects_per_scene)\n',
+        '        within(1, len(object_ids)).require("objects_per_scene", '
+        "objects_per_scene)\n",
+        '        within(1, len(object_ids)).require("objects_per_scene", '
+        "+objects_per_scene)\n",
         ("tests/test_world.py::test_make_world_rejects_bad_scene_size",),
+    ),
+    Mutant(
+        "range-rule-skips-type",
+        "a range rule checks no type, so a door that calls it alone takes a "
+        "bool as 0 or 1 and raises a bare TypeError on a string",
+        ERRORS,
+        "        if self.kind is not None:\n"
+        "            TYPE_RULES[self.kind].require(name, value)\n",
+        "",
+        (DOOR_TEST,),
+    ),
+    Mutant(
+        "palette-may-be-empty",
+        "the palette rule passes an empty palette, so every door refuses it "
+        "by the scene size's range [1, 0], not by the palette",
+        ERRORS,
+        'NON_EMPTY = Rule("non-empty", bool)',
+        'NON_EMPTY = Rule("non-empty", lambda v: True)',
+        (DOOR_TEST,),
+    ),
+    Mutant(
+        "perceive-takes-nan-noise",
+        "perceive refuses only a negative noise, so a NaN one reads every "
+        "channel as 0 and an infinite one saturates them",
+        WORLD,
+        "    if not 0.0 <= noise_std <= FLOAT_MAX:\n",
+        "    if noise_std < 0:\n",
+        ("tests/test_world.py::test_perceive_rejects_negative_noise",),
+    ),
+    Mutant(
+        "shift-refuses-extreme-rates",
+        "shift_prototype refuses the rates 0 and 1, which validate takes, so "
+        "a run at either raises in its first game that aligns",
+        CONCEPTUAL,
+        "        if not 0.0 <= rate <= 1.0:\n",
+        "        if not 0.0 < rate < 1.0:\n",
+        ("tests/test_conceptual.py::test_shift_prototype_rate_extremes",),
+    ),
+    Mutant(
+        "initial-score-rounds-to-zero",
+        "add_construction takes a positive score that rounds to 0, so the "
+        "construction is stored at 0.0, the score at which one is pruned",
+        LEXICON,
+        "        if not (0.0 < initial_score <= 1.0 and score > 0.0):\n",
+        "        if not 0.0 < initial_score <= 1.0:\n",
+        (
+            "tests/test_lexicon.py::"
+            "test_add_construction_rejects_duplicates_and_bad_scores",
+        ),
     ),
     Mutant(
         "game-params-converts",
