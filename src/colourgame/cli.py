@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
 
-from .engine import FIELD_TYPES, SNAPSHOT_ALL, ExperimentParams, run_experiment
+from .engine import FIELD_TYPES, SNAPSHOT_ALL, ExperimentParams, run_experiment, start_run
 from .errors import (
     AT_LEAST_ONE,
     AT_LEAST_ZERO,
@@ -33,7 +32,6 @@ from .errors import (
     within,
 )
 from .monitors import SeriesPoint, export_aggregate, export_run
-from .world import random_palette
 
 OUT_DIR_ENV_VAR = "NAMING_GAME_OUT_DIR"
 
@@ -183,15 +181,8 @@ def run_command(config: SimpleNamespace) -> int:
     and its modules are loaded only for more than one worker."""
     params = _game_params(config)
     if params.random_palette:
-        # Each run draws its palette from the start of its own seed's stream,
-        # as run_experiment will; a palette that cannot be placed must fail
-        # before anything is written.
         for i in range(config.runs):
-            random_palette(
-                random.Random(config.seed + i),
-                params.palette_size,
-                params.min_separation,
-            )
+            start_run(params, config.seed + i)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "config.json").open("w") as fh:

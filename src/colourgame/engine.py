@@ -325,19 +325,27 @@ def align(
             )
 
 
-def run_experiment(params: ExperimentParams, seed: int) -> RunResult:
-    """Run one seeded experiment: build the world and population, play the
-    configured number of games, and collect series points and snapshots."""
-    # A run's score memo starts empty, whatever ran before it in the process.
-    _ROUNDED.clear()
-    params.validate()
+def start_run(params: ExperimentParams, seed: int) -> tuple[random.Random, World]:
+    """A run's generator at `seed` and the world drawn from it: a random
+    palette, if the run has one, is the stream's first draw. `run_command`
+    calls it too, to refuse a palette that cannot be placed before a batch
+    writes a file."""
     rng = random.Random(seed)
     palette = (
         random_palette(rng, params.palette_size, params.min_separation)
         if params.random_palette
         else params.palette
     )
-    world = make_world(palette, params.objects_per_scene, params.min_separation)
+    return rng, make_world(palette, params.objects_per_scene, params.min_separation)
+
+
+def run_experiment(params: ExperimentParams, seed: int) -> RunResult:
+    """Run one seeded experiment: build the world and population, play the
+    configured number of games, and collect series points and snapshots."""
+    # A run's score memo starts empty, whatever ran before it in the process.
+    _ROUNDED.clear()
+    params.validate()
+    rng, world = start_run(params, seed)
     population = make_population(params.population_size)
     bodies = (
         make_body(params.backend_kind, "body-a", noise_std=params.noise_std),

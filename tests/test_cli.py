@@ -235,13 +235,9 @@ def test_crowded_fixed_palette_exits_2_before_writing(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_unplaceable_random_palette_exits_2_before_writing(tmp_path, capsys):
+def palette_refused_before_writing(tmp_path, capsys, config, size):
     config_file = tmp_path / "config.json"
-    config_file.write_text(
-        json.dumps(
-            {"random_palette": True, "palette_size": 60, "num_interactions": 5}
-        )
-    )
+    config_file.write_text(json.dumps({"random_palette": True, **config}))
     out_dir = tmp_path / "out"
     code = main(["run", "--config", str(config_file), "--out-dir", str(out_dir)])
     assert code == 2
@@ -249,8 +245,22 @@ def test_unplaceable_random_palette_exits_2_before_writing(tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("configuration error: could not place 60 colours")
+    assert lines[0].startswith(f"configuration error: could not place {size} colours")
     assert not out_dir.exists()
+
+
+def test_unplaceable_random_palette_exits_2_before_writing(tmp_path, capsys):
+    config = {"palette_size": 60, "num_interactions": 5}
+    palette_refused_before_writing(tmp_path, capsys, config, 60)
+
+
+def test_a_later_run_that_cannot_place_its_palette_exits_2_before_writing(
+    tmp_path, capsys
+):
+    # Seeds 0-3 each place 20 colours at separation 100; seed 4, run 4's,
+    # does not, so only a check of every run's own seed stops the batch.
+    config = {"palette_size": 20, "runs": 5, "num_interactions": 5}
+    palette_refused_before_writing(tmp_path, capsys, config, 20)
 
 
 def test_initial_score_that_rounds_to_zero_exits_2_before_writing(

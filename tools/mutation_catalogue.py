@@ -370,6 +370,19 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "precheck-checks-one-seed",
+        "run_command's pre-check starts every run at the batch's seed, so a "
+        "later run whose palette cannot be placed fails after earlier runs "
+        "are written",
+        CLI,
+        "            start_run(params, config.seed + i)\n",
+        "            start_run(params, config.seed)\n",
+        (
+            "tests/test_cli.py::"
+            "test_a_later_run_that_cannot_place_its_palette_exits_2_before_writing",
+        ),
+    ),
+    Mutant(
         "validate-skips-types",
         "validate checks no field's type, so a wrong-typed value reaches a "
         "range check and raises a bare TypeError, or plays",
