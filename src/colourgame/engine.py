@@ -55,7 +55,6 @@ from .world import (
     RGB,
     World,
     check_separation,
-    draw_index,
     draw_sample,
     make_world,
     random_palette,
@@ -226,7 +225,7 @@ def run_interaction(
     speaker_model = observe_world(speaker_body, world, scene, rng)
     hearer_model = observe_world(hearer_body, world, scene, rng)
 
-    topic_id = scene[draw_index(rng, len(scene))]
+    topic_id = rng.choice(scene)
 
     category_id = _categorise(speaker.ontology, topic_id, speaker_model)
     if category_id is None:

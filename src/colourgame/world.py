@@ -8,10 +8,11 @@ Invariants, each explained where it is kept:
 - a colour is a plain (r, g, b) tuple with channels in [0, 255] (`RGB`),
   checked where a palette enters a world (`check_separation`) and clamped
   where perception or a prototype shift builds one (`clipped`);
-- every random draw of a game makes the generator calls of CPython's own
-  `random.gauss`, `random.sample` or `random.choice` in their order
-  (`perceive`, `draw_sample`, `draw_index`), so a fixed config and seed
-  give the bytes the library methods would.
+- `perceive` and `draw_sample` make the generator calls of CPython's own
+  `random.gauss` and `random.sample` in their order, so a fixed config and
+  seed give the bytes the library methods would. Those two are mirrored
+  because the library methods' Python frames cost more than their draws; a
+  game's topic is drawn by `random.choice` itself.
 """
 from __future__ import annotations
 
@@ -207,20 +208,6 @@ def draw_sample(rng: random.Random, population: Sequence, k: int) -> list:
         selected.add(j)
         result.append(population[j])
     return result
-
-
-def draw_index(rng: random.Random, n: int) -> int:
-    """Return the index `rng.choice` draws for a sequence of length n >= 1,
-    with the same `getrandbits` calls."""
-    # Without it, n = 0 would loop forever on getrandbits(0).
-    if n < 1:
-        raise ValueError(f"no index to draw from a sequence of length {n}")
-    getrandbits = rng.getrandbits
-    bits = n.bit_length()
-    j = getrandbits(bits)
-    while j >= n:
-        j = getrandbits(bits)
-    return j
 
 
 def perceive(

@@ -19,7 +19,7 @@ CONFIGS = {
 }
 
 DEFAULT_TO_3_11 = """\
-    50010    50.010  total
+    49010    49.010  total
      7840     7.840  world.clipped
      4000     4.000  embodiment.embody
      4000     4.000  embodiment.observe_world
@@ -41,7 +41,6 @@ DEFAULT_TO_3_11 = """\
      1000     1.000  lexicon.produce
      1000     1.000  monitors.compute_series_point
      1000     1.000  monitors.observe
-     1000     1.000  world.draw_index
      1000     1.000  world.sample_scene
       938     0.938  conceptual.interpret
       202     0.202  monitors.<lambda>
@@ -85,7 +84,7 @@ DEFAULT_TO_3_11 = """\
 """
 
 POP50_TO_3_11 = """\
-    91217    45.608  total
+    89217    44.608  total
     12554     6.277  world.clipped
      8000     4.000  embodiment.embody
      8000     4.000  embodiment.observe_world
@@ -103,7 +102,6 @@ POP50_TO_3_11 = """\
      2000     1.000  lexicon.produce
      2000     1.000  monitors.compute_series_point
      2000     1.000  monitors.observe
-     2000     1.000  world.draw_index
      2000     1.000  world.sample_scene
      1905     0.953  lexicon.__init__
      1855     0.927  lexicon.add_construction
@@ -151,7 +149,7 @@ POP50_TO_3_11 = """\
 """
 
 DEFAULT_FROM_3_12 = """\
-    49849    49.849  total
+    48849    48.849  total
      7840     7.840  world.clipped
      4000     4.000  embodiment.embody
      4000     4.000  embodiment.observe_world
@@ -173,7 +171,6 @@ DEFAULT_FROM_3_12 = """\
      1000     1.000  lexicon.produce
      1000     1.000  monitors.compute_series_point
      1000     1.000  monitors.observe
-     1000     1.000  world.draw_index
      1000     1.000  world.sample_scene
       938     0.938  conceptual.interpret
       202     0.202  monitors.<lambda>
@@ -212,7 +209,7 @@ DEFAULT_FROM_3_12 = """\
 """
 
 POP50_FROM_3_12 = """\
-    90702    45.351  total
+    88702    44.351  total
     12554     6.277  world.clipped
      8000     4.000  embodiment.embody
      8000     4.000  embodiment.observe_world
@@ -230,7 +227,6 @@ POP50_FROM_3_12 = """\
      2000     1.000  lexicon.produce
      2000     1.000  monitors.compute_series_point
      2000     1.000  monitors.observe
-     2000     1.000  world.draw_index
      2000     1.000  world.sample_scene
      1905     0.953  lexicon.__init__
      1855     0.927  lexicon.add_construction

@@ -27,10 +27,8 @@ from colourgame.world import (
     DEFAULT_PALETTE,
     Colour,
     check_separation,
-    draw_index,
     draw_sample,
     make_world,
-    perceive,
     random_palette,
     sample_scene,
 )
@@ -38,6 +36,7 @@ from colourgame.world import (
 from helpers import (
     constructions_of,
     fields_of,
+    oracle_perceive,
     register_recording_backend,
     split_into_games,
 )
@@ -54,9 +53,9 @@ def simulated_bodies(noise_std: float):
     )
 
 
-# A game draws its (speaker, hearer) pair as draw_sample(rng, population, 2)
-# and its topic as scene[draw_index(rng, len(scene))].
-def test_select_pair_uniform_over_ordered_pairs():
+# A game draws its (speaker, hearer) pair as draw_sample(rng, population, 2);
+# its topic is rng.choice(scene), whose uniformity is the library's.
+def test_pair_draw_uniform_over_ordered_pairs():
     population = make_population(5)
     rng = random.Random(6)
     counts = Counter()
@@ -69,7 +68,7 @@ def test_select_pair_uniform_over_ordered_pairs():
         assert abs(pair_count / draws - 1 / 20) <= 0.01
 
 
-def test_select_pair_two_agents_alternate_roles():
+def test_pair_draw_two_agents_alternate_roles():
     population = make_population(2)
     rng = random.Random(3)
     draws = 20_000
@@ -79,50 +78,39 @@ def test_select_pair_two_agents_alternate_roles():
     assert abs(first_speaks / draws - 0.5) <= 0.02
 
 
-def test_select_pair_requires_two_agents():
+def test_pair_draw_requires_two_agents():
     with pytest.raises(ConfigurationError):
         ExperimentParams(population_size=1).validate()
     with pytest.raises(ValueError):
         draw_sample(random.Random(0), make_population(1), 2)
 
 
-def test_choose_topic_uniform():
-    world = make_world(DEFAULT_PALETTE, objects_per_scene=3)
-    scene = sample_scene(world, random.Random(1))
-    rng = random.Random(10)
-    counts = Counter(scene[draw_index(rng, len(scene))] for _ in range(30_000))
-    for object_id in scene:
-        assert abs(counts[object_id] / 30_000 - 1 / 3) <= 0.02
-
-
-def test_choose_topic_forced_and_replayable():
-    assert draw_index(random.Random(0), 1) == 0
-    world = make_world(DEFAULT_PALETTE, objects_per_scene=3)
-    big = sample_scene(world, random.Random(2))
-    seq_a = [big[draw_index(random.Random(5), len(big))] for _ in range(1)]
-    rng_a, rng_b = random.Random(8), random.Random(8)
-    for _ in range(30):
-        assert big[draw_index(rng_a, len(big))] == big[draw_index(rng_b, len(big))]
-    assert seq_a
-
-
-def test_choose_topic_draws_what_a_choice_over_observations_draws():
-    # Every output depends on the order the generator is consumed in: a draw
-    # over the scene's ids must pick the same object and leave the same
-    # state as rng.choice over the speaker's observations, one per object.
+def test_topic_is_what_a_choice_over_the_speakers_observations_draws():
+    # Every output depends on the order the generator is consumed in: after
+    # the pair, the scene and both agents' observations, a game's topic must
+    # be the object rng.choice picks from the speaker's observations, one per
+    # object, with every earlier draw made by the library's own methods.
+    params = ExperimentParams()
+    bodies = simulated_bodies(params.noise_std)
+    population = make_population(params.population_size)
     worlds = [make_world(DEFAULT_PALETTE, k) for k in range(1, 7)]
-    rng, old_rng = random.Random(2718), random.Random(2718)
-    for world in worlds * 50:
-        scene = sample_scene(world, rng)
-        assert sample_scene(world, old_rng) == scene
-        model = perceive(world, scene, 3.0, rng)
-        observations = tuple(perceive(world, scene, 3.0, old_rng).items())
-        topic_id = scene[draw_index(rng, len(scene))]
-        assert (topic_id, model[topic_id]) == old_rng.choice(observations)
-        assert rng.getstate() == old_rng.getstate()
+    rng, oracle_rng = random.Random(2718), random.Random()
+    for n, world in enumerate(worlds * 50):
+        oracle_rng.setstate(rng.getstate())
+        record = run_interaction(population, world, bodies, params, rng, n)
+        speaker, hearer = oracle_rng.sample(population, 2)
+        k, noise = world.objects_per_scene, params.noise_std
+        scene = tuple(oracle_rng.sample(world.object_ids, k))
+        observations = oracle_perceive(world, scene, noise, oracle_rng)
+        oracle_perceive(world, scene, noise, oracle_rng)
+        assert (record.speaker_id, record.hearer_id) == (
+            speaker.agent_id, hearer.agent_id
+        )
+        assert record.scene_object_ids == scene
+        assert record.topic_id == oracle_rng.choice(observations)[0]
 
 
-def test_select_pair_draws_what_a_sample_of_two_draws():
+def test_pair_draw_draws_what_a_sample_of_two_draws():
     # sample keeps a list pool up to 21 agents and a set of the indices drawn
     # above that; both must pick the same pair and leave the same state.
     for size in (2, 5, 21, 22, 50, 200):
@@ -150,16 +138,6 @@ def test_sample_scene_draws_what_a_sample_of_the_ids_draws(palette):
                 world.object_ids, k
             )
             assert rng.getstate() == old_rng.getstate()
-
-
-def test_choose_topic_empty_model_is_an_error():
-    # getrandbits(0) is always 0, so without its guard draw_index(rng, 0)
-    # would never return.
-    rng = random.Random(0)
-    state = rng.getstate()
-    with pytest.raises(ValueError):
-        draw_index(rng, 0)
-    assert rng.getstate() == state
 
 
 def test_first_game_invention_and_adoption():

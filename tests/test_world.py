@@ -13,7 +13,6 @@ from colourgame.world import (
     DEFAULT_PALETTE,
     Colour,
     clipped,
-    draw_index,
     draw_sample,
     make_world,
     perceive,
@@ -348,14 +347,14 @@ def test_perceive_draws_what_gauss_draws_at_every_scene_size(
         assert (rng.gauss_next is not None) == (pending != (size % 2 == 1))
 
 
-def test_draw_sample_and_draw_index_draw_what_sample_and_choice_draw():
-    # Twin generators: one draws through the helpers, its oracle through
-    # rng.sample and rng.choice; both must return the same values and be in
-    # the same state after every call. sample keeps a list pool for n <= 21,
-    # and for n <= 21 + 4 ** ceil(log(3k, 4)) once k > 5, else a set of the
-    # indices drawn: n 1-60 with k 0-8 reach the pool, the enlarged pool
-    # (n 22-60 at k 6-8) and the set; n 100 and 1000 reach the set at every
-    # k. Perception and stray gauss calls in between move the Gaussian spare
+def test_draw_sample_draws_what_sample_draws():
+    # Twin generators: one draws through draw_sample, its oracle through
+    # rng.sample; both must return the same values and be in the same state
+    # after every call. sample keeps a list pool for n <= 21, and for
+    # n <= 21 + 4 ** ceil(log(3k, 4)) once k > 5, else a set of the indices
+    # drawn: n 1-60 with k 0-8 reach the pool, the enlarged pool (n 22-60 at
+    # k 6-8) and the set; n 100 and 1000 reach the set at every k.
+    # Perception and stray gauss calls in between move the Gaussian spare
     # that getstate includes, as in a run.
     world = make_world(DEFAULT_PALETTE, 1)
     rng, oracle_rng = random.Random(1234), random.Random(1234)
@@ -366,9 +365,6 @@ def test_draw_sample_and_draw_index_draw_what_sample_and_choice_draw():
             for _ in range(12):
                 drawn = draw_sample(rng, population, k)
                 assert drawn == oracle_rng.sample(population, k)
-                assert rng.getstate() == oracle_rng.getstate()
-                picked = population[draw_index(rng, n)]
-                assert picked == oracle_rng.choice(population)
                 assert rng.getstate() == oracle_rng.getstate()
                 if interleave.random() < 0.2:
                     scene = world.object_ids[: interleave.randint(1, 6)]

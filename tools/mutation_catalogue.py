@@ -58,7 +58,7 @@ PARITY_TEST = (
 )
 DRAW_TEST = (
     "tests/test_world.py::"
-    "test_draw_sample_and_draw_index_draw_what_sample_and_choice_draw"
+    "test_draw_sample_draws_what_sample_draws"
 )
 DOOR_TEST = (
     "tests/test_engine.py::"
@@ -410,12 +410,12 @@ MUTANTS = (
         (DRAW_TEST,),
     ),
     Mutant(
-        "index-draw-redraws-once",
-        "draw_index redraws out-of-range bits once, not until they fit, so it "
-        "can return an index past the end",
+        "pool-draw-redraws-once",
+        "draw_sample's pool branch redraws out-of-range bits once, not until "
+        "they fit, so it can pick an entry already drawn or one past the pool",
         WORLD,
-        "    while j >= n:\n",
-        "    if j >= n:\n",
+        "            while j >= m:\n",
+        "            if j >= m:\n",
         (DRAW_TEST,),
     ),
     Mutant(
